@@ -50,46 +50,59 @@ class CentralityBundle:
         return self.a.shape[0]
 
 
-def _attenuated_solve(matrix: sp.csr_matrix, coeff: float, rhs: np.ndarray,
-                      tol: float, max_iter: int = 500_000) -> tuple[np.ndarray, float]:
-    """Solve (I - coeff * matrix) x = rhs to residual <= tol (max norm).
+class _AttenuatedSystem:
+    """(I - coeff * matrix) x = rhs, factored once and solved to residual
+    <= tol (max norm) for 1-D or 2-D right-hand sides.
 
-    Dense-capable sizes go through a sparse direct factorization with
-    iterative refinement; larger systems use the fixed-point iteration
+    Systems up to DIRECT_SOLVE_MAX_N go through a sparse direct factorization
+    with iterative refinement; larger systems use the fixed-point iteration
     x <- rhs + coeff * matrix @ x, which converges whenever
     coeff * spectral_radius(matrix) < 1.
     """
-    n = matrix.shape[0]
-    rhs = np.asarray(rhs, dtype=float)
-    if coeff == 0.0:
-        return rhs.copy(), 0.0
-    if n <= DIRECT_SOLVE_MAX_N:
-        system = (sp.identity(n, format="csr") - coeff * matrix).tocsc()
-        lu = spla.splu(system)
-        x = lu.solve(rhs)
-        for _ in range(3):
-            residual_vec = rhs - (x - coeff * (matrix @ x))
-            residual = float(np.abs(residual_vec).max())
-            if residual <= tol:
-                return x, residual
-            x = x + lu.solve(residual_vec)
+
+    def __init__(self, matrix: sp.csr_matrix, coeff: float, tol: float,
+                 max_iter: int = 500_000):
+        self.matrix = matrix
+        self.coeff = coeff
+        self.tol = tol
+        self.max_iter = max_iter
+        n = matrix.shape[0]
+        self._lu = None
+        if coeff != 0.0 and n <= DIRECT_SOLVE_MAX_N:
+            self._lu = spla.splu((sp.identity(n, format="csr") - coeff * matrix).tocsc())
+
+    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return rhs - (x - self.coeff * (self.matrix @ x))
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """The solution and its residual in the max norm over all entries."""
+        rhs = np.asarray(rhs, dtype=float)
+        coeff, tol = self.coeff, self.tol
+        if coeff == 0.0:
+            return rhs.copy(), 0.0
+        if self._lu is not None:
+            x = self._lu.solve(rhs)
+            for _ in range(3):
+                residual_vec = self._residual(x, rhs)
+                residual = float(np.abs(residual_vec).max())
+                if residual <= tol:
+                    return x, residual
+                x = x + self._lu.solve(residual_vec)
+            raise SolverError(
+                f"direct solve stalled at residual {residual:.3g} > tol {tol:.3g}",
+                residual=residual)
+        x = rhs.copy()
+        for _ in range(self.max_iter):
+            nxt = rhs + coeff * (self.matrix @ x)
+            if float(np.abs(nxt - x).max()) <= tol:
+                residual = float(np.abs(self._residual(nxt, rhs)).max())
+                if residual <= tol:
+                    return nxt, residual
+            x = nxt
+        residual = float(np.abs(self._residual(x, rhs)).max())
         raise SolverError(
-            f"direct solve stalled at residual {residual:.3g} > tol {tol:.3g}",
-            residual=residual)
-    x = rhs.copy()
-    for _ in range(max_iter):
-        nxt = rhs + coeff * (matrix @ x)
-        if float(np.abs(nxt - x).max()) <= tol:
-            residual_vec = rhs - (nxt - coeff * (matrix @ nxt))
-            residual = float(np.abs(residual_vec).max())
-            if residual <= tol:
-                return nxt, residual
-        x = nxt
-    residual_vec = rhs - (x - coeff * (matrix @ x))
-    residual = float(np.abs(residual_vec).max())
-    raise SolverError(
-        f"fixed-point solve did not reach tol {tol:.3g} in {max_iter} iterations "
-        f"(residual {residual:.3g})", residual=residual)
+            f"fixed-point solve did not reach tol {tol:.3g} in {self.max_iter} iterations "
+            f"(residual {residual:.3g})", residual=residual)
 
 
 def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
@@ -100,8 +113,8 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
             f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
             f"is not below 1; the walk series diverges",
             rho=rho, bound=(np.inf if rho == 0 else 1.0 / rho))
-    ones = np.ones(graph.n)
-    x, residual = _attenuated_solve(graph.matrix.T.tocsr(), attenuation, ones, tol)
+    system = _AttenuatedSystem(graph.matrix.T.tocsr(), attenuation, tol)
+    x, residual = system.solve(np.ones(graph.n))
     if float(x.min()) < 1.0 - 1e-8:
         raise SolverError(
             f"centrality solve produced an entry {x.min():.12g} below 1",
@@ -126,10 +139,12 @@ def biproduct_centrality(graph: WeightedDigraph, params: MarketParams,
                          tol: float = _DEFAULT_TOL) -> CentralityBundle:
     """Both attenuated solves plus their average and half difference.
 
-    Validates the model assumptions first.  With beta = 0 the two
-    attenuations coincide, one solve is reused, and c_cross is exactly zero.
+    Validates the model assumptions first, at the same tolerance; the
+    AssumptionError it raises carries the validation report.  With beta = 0
+    the two attenuations coincide, one solve is reused, and c_cross is
+    exactly zero.
     """
-    ensure_assumptions(graph, params)
+    ensure_assumptions(graph, params, tol)
     att_low = params.delta * (1.0 - params.beta)
     att_high = params.delta * (1.0 + params.beta)
     a, res_a = _katz_with_residual(graph, att_low, tol)
@@ -146,22 +161,30 @@ def biproduct_centrality(graph: WeightedDigraph, params: MarketParams,
         residuals=(float(res_a), float(res_b)))
 
 
+def _walk_series(graph: WeightedDigraph, attenuation: float,
+                 terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sum sum_{t=0}^{terms-1} attenuation^t (G^T)^t 1 and the first
+    omitted term attenuation^terms (G^T)^terms 1."""
+    if terms < 1:
+        raise ValueError(f"terms must be at least 1, got {terms}")
+    gt = graph.matrix.T.tocsr()
+    term = np.ones(graph.n)
+    total = np.zeros(graph.n)
+    for _ in range(terms):
+        total += term
+        term = attenuation * (gt @ term)
+    return total, term
+
+
 def neumann_oracle(graph: WeightedDigraph, attenuation: float, terms: int) -> np.ndarray:
     """Truncated walk series sum_{t=0}^{terms-1} attenuation^t (G^T)^t 1.
 
     Independent check for katz_bonacich: the partial sums increase toward the
     solve whenever attenuation * spectral_radius(G) < 1.
     """
-    if terms < 1:
-        raise ValueError(f"terms must be at least 1, got {terms}")
     if not (np.isfinite(attenuation) and attenuation >= 0):
         raise ValueError(f"attenuation must be a nonnegative real, got {attenuation}")
-    gt = graph.matrix.T.tocsr()
-    term = np.ones(graph.n)
-    total = term.copy()
-    for _ in range(terms - 1):
-        term = attenuation * (gt @ term)
-        total += term
+    total, _ = _walk_series(graph, attenuation, terms)
     return _as_readonly(total)
 
 
@@ -174,15 +197,7 @@ def neumann_tail_bound(graph: WeightedDigraph, attenuation: float, terms: int) -
     ||m_T||_inf * ||partial||_inf / (1 - ||m_T||_inf) once ||m_T||_inf < 1.
     Returns inf when the bound is not yet conclusive at this truncation.
     """
-    if terms < 1:
-        raise ValueError(f"terms must be at least 1, got {terms}")
-    gt = graph.matrix.T.tocsr()
-    term = np.ones(graph.n)
-    total = term.copy()
-    for _ in range(terms - 1):
-        term = attenuation * (gt @ term)
-        total += term
-    omitted = attenuation * (gt @ term)
+    total, omitted = _walk_series(graph, attenuation, terms)
     m = float(np.abs(omitted).max())
     if m >= 1.0:
         return float("inf")

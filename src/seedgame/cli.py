@@ -2,7 +2,8 @@
 
 Subcommands: generate, centrality, nash, epsilon, sparsify, simulate,
 asr-scan, verify.  Exit codes: 0 success, 1 usage or I/O error, 2 model
-assumption failure, 3 verification failure.  All reports embed the resolved
+assumption failure or a spectral radius, solve or tail bound that could not
+be certified, 3 verification failure.  All reports embed the resolved
 configuration and tool version and are byte-identical across repeated runs.
 """
 from __future__ import annotations
@@ -17,15 +18,16 @@ import numpy as np
 
 from . import __version__
 from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_csv
-from .centrality import katz_bonacich, neumann_oracle, neumann_tail_bound, biproduct_centrality
-from .dynamics import SeedingPair, simulate, write_trajectory_csv
+from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
+                         katz_bonacich, neumann_oracle, neumann_tail_bound)
+from .dynamics import SeedingPair, TailCertificationError, simulate, write_trajectory_csv
 from .game import (DiscountedSolver, SeedSet, epsilon_for_sets, firm_utility,
                    nash_deviation_check, nash_seeding, restricted_nash_seeding,
                    sparsify, utility_gradient)
 from .graph import (AssumptionError, CorePeripheryParams, EdgeListError,
-                    GraphError, MarketParams, WeightedDigraph,
+                    GraphError, MarketParams, PowerIterationError, WeightedDigraph,
                     generate_bounded_outdegree_family, generate_core_periphery,
-                    load_edge_list, save_edge_list, validate_assumptions)
+                    load_edge_list, save_edge_list)
 from .reportio import write_report
 
 
@@ -177,26 +179,39 @@ def _checked_market(config: RunConfig) -> MarketParams:
         raise UsageError(str(exc)) from None
 
 
-def _require_assumptions(graph: WeightedDigraph, params: MarketParams,
-                         config: RunConfig, out: Path) -> None:
-    report = validate_assumptions(graph, params, config.tol)
-    if report.passed:
-        return
-    if config.force:
-        write_report({
-            "version": __version__,
-            "config": config.as_dict(),
-            "passed": False,
-            "rho": report.rho,
-            "bound": report.bound,
-            "margin": report.margin,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in report.checks],
-        }, out / "validation.json")
-        print(f"assumption failure; diagnostics written to {out / 'validation.json'}",
-              file=sys.stderr)
-    raise AssumptionError(f"model assumptions violated:\n{report.summary()}",
-                          rho=report.rho, bound=report.bound, report=report)
+def _bundle(graph: WeightedDigraph, params: MarketParams, config: RunConfig,
+            out: Path) -> CentralityBundle:
+    """The run's one centrality bundle, which also validates the model
+    assumptions.  With --force an assumption failure first writes its
+    validation report to validation.json."""
+    try:
+        return biproduct_centrality(graph, params, config.tol)
+    except AssumptionError as exc:
+        report = exc.report
+        if config.force and report is not None:
+            write_report({
+                "version": __version__,
+                "config": config.as_dict(),
+                "passed": False,
+                "rho": report.rho,
+                "bound": report.bound,
+                "margin": report.margin,
+                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                           for c in report.checks],
+            }, out / "validation.json")
+            print(f"assumption failure; diagnostics written to {out / 'validation.json'}",
+                  file=sys.stderr)
+        raise
+
+
+def _load_bundle(config: RunConfig) -> tuple[WeightedDigraph, MarketParams, Path,
+                                             CentralityBundle]:
+    """Shared front of the graph commands: load the graph, check the market,
+    create --out and compute the bundle."""
+    graph = _load_graph(config)
+    params = _checked_market(config)
+    out = _ensure_out(config)
+    return graph, params, out, _bundle(graph, params, config, out)
 
 
 def _seeding_summary(graph: WeightedDigraph, c_new: np.ndarray,
@@ -247,11 +262,7 @@ def cmd_generate(config: RunConfig) -> int:
 
 
 def cmd_centrality(config: RunConfig) -> int:
-    graph = _load_graph(config)
-    params = _checked_market(config)
-    out = _ensure_out(config)
-    _require_assumptions(graph, params, config, out)
-    bundle = biproduct_centrality(graph, params, config.tol)
+    graph, params, out, bundle = _load_bundle(config)
     write_report({
         "version": __version__,
         "config": config.as_dict(),
@@ -269,12 +280,10 @@ def cmd_centrality(config: RunConfig) -> int:
 
 
 def _equilibrium_report(config: RunConfig, graph: WeightedDigraph,
-                        params: MarketParams, seeding: SeedingPair,
-                        epsilon: dict | None) -> dict:
-    bundle = biproduct_centrality(graph, params, config.tol)
-    nash = nash_seeding(graph, params, bundle=bundle, tol=config.tol)
-    breakdown_a, breakdown_b = firm_utility(graph, params, seeding,
-                                            bundle=bundle, tol=config.tol)
+                        params: MarketParams, bundle: CentralityBundle,
+                        seeding: SeedingPair, epsilon: dict | None) -> dict:
+    nash = nash_seeding(graph, params, bundle=bundle)
+    breakdown_a, breakdown_b = firm_utility(graph, params, seeding, bundle=bundle)
     return {
         "version": __version__,
         "config": config.as_dict(),
@@ -303,13 +312,9 @@ def _epsilon_dict(report) -> dict:
 
 
 def cmd_nash(config: RunConfig) -> int:
-    graph = _load_graph(config)
-    params = _checked_market(config)
-    out = _ensure_out(config)
-    _require_assumptions(graph, params, config, out)
-    bundle = biproduct_centrality(graph, params, config.tol)
-    seeding = nash_seeding(graph, params, bundle=bundle, tol=config.tol)
-    report = _equilibrium_report(config, graph, params, seeding, epsilon=None)
+    graph, params, out, bundle = _load_bundle(config)
+    seeding = nash_seeding(graph, params, bundle=bundle)
+    report = _equilibrium_report(config, graph, params, bundle, seeding, epsilon=None)
     write_report(report, out / "equilibrium.json")
     print(_seeding_summary(graph, bundle.c_new, seeding))
     print(f"wrote {out / 'equilibrium.json'}")
@@ -317,16 +322,11 @@ def cmd_nash(config: RunConfig) -> int:
 
 
 def cmd_epsilon(config: RunConfig) -> int:
-    graph = _load_graph(config)
-    params = _checked_market(config)
-    out = _ensure_out(config)
-    _require_assumptions(graph, params, config, out)
+    graph, params, out, bundle = _load_bundle(config)
     set_bar, set_under = _resolve_sets(config, graph.n)
-    bundle = biproduct_centrality(graph, params, config.tol)
-    eps = epsilon_for_sets(graph, params, set_bar, set_under,
-                           bundle=bundle, tol=config.tol)
+    eps = epsilon_for_sets(graph, params, set_bar, set_under, bundle=bundle)
     seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
-    report = _equilibrium_report(config, graph, params, seeding,
+    report = _equilibrium_report(config, graph, params, bundle, seeding,
                                  epsilon=_epsilon_dict(eps))
     write_report(report, out / "equilibrium.json")
     print(_seeding_summary(graph, bundle.c_new, seeding))
@@ -339,13 +339,8 @@ def cmd_epsilon(config: RunConfig) -> int:
 def cmd_sparsify(config: RunConfig) -> int:
     if config.epsilon_target is None:
         raise UsageError("sparsify needs --epsilon-target")
-    graph = _load_graph(config)
-    params = _checked_market(config)
-    out = _ensure_out(config)
-    _require_assumptions(graph, params, config, out)
-    bundle = biproduct_centrality(graph, params, config.tol)
-    set_bar, set_under, eps = sparsify(graph, params, config.epsilon_target,
-                                       bundle=bundle, tol=config.tol)
+    graph, params, out, bundle = _load_bundle(config)
+    set_bar, set_under, eps = sparsify(graph, params, config.epsilon_target, bundle=bundle)
     seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
     write_report({
         "version": __version__,
@@ -365,16 +360,12 @@ def cmd_sparsify(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    graph = _load_graph(config)
-    params = _checked_market(config)
-    out = _ensure_out(config)
-    _require_assumptions(graph, params, config, out)
+    graph, params, out, bundle = _load_bundle(config)
     if config.seeding == "zero":
         seeding = SeedingPair.zeros(graph.n)
     elif config.seeding == "nash":
-        seeding = nash_seeding(graph, params, tol=config.tol)
+        seeding = nash_seeding(graph, params, bundle=bundle)
     elif config.seeding == "restricted":
-        bundle = biproduct_centrality(graph, params, config.tol)
         set_bar, set_under = _resolve_sets(config, graph.n)
         seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
     else:
@@ -490,8 +481,8 @@ def _check(checks: list, graph_name: str, name: str, passed: bool, detail: str) 
 
 def _verify_one(checks: list, name: str, graph: WeightedDigraph,
                 cp: CorePeripheryParams | None, params: MarketParams,
-                config: RunConfig, rng: np.random.Generator) -> None:
-    bundle = biproduct_centrality(graph, params, config.tol)
+                bundle: CentralityBundle, config: RunConfig,
+                rng: np.random.Generator) -> None:
     solver = DiscountedSolver(graph, params, config.tol)
 
     # strictly positive so central differences below stay inside the domain
@@ -504,19 +495,18 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
     _check(checks, name, "simulation_matches_closed_form", gap <= 1e-8,
            f"max gap {gap:.3e}, tail bound {trajectory.tail_bound:.3e}")
 
+    def solved_net_a(s_bar: np.ndarray) -> float:
+        gross, _ = solver.gross_revenues(SeedingPair(s_bar, seeding.s_under))
+        return gross - 0.5 * float(s_bar @ s_bar)
+
+    # the closed-form gradient against differences of the full solve
     h = 1e-4
     grad = utility_gradient(graph, params, seeding, firm="a", bundle=bundle)
     worst_rel = 0.0
     for idx in range(graph.n):
         bumped_up = seeding.s_bar.copy(); bumped_up[idx] += h
         bumped_dn = seeding.s_bar.copy(); bumped_dn[idx] -= h
-        up, _ = firm_utility(graph, params,
-                             SeedingPair(bumped_up, seeding.s_under),
-                             bundle=bundle, solver=solver)
-        dn, _ = firm_utility(graph, params,
-                             SeedingPair(bumped_dn, seeding.s_under),
-                             bundle=bundle, solver=solver)
-        fd = (up.net - dn.net) / (2 * h)
+        fd = (solved_net_a(bumped_up) - solved_net_a(bumped_dn)) / (2 * h)
         denom = max(1.0, abs(grad[idx]))
         worst_rel = max(worst_rel, abs(fd - grad[idx]) / denom)
     _check(checks, name, "gradient_matches_finite_differences", worst_rel <= 1e-5,
@@ -570,10 +560,8 @@ def cmd_verify(config: RunConfig) -> int:
     checks: list[dict] = []
     rng = np.random.default_rng(config.seed)
     for name, graph, cp in _verify_graphs(config):
-        report = validate_assumptions(graph, params, config.tol)
-        if not report.passed:
-            _require_assumptions(graph, params, config, out)
-        _verify_one(checks, name, graph, cp, params, config, rng)
+        bundle = _bundle(graph, params, config, out)
+        _verify_one(checks, name, graph, cp, params, bundle, config, rng)
     passed = all(c["passed"] for c in checks)
     write_report({
         "version": __version__,
@@ -700,6 +688,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except AssumptionError as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
+        return 2
+    except (PowerIterationError, SolverError, TailCertificationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ x_bar firm is
 
 with y_bar = sum_{k>=1} delta^k x_bar(k) from the best-response dynamics.
 The payoff is affine in the seedings with coefficients price * c_new (own)
-and price * c_cross (rival), which yields the closed forms used here.
+and price * c_cross (rival), so every payoff here is priced from the
+centrality bundle without a further linear solve.  DiscountedSolver keeps the
+full discounted-consumption solve as an independent oracle for the checks.
 """
 from __future__ import annotations
 
@@ -17,14 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
-from .centrality import CentralityBundle, _attenuated_solve, biproduct_centrality
+from .centrality import CentralityBundle, _AttenuatedSystem, biproduct_centrality
 from .dynamics import SeedingPair
 from .graph import MarketParams, WeightedDigraph, _check_id, ensure_assumptions
 
 _DEFAULT_TOL = 1e-10
-_DENSE_SOLVER_MAX_N = 2000
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,14 @@ class EpsilonReport:
 
 
 class DiscountedSolver:
-    """Prefactorized closed-form evaluator for repeated payoff queries.
+    """Full-solve evaluator of discounted consumption, the independent oracle
+    for the closed-form payoffs.
 
     The 2n-dimensional discounted-consumption system block-diagonalizes under
     the sum/difference transform into two independent n x n systems with
     attenuations delta*(1+beta) and delta*(1-beta); no 2n x 2n matrix is ever
-    materialized.  Dense-capable sizes cache LU factors of both systems.
+    materialized.  Both systems are factored once, on the same solver as the
+    centralities, and then serve any number of right-hand sides.
     """
 
     def __init__(self, graph: WeightedDigraph, params: MarketParams,
@@ -123,29 +125,11 @@ class DiscountedSolver:
         self._q_plus = params.delta * (1.0 + params.beta)
         self._q_minus = params.delta * (1.0 - params.beta)
         self._r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
-        n = graph.n
-        self._lu_plus = self._lu_minus = None
-        if n <= _DENSE_SOLVER_MAX_N:
-            dense = graph.to_dense()
-            eye = np.eye(n)
-            self._lu_plus = scipy.linalg.lu_factor(eye - self._q_plus * dense)
-            if params.beta == 0.0:
-                self._lu_minus = self._lu_plus
-            else:
-                self._lu_minus = scipy.linalg.lu_factor(eye - self._q_minus * dense)
-
-    def _solve(self, which: str, rhs: np.ndarray) -> np.ndarray:
-        coeff = self._q_plus if which == "plus" else self._q_minus
-        lu = self._lu_plus if which == "plus" else self._lu_minus
-        if lu is not None:
-            x = scipy.linalg.lu_solve(lu, rhs)
-            matrix = self.graph.matrix
-            residual = np.abs(rhs - (x - coeff * (matrix @ x))).max()
-            if residual > self.tol:
-                x, _ = _attenuated_solve(matrix, coeff, rhs, self.tol)
-            return x
-        x, _ = _attenuated_solve(self.graph.matrix, coeff, rhs, self.tol)
-        return x
+        self._plus = _AttenuatedSystem(graph.matrix, self._q_plus, tol)
+        if params.beta == 0.0:
+            self._minus = self._plus
+        else:
+            self._minus = _AttenuatedSystem(graph.matrix, self._q_minus, tol)
 
     def consumption(self, seeding: SeedingPair) -> tuple[np.ndarray, np.ndarray]:
         """Discounted sums (y_bar, y_under) with y = sum_{k>=1} delta^k x(k)."""
@@ -154,11 +138,11 @@ class DiscountedSolver:
         matrix = self.graph.matrix
         ones = np.ones(self.graph.n)
         rhs_sum = 2.0 * self._r * ones + self._q_plus * (matrix @ (seeding.s_bar + seeding.s_under))
-        u = self._solve("plus", rhs_sum)
+        u, _ = self._plus.solve(rhs_sum)
         diff_seed = seeding.s_bar - seeding.s_under
         if np.any(diff_seed):
             rhs_diff = self._q_minus * (matrix @ diff_seed)
-            v = self._solve("minus", rhs_diff)
+            v, _ = self._minus.solve(rhs_diff)
         else:
             v = np.zeros(self.graph.n)
         return 0.5 * (u + v), 0.5 * (u - v)
@@ -174,7 +158,7 @@ class DiscountedSolver:
 def discounted_consumption(graph: WeightedDigraph, params: MarketParams,
                            seeding: SeedingPair,
                            tol: float = _DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form discounted consumption sums (y_bar, y_under)."""
+    """Discounted consumption sums (y_bar, y_under) from the full linear solve."""
     return DiscountedSolver(graph, params, tol).consumption(seeding)
 
 
@@ -194,33 +178,30 @@ def _require_bundle(graph, params, bundle, tol) -> CentralityBundle:
 
 def firm_utility(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
                  bundle: CentralityBundle | None = None,
-                 solver: DiscountedSolver | None = None,
                  tol: float = _DEFAULT_TOL) -> tuple[UtilityBreakdown, UtilityBreakdown]:
     """Both firms' payoff breakdowns at the given seeding pair.
 
-    gross comes from the full linear solve; the affine components satisfy
-    gross = baseline + own_term + cross_term up to solver residual, with
-    own_term = price * c_new . s_own and cross_term = price * c_cross . s_rival.
+    gross = baseline + own_term + cross_term, priced from the bundle with no
+    linear solve: own_term = price * c_new . s_own and
+    cross_term = price * c_cross . s_rival.  DiscountedSolver.gross_revenues
+    computes the same gross from the full solve.
     """
-    if solver is None:
-        solver = DiscountedSolver(graph, params, tol)
+    if seeding.n != graph.n:
+        raise ValueError(f"seeding has {seeding.n} agents, graph has {graph.n}")
     bundle = _require_bundle(graph, params, bundle, tol)
-    gross_a, gross_b = solver.gross_revenues(seeding)
     p = params.price
     base = _baseline(params, bundle)
-    cost_a = 0.5 * float(seeding.s_bar @ seeding.s_bar)
-    cost_b = 0.5 * float(seeding.s_under @ seeding.s_under)
-    breakdown_a = UtilityBreakdown(
-        gross=gross_a, seeding_cost=cost_a, net=gross_a - cost_a,
-        baseline=base,
-        own_term=p * float(bundle.c_new @ seeding.s_bar),
-        cross_term=p * float(bundle.c_cross @ seeding.s_under))
-    breakdown_b = UtilityBreakdown(
-        gross=gross_b, seeding_cost=cost_b, net=gross_b - cost_b,
-        baseline=base,
-        own_term=p * float(bundle.c_new @ seeding.s_under),
-        cross_term=p * float(bundle.c_cross @ seeding.s_bar))
-    return breakdown_a, breakdown_b
+
+    def breakdown(own: np.ndarray, rival: np.ndarray) -> UtilityBreakdown:
+        own_term = p * float(bundle.c_new @ own)
+        cross_term = p * float(bundle.c_cross @ rival)
+        gross = base + own_term + cross_term
+        cost = 0.5 * float(own @ own)
+        return UtilityBreakdown(gross=gross, seeding_cost=cost, net=gross - cost,
+                                baseline=base, own_term=own_term, cross_term=cross_term)
+
+    return (breakdown(seeding.s_bar, seeding.s_under),
+            breakdown(seeding.s_under, seeding.s_bar))
 
 
 def utility_gradient(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
@@ -284,7 +265,6 @@ def _tau(params: MarketParams, bundle: CentralityBundle, own_mask: np.ndarray) -
 def epsilon_for_sets(graph: WeightedDigraph, params: MarketParams,
                      set_bar: SeedSet, set_under: SeedSet,
                      bundle: CentralityBundle | None = None,
-                     solver: DiscountedSolver | None = None,
                      tol: float = _DEFAULT_TOL) -> EpsilonReport:
     """Epsilon-equilibrium certificate for seeding price * c_new restricted to
     the given sets.
@@ -298,16 +278,13 @@ def epsilon_for_sets(graph: WeightedDigraph, params: MarketParams,
         if s.n != graph.n:
             raise ValueError(f"{label} is over {s.n} agents, graph has {graph.n}")
     bundle = _require_bundle(graph, params, bundle, tol)
-    if solver is None:
-        solver = DiscountedSolver(graph, params, tol)
     mask_bar = set_bar.mask()
     mask_under = set_under.mask()
     tau_bar = _tau(params, bundle, mask_bar)
     tau_under = _tau(params, bundle, mask_under)
 
     candidate = restricted_nash_seeding(params, bundle, set_bar, set_under)
-    payoff_a, payoff_b = firm_utility(graph, params, candidate,
-                                      bundle=bundle, solver=solver, tol=tol)
+    payoff_a, payoff_b = firm_utility(graph, params, candidate, bundle=bundle, tol=tol)
     gain_a = best_response_gain(graph, params, set_bar, bundle=bundle, tol=tol)
     gain_b = best_response_gain(graph, params, set_under, bundle=bundle, tol=tol)
     exact_a = gain_a / payoff_a.net if payoff_a.net > 0.0 else None
@@ -404,8 +381,8 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
             block = candidates[:, start:start + 512]
             rhs_sum = (2.0 * r * ones)[:, None] + q_plus * (matrix @ (block + star[:, None]))
             rhs_diff = q_minus * (matrix @ (block - star[:, None]))
-            u = _solve_columns(solver, "plus", rhs_sum)
-            v = _solve_columns(solver, "minus", rhs_diff)
+            u, _ = solver._plus.solve(rhs_sum)
+            v, _ = solver._minus.solve(rhs_diff)
             y_dev = 0.5 * (u + v)
             net_dev = (p * (block.sum(axis=0) + y_dev.sum(axis=0))
                        - 0.5 * (block ** 2).sum(axis=0))
@@ -418,13 +395,3 @@ def _net_pair(solver: DiscountedSolver, params: MarketParams,
     gross_a, gross_b = solver.gross_revenues(seeding)
     return (gross_a - 0.5 * float(seeding.s_bar @ seeding.s_bar),
             gross_b - 0.5 * float(seeding.s_under @ seeding.s_under))
-
-
-def _solve_columns(solver: DiscountedSolver, which: str, rhs: np.ndarray) -> np.ndarray:
-    if (solver._lu_plus if which == "plus" else solver._lu_minus) is not None:
-        lu = solver._lu_plus if which == "plus" else solver._lu_minus
-        return scipy.linalg.lu_solve(lu, rhs)
-    out = np.empty_like(rhs)
-    for col in range(rhs.shape[1]):
-        out[:, col] = solver._solve(which, rhs[:, col])
-    return out

@@ -13,7 +13,7 @@ from seedgame import (CorePeripheryParams, FamilySpec, MarketParams, SeedSet,
                       SeedingPair, analytic_core_periphery,
                       best_response_gain, biproduct_centrality,
                       check_necessary_condition, discounted_consumption,
-                      firm_utility, generate_bounded_outdegree_family,
+                      generate_bounded_outdegree_family,
                       generate_core_periphery, katz_bonacich,
                       nash_deviation_check, nash_seeding, neumann_oracle,
                       neumann_tail_bound, restricted_nash_seeding, scan_family,
@@ -48,6 +48,12 @@ def test_criterion_1_simulation_matches_closed_form(random_suite, cp_graph):
                     f"max certified tail {worst_tail:.3e} (tol 1e-10)")
 
 
+def _solved_net_a(solver, s_bar, s_under):
+    """Firm a's net payoff from the full discounted-consumption solve."""
+    gross, _ = solver.gross_revenues(SeedingPair(s_bar, s_under))
+    return gross - 0.5 * float(s_bar @ s_bar)
+
+
 def test_criterion_2_gradient_finite_differences(test_suite):
     h = 1e-4
     rng = np.random.default_rng(102)
@@ -65,13 +71,8 @@ def test_criterion_2_gradient_finite_differences(test_suite):
             for idx in range(graph.n):
                 up_s = seeding.s_bar.copy(); up_s[idx] += h
                 dn_s = seeding.s_bar.copy(); dn_s[idx] -= h
-                up, _ = firm_utility(graph, MARKET,
-                                     SeedingPair(up_s, seeding.s_under),
-                                     bundle=bundle, solver=solver)
-                dn, _ = firm_utility(graph, MARKET,
-                                     SeedingPair(dn_s, seeding.s_under),
-                                     bundle=bundle, solver=solver)
-                fd = (up.net - dn.net) / (2 * h)
+                fd = (_solved_net_a(solver, up_s, seeding.s_under)
+                      - _solved_net_a(solver, dn_s, seeding.s_under)) / (2 * h)
                 worst_rel = max(worst_rel,
                                 abs(fd - grad[idx]) / max(1.0, abs(grad[idx])))
             other = utility_gradient(
@@ -106,9 +107,7 @@ def test_criterion_4_deviation_gain_identity(test_suite):
         solver = DiscountedSolver(graph, MARKET)
 
         def net(s_bar, s_under):
-            u, _ = firm_utility(graph, MARKET, SeedingPair(s_bar, s_under),
-                                bundle=bundle, solver=solver)
-            return u.net
+            return _solved_net_a(solver, s_bar, s_under)
 
         for _ in range(10):
             size = int(rng.integers(0, graph.n + 1))

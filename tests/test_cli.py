@@ -1,7 +1,10 @@
+import collections
 import contextlib
 import io
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from seedgame import load_edge_list
@@ -259,6 +262,108 @@ class TestAssumptionFailures:
         code, _, err = run("nash", "--generate", CP_SPEC, "--alpha", "0.5",
                            "--out", str(tmp_path))
         assert code == 2
+
+
+def write_cycle(path, weights):
+    """Directed cycle in which agent i listens to agent i % n + 1."""
+    n = len(weights)
+    lines = [f"n={n}"] + [f"{i} {i % n + 1} {float(w)!r}"
+                          for i, w in enumerate(weights, start=1)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestRefusals:
+    """Admissible graphs the program cannot answer yet get a typed refusal
+    (exit 2, one error line), not a traceback."""
+
+    def test_uncertified_tail_exits_two(self, tmp_path):
+        dag = tmp_path / "dag.edges"  # rho = 0
+        dag.write_text("n=3\n1 2 1.0\n1 3 1.0\n")
+        code, _, err = run("simulate", "--graph", str(dag), "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unconverged_spectral_radius_exits_two(self, tmp_path):
+        weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)  # rho ~ 0.80
+        cycle = write_cycle(tmp_path / "cycle.edges", weights)
+        code, _, err = run("centrality", "--graph", str(cycle), "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestNearCritical:
+    """12-cycle at delta * (1 + beta) * rho = 0.9999, where payoffs near 1e8
+    rule out an absolute 1e-10 residual on the full consumption solve."""
+
+    WEIGHT = 0.9999 / 0.75
+
+    @pytest.fixture
+    def cycle(self, tmp_path):
+        return write_cycle(tmp_path / "cycle.edges", [self.WEIGHT] * 12)
+
+    @pytest.mark.parametrize("argv", [
+        ("nash",), ("epsilon", "--sets", "1,2"), ("sparsify", "--epsilon-target", "0.5"),
+    ])
+    def test_commands_answer(self, cycle, tmp_path, argv):
+        code, _, err = run(*argv, "--graph", str(cycle), "--out", str(tmp_path))
+        assert code == 0, err
+
+    def test_nash_payoff_matches_cycle_closed_form(self, cycle, tmp_path):
+        run("nash", "--graph", str(cycle), "--out", str(tmp_path))
+        report = read_json(tmp_path / "equilibrium.json")
+        n, alpha, p, beta, delta = 12, 2.0, 1.0, 0.5, 0.5
+        a = 1.0 / (1.0 - delta * (1.0 - beta) * self.WEIGHT)
+        b = 1.0 / (1.0 - delta * (1.0 + beta) * self.WEIGHT)
+        c, x = (a + b) / 2, (b - a) / 2
+        r = delta * (alpha - p) / (1.0 - delta)
+        net = n * (p * r * b + p ** 2 * c ** 2 / 2 + p ** 2 * c * x)
+        for firm in ("firm_a", "firm_b"):
+            assert report["utilities"][firm]["net"] == pytest.approx(net, rel=1e-9)
+
+
+class TestCallCounts:
+    """Each graph command validates once, inside its one centrality bundle,
+    and prices payoffs without the full-solve oracle."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import seedgame.graph as graph_mod
+        from seedgame import DiscountedSolver, biproduct_centrality
+        tally = collections.Counter()
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                tally[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "seedgame"]
+        for name, func in (("validate", graph_mod.validate_assumptions),
+                           ("bundle", biproduct_centrality)):
+            wrapper = counting(name, func)
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, key, wrapper)
+        monkeypatch.setattr(DiscountedSolver, "__init__",
+                            counting("solver", DiscountedSolver.__init__))
+        return tally
+
+    @pytest.mark.parametrize("argv", [
+        ("centrality",), ("nash",), ("epsilon", "--sets", "4,8,12"),
+        ("sparsify", "--epsilon-target", "0.32"),
+    ])
+    def test_one_validation_one_bundle_no_solver(self, counts, tmp_path, argv):
+        code, _, _ = run(*argv, "--generate", CP_SPEC, "--out", str(tmp_path))
+        assert code == 0
+        assert (counts["validate"], counts["bundle"], counts["solver"]) == (1, 1, 0)
+
+    def test_simulate_validates_at_most_twice(self, counts, tmp_path):
+        code, _, _ = run("simulate", "--generate", CP_SPEC, "--seeding", "nash",
+                         "--out", str(tmp_path))
+        assert code == 0
+        assert counts["validate"] <= 2
 
 
 class TestVerify:

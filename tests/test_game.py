@@ -81,11 +81,13 @@ class TestFirmUtility:
         for name, graph in test_suite[:10]:
             seeding = SeedingPair(rng.random(graph.n), rng.random(graph.n))
             ua, ub = firm_utility(graph, MARKET, seeding)
-            for u, own in ((ua, seeding.s_bar), (ub, seeding.s_under)):
+            solved = DiscountedSolver(graph, MARKET).gross_revenues(seeding)
+            for u, own, gross in ((ua, seeding.s_bar, solved[0]),
+                                  (ub, seeding.s_under, solved[1])):
                 assert u.net == pytest.approx(u.gross - u.seeding_cost, rel=1e-12)
                 assert u.seeding_cost == pytest.approx(0.5 * own @ own, rel=1e-12)
                 recomposed = u.baseline + u.own_term + u.cross_term - u.seeding_cost
-                assert u.net == pytest.approx(recomposed, rel=1e-9), name
+                assert gross - u.seeding_cost == pytest.approx(recomposed, rel=1e-9), name
 
     def test_gross_includes_seeding_revenue(self, two_node):
         # an isolated agent seeded with s produces revenue p*s plus the
@@ -157,15 +159,15 @@ class TestDiscountedSolver:
         y_bar, y_under = discounted_consumption(cp_graph, MARKET, SeedingPair(s, s))
         assert np.array_equal(y_bar, y_under)
 
-    def test_iterative_fallback_matches_dense(self, monkeypatch, cp_graph):
-        import seedgame.game as game_mod
+    def test_fixed_point_path_matches_direct(self, monkeypatch, cp_graph):
+        import seedgame.centrality as centrality_mod
         rng = np.random.default_rng(18)
         seeding = SeedingPair(rng.random(12), rng.random(12))
-        dense = discounted_consumption(cp_graph, MARKET, seeding)
-        monkeypatch.setattr(game_mod, "_DENSE_SOLVER_MAX_N", 1)
-        sparse = discounted_consumption(cp_graph, MARKET, seeding)
-        assert np.abs(dense[0] - sparse[0]).max() <= 1e-9
-        assert np.abs(dense[1] - sparse[1]).max() <= 1e-9
+        direct = discounted_consumption(cp_graph, MARKET, seeding)
+        monkeypatch.setattr(centrality_mod, "DIRECT_SOLVE_MAX_N", 1)
+        iterative = discounted_consumption(cp_graph, MARKET, seeding)
+        assert np.abs(direct[0] - iterative[0]).max() <= 1e-9
+        assert np.abs(direct[1] - iterative[1]).max() <= 1e-9
 
 
 class TestEpsilon:
