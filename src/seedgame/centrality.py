@@ -107,7 +107,7 @@ class _AttenuatedSystem:
 
 def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
                         tol: float) -> tuple[np.ndarray, float]:
-    rho = spectral_radius(graph)
+    rho = spectral_radius(graph, tol)
     if attenuation * rho >= 1.0:
         raise AssumptionError(
             f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "

@@ -25,7 +25,7 @@ from .game import (DiscountedSolver, SeedSet, epsilon_for_sets, firm_utility,
                    nash_deviation_check, nash_seeding, restricted_nash_seeding,
                    sparsify, utility_gradient)
 from .graph import (AssumptionError, CorePeripheryParams, EdgeListError,
-                    GraphError, MarketParams, PowerIterationError, WeightedDigraph,
+                    MarketParams, PowerIterationError, WeightedDigraph,
                     generate_bounded_outdegree_family, generate_core_periphery,
                     load_edge_list, save_edge_list)
 from .reportio import write_report
@@ -70,54 +70,60 @@ class RunConfig:
         return MarketParams(alpha=self.alpha, price=self.price,
                             beta=self.beta, delta=self.delta)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+
+# kind -> (size key, {key: type}); a family spec is a generator spec
+# without its size key
+_SPECS = {
+    "core-periphery": ("m", {"chi": int, "m": int, "g": float}),
+    "bounded-outdegree": ("n", {"n": int, "d": int, "weight": float}),
+}
 
 
-def _parse_kv_spec(spec: str, label: str) -> tuple[str, dict[str, str]]:
+def _split_spec(spec: str, label: str) -> tuple[str, dict[str, str]]:
+    """`kind:key=value,...` as its lower-cased kind and raw values; the
+    whitespace around the kind, keys and values is dropped."""
     kind, _, rest = spec.partition(":")
-    kind = kind.strip().lower()
     fields: dict[str, str] = {}
-    if rest.strip():
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key.strip() or not value.strip():
-                raise UsageError(f"bad {label} entry {item!r} in {spec!r} "
-                                 f"(expected key=value)")
-            fields[key.strip()] = value.strip()
-    return kind, fields
+    for item in rest.split(",") if rest.strip() else ():
+        key, sep, value = item.partition("=")
+        if not sep or not key.strip() or not value.strip():
+            raise UsageError(f"bad {label} entry {item!r} in {spec!r} "
+                             f"(expected key=value)")
+        fields[key.strip()] = value.strip()
+    return kind.strip().lower(), fields
 
 
-def _take(fields: dict[str, str], key: str, convert, spec: str):
-    if key not in fields:
-        raise UsageError(f"generator spec {spec!r} is missing {key}=")
-    try:
-        return convert(fields.pop(key))
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key} in {spec!r}: {exc}") from None
+def _parse_spec(spec: str, family: bool = False) -> tuple[str, dict]:
+    """Kind and typed values of a generator spec, or of a family spec."""
+    label = "family" if family else "generator"
+    kind, fields = _split_spec(spec, label)
+    if kind not in _SPECS:
+        raise UsageError(f"unknown {label} kind {kind!r} "
+                         f"(expected core-periphery or bounded-outdegree)")
+    size_key, types = _SPECS[kind]
+    types = {key: t for key, t in types.items() if not (family and key == size_key)}
+    values = {}
+    for key, convert in types.items():
+        if key not in fields:
+            raise UsageError(f"{label} spec {spec!r} is missing {key}=")
+        try:
+            values[key] = convert(fields[key])
+        except ValueError as exc:
+            raise UsageError(f"bad value for {key} in {spec!r}: {exc}") from None
+    unknown = sorted(fields.keys() - types.keys())
+    if unknown:
+        raise UsageError(f"unknown {label} keys {unknown} in {spec!r}")
+    return kind, values
 
 
 def build_generated_graph(spec: str, seed: int) -> WeightedDigraph:
-    kind, fields = _parse_kv_spec(spec, "generator")
+    kind, values = _parse_spec(spec)
     try:
         if kind == "core-periphery":
-            chi = _take(fields, "chi", int, spec)
-            m = _take(fields, "m", int, spec)
-            g = _take(fields, "g", float, spec)
-            if fields:
-                raise UsageError(f"unknown generator keys {sorted(fields)} in {spec!r}")
-            return generate_core_periphery(CorePeripheryParams(chi=chi, m=m, g=g))
-        if kind == "bounded-outdegree":
-            n = _take(fields, "n", int, spec)
-            d = _take(fields, "d", int, spec)
-            weight = _take(fields, "weight", float, spec)
-            if fields:
-                raise UsageError(f"unknown generator keys {sorted(fields)} in {spec!r}")
-            return generate_bounded_outdegree_family(n, d, weight, seed=seed)
+            return generate_core_periphery(CorePeripheryParams(**values))
+        return generate_bounded_outdegree_family(**values, seed=seed)
     except ValueError as exc:
         raise UsageError(f"invalid generator parameters in {spec!r}: {exc}") from None
-    raise UsageError(f"unknown generator kind {kind!r} "
-                     f"(expected core-periphery or bounded-outdegree)")
 
 
 def _load_graph(config: RunConfig) -> WeightedDigraph:
@@ -148,7 +154,7 @@ def _parse_id_list(text: str, n: int, label: str) -> SeedSet:
         raise UsageError(f"{label}: ids must be integers, got {text!r}") from None
     try:
         return SeedSet.of(ids, n)
-    except (GraphError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{label}: {exc}") from None
 
 
@@ -170,6 +176,15 @@ def _ensure_out(config: RunConfig) -> Path:
     return out
 
 
+def _report(config: RunConfig, path: Path, body: dict,
+            params: MarketParams | None = None) -> None:
+    """Write a report: version, config, the market when given, then body."""
+    head = {"version": __version__, "config": asdict(config)}
+    if params is not None:
+        head["params"] = asdict(params)
+    write_report(head | body, path)
+
+
 def _checked_market(config: RunConfig) -> MarketParams:
     try:
         return config.market()
@@ -189,16 +204,13 @@ def _bundle(graph: WeightedDigraph, params: MarketParams, config: RunConfig,
     except AssumptionError as exc:
         report = exc.report
         if config.force and report is not None:
-            write_report({
-                "version": __version__,
-                "config": config.as_dict(),
+            _report(config, out / "validation.json", {
                 "passed": False,
                 "rho": report.rho,
                 "bound": report.bound,
                 "margin": report.margin,
-                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                           for c in report.checks],
-            }, out / "validation.json")
+                "checks": [asdict(c) for c in report.checks],
+            })
             print(f"assumption failure; diagnostics written to {out / 'validation.json'}",
                   file=sys.stderr)
         raise
@@ -226,22 +238,6 @@ def _seeding_summary(graph: WeightedDigraph, c_new: np.ndarray,
     return "\n".join(lines)
 
 
-def _breakdown_dict(breakdown) -> dict:
-    return {
-        "gross": breakdown.gross,
-        "seeding_cost": breakdown.seeding_cost,
-        "net": breakdown.net,
-        "baseline": breakdown.baseline,
-        "own_term": breakdown.own_term,
-        "cross_term": breakdown.cross_term,
-    }
-
-
-def _params_dict(params: MarketParams) -> dict:
-    return {"alpha": params.alpha, "price": params.price,
-            "beta": params.beta, "delta": params.delta}
-
-
 def cmd_generate(config: RunConfig) -> int:
     if config.generate is None:
         raise UsageError("generate needs --generate <spec>")
@@ -249,23 +245,19 @@ def cmd_generate(config: RunConfig) -> int:
     out = _ensure_out(config)
     path = out / "graph.edges"
     save_edge_list(graph, path)
-    write_report({
-        "version": __version__,
-        "config": config.as_dict(),
+    _report(config, out / "generate.json", {
         "spec": config.generate,
         "n": graph.n,
         "edge_count": graph.edge_count,
         "path": path.name,
-    }, out / "generate.json")
+    })
     print(f"wrote {path} ({graph.n} agents, {graph.edge_count} edges)")
     return 0
 
 
 def cmd_centrality(config: RunConfig) -> int:
     graph, params, out, bundle = _load_bundle(config)
-    write_report({
-        "version": __version__,
-        "config": config.as_dict(),
+    _report(config, out / "centrality.json", {
         "n": graph.n,
         "attenuations": list(bundle.attenuations),
         "a": bundle.a,
@@ -273,27 +265,10 @@ def cmd_centrality(config: RunConfig) -> int:
         "c_new": bundle.c_new,
         "c_cross": bundle.c_cross,
         "residuals": list(bundle.residuals),
-    }, out / "centrality.json")
+    })
     print(_seeding_summary(graph, bundle.c_new, None))
     print(f"wrote {out / 'centrality.json'}")
     return 0
-
-
-def _equilibrium_report(config: RunConfig, graph: WeightedDigraph,
-                        params: MarketParams, bundle: CentralityBundle,
-                        seeding: SeedingPair, epsilon: dict | None) -> dict:
-    nash = nash_seeding(graph, params, bundle=bundle)
-    breakdown_a, breakdown_b = firm_utility(graph, params, seeding, bundle=bundle)
-    return {
-        "version": __version__,
-        "config": config.as_dict(),
-        "params": _params_dict(params),
-        "nash": {"s_bar": nash.s_bar, "s_under": nash.s_under},
-        "seeding": {"s_bar": seeding.s_bar, "s_under": seeding.s_under},
-        "utilities": {"firm_a": _breakdown_dict(breakdown_a),
-                      "firm_b": _breakdown_dict(breakdown_b)},
-        "epsilon": epsilon,
-    }
 
 
 def _epsilon_dict(report) -> dict:
@@ -311,29 +286,34 @@ def _epsilon_dict(report) -> dict:
     }
 
 
-def cmd_nash(config: RunConfig) -> int:
+def cmd_nash(config: RunConfig, sets: bool = False) -> int:
+    """The Nash seeding and payoffs; with sets (the epsilon command) the
+    payoffs of the restricted equilibrium on --sets and its epsilon."""
     graph, params, out, bundle = _load_bundle(config)
-    seeding = nash_seeding(graph, params, bundle=bundle)
-    report = _equilibrium_report(config, graph, params, bundle, seeding, epsilon=None)
-    write_report(report, out / "equilibrium.json")
+    nash = seeding = nash_seeding(graph, params, bundle=bundle)
+    epsilon = None
+    if sets:
+        set_bar, set_under = _resolve_sets(config, graph.n)
+        eps = epsilon_for_sets(graph, params, set_bar, set_under, bundle=bundle)
+        seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
+        epsilon = _epsilon_dict(eps)
+    firm_a, firm_b = firm_utility(graph, params, seeding, bundle=bundle)
+    _report(config, out / "equilibrium.json", {
+        "nash": asdict(nash),
+        "seeding": asdict(seeding),
+        "utilities": {"firm_a": asdict(firm_a), "firm_b": asdict(firm_b)},
+        "epsilon": epsilon,
+    }, params)
     print(_seeding_summary(graph, bundle.c_new, seeding))
+    if sets:
+        print(f"epsilon_paper={eps.epsilon_paper:.6g} "
+              f"(tau_bar={eps.tau_bar:.6g}, tau_under={eps.tau_under:.6g})")
     print(f"wrote {out / 'equilibrium.json'}")
     return 0
 
 
 def cmd_epsilon(config: RunConfig) -> int:
-    graph, params, out, bundle = _load_bundle(config)
-    set_bar, set_under = _resolve_sets(config, graph.n)
-    eps = epsilon_for_sets(graph, params, set_bar, set_under, bundle=bundle)
-    seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
-    report = _equilibrium_report(config, graph, params, bundle, seeding,
-                                 epsilon=_epsilon_dict(eps))
-    write_report(report, out / "equilibrium.json")
-    print(_seeding_summary(graph, bundle.c_new, seeding))
-    print(f"epsilon_paper={eps.epsilon_paper:.6g} "
-          f"(tau_bar={eps.tau_bar:.6g}, tau_under={eps.tau_under:.6g})")
-    print(f"wrote {out / 'equilibrium.json'}")
-    return 0
+    return cmd_nash(config, sets=True)
 
 
 def cmd_sparsify(config: RunConfig) -> int:
@@ -342,16 +322,13 @@ def cmd_sparsify(config: RunConfig) -> int:
     graph, params, out, bundle = _load_bundle(config)
     set_bar, set_under, eps = sparsify(graph, params, config.epsilon_target, bundle=bundle)
     seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
-    write_report({
-        "version": __version__,
-        "config": config.as_dict(),
-        "params": _params_dict(params),
+    _report(config, out / "sparsify.json", {
         "epsilon_target": config.epsilon_target,
         "sets": {"bar": list(set_bar.members), "under": list(set_under.members)},
         "set_size": set_bar.size,
-        "seeding": {"s_bar": seeding.s_bar, "s_under": seeding.s_under},
+        "seeding": asdict(seeding),
         "epsilon": _epsilon_dict(eps),
-    }, out / "sparsify.json")
+    }, params)
     print(_seeding_summary(graph, bundle.c_new, seeding))
     print(f"selected {set_bar.size} agents; epsilon_paper={eps.epsilon_paper:.6g} "
           f"<= target {config.epsilon_target:.6g}")
@@ -375,16 +352,13 @@ def cmd_simulate(config: RunConfig) -> int:
                           tail_tol=config.tail_tol)
     csv_path = out / "trajectory.csv"
     write_trajectory_csv(trajectory, csv_path)
-    write_report({
-        "version": __version__,
-        "config": config.as_dict(),
-        "params": _params_dict(params),
+    _report(config, out / "trajectory.json", {
         "horizon": trajectory.horizon,
         "tail_bound": trajectory.tail_bound,
-        "seeding": {"s_bar": seeding.s_bar, "s_under": seeding.s_under},
+        "seeding": asdict(seeding),
         "discounted_bar": trajectory.discounted_bar,
         "discounted_under": trajectory.discounted_under,
-    }, out / "trajectory.json")
+    }, params)
     print(f"simulated {trajectory.horizon} periods "
           f"(certified tail bound {trajectory.tail_bound:.3g})")
     print(f"wrote {csv_path} and {out / 'trajectory.json'}")
@@ -405,37 +379,21 @@ def _parse_rule(text: str):
 def cmd_asr_scan(config: RunConfig) -> int:
     if config.family is None or config.schedule is None:
         raise UsageError("asr-scan needs --family and --schedule")
-    kind, fields = _parse_kv_spec(config.family, "family")
+    # the family's entry syntax is checked first, its kind and keys after
+    # the schedule and the market, so a bad market wins over a bad kind
+    _split_spec(config.family, "family")
     try:
         schedule = tuple(int(t) for t in config.schedule.replace(",", " ").split())
     except ValueError:
         raise UsageError(f"bad --schedule {config.schedule!r}") from None
     params = _checked_market(config)
-    try:
-        if kind == "core-periphery":
-            chi = _take(fields, "chi", int, config.family)
-            g = _take(fields, "g", float, config.family)
-            spec = FamilySpec(kind="core_periphery", schedule=schedule,
-                              market=params, chi=chi, g=g)
-        elif kind == "bounded-outdegree":
-            d = _take(fields, "d", int, config.family)
-            weight = _take(fields, "weight", float, config.family)
-            spec = FamilySpec(kind="bounded_outdegree", schedule=schedule,
-                              market=params, d=d, weight=weight, seed=config.seed)
-        else:
-            raise UsageError(f"unknown family kind {kind!r}")
-        if fields:
-            raise UsageError(f"unknown family keys {sorted(fields)} in {config.family!r}")
-        rule = _parse_rule(config.rule)
-        result = scan_family(spec, rule=rule, tol=config.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    kind, values = _parse_spec(config.family, family=True)
+    spec = FamilySpec(kind=kind.replace("-", "_"), schedule=schedule,
+                      market=params, seed=config.seed, **values)
+    result = scan_family(spec, rule=_parse_rule(config.rule), tol=config.tol)
     out = _ensure_out(config)
     write_scan_csv(result, out / "asr_scan.csv")
-    write_report({
-        "version": __version__,
-        "config": config.as_dict(),
-        "params": _params_dict(params),
+    _report(config, out / "asr_verdict.json", {
         "family": config.family,
         "schedule": list(schedule),
         "rule": result.rule,
@@ -449,7 +407,7 @@ def cmd_asr_scan(config: RunConfig) -> int:
             "epsilon_paper": r.epsilon_paper,
             "epsilon_exact": [r.epsilon_exact_a, r.epsilon_exact_b],
         } for r in result.records],
-    }, out / "asr_verdict.json")
+    }, params)
     print(f"verdict: {result.verdict} (decay exponent {result.decay_exponent:.4g})")
     print(f"wrote {out / 'asr_scan.csv'} and {out / 'asr_verdict.json'}")
     return 0
@@ -458,11 +416,8 @@ def cmd_asr_scan(config: RunConfig) -> int:
 def _verify_graphs(config: RunConfig) -> list[tuple[str, WeightedDigraph, CorePeripheryParams | None]]:
     if config.graph is not None or config.generate is not None:
         graph = _load_graph(config)
-        cp = None
-        if config.generate is not None and config.generate.startswith("core-periphery"):
-            kind, fields = _parse_kv_spec(config.generate, "generator")
-            cp = CorePeripheryParams(chi=int(fields["chi"]), m=int(fields["m"]),
-                                     g=float(fields["g"]))
+        kind, values = _parse_spec(config.generate) if config.generate else (None, None)
+        cp = CorePeripheryParams(**values) if kind == "core-periphery" else None
         return [("input", graph, cp)]
     cp_params = CorePeripheryParams(chi=3, m=4, g=0.5)
     return [
@@ -563,13 +518,7 @@ def cmd_verify(config: RunConfig) -> int:
         bundle = _bundle(graph, params, config, out)
         _verify_one(checks, name, graph, cp, params, bundle, config, rng)
     passed = all(c["passed"] for c in checks)
-    write_report({
-        "version": __version__,
-        "config": config.as_dict(),
-        "params": _params_dict(params),
-        "checks": checks,
-        "passed": passed,
-    }, out / "verify.json")
+    _report(config, out / "verify.json", {"checks": checks, "passed": passed}, params)
     print(f"{'all checks passed' if passed else 'VERIFICATION FAILED'} "
           f"({sum(c['passed'] for c in checks)}/{len(checks)})")
     if not passed:
@@ -677,15 +626,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EdgeListError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AssumptionError as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return 2
@@ -695,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

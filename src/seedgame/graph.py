@@ -309,10 +309,11 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
     best = 0.0
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    for members in np.split(order, boundaries):
-        if members.size < 2:
-            continue  # singleton without self-loop contributes eigenvalue 0
+    starts = np.flatnonzero(np.r_[True, np.diff(sorted_labels) != 0])
+    ends = np.r_[starts[1:], labels.size]
+    nontrivial = ends - starts >= 2  # a singleton (no self-loop) has eigenvalue 0
+    for start, end in zip(starts[nontrivial], ends[nontrivial]):
+        members = order[start:end]
         sub = matrix[members][:, members]
         best = max(best, _power_iteration(sub.tocsr(), tol, max_iter, cap))
     result = float(min(best, cap))
@@ -357,7 +358,8 @@ def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
     rho = spectral_radius(graph, tol)
     bound = params.spectral_bound
     margin = bound - rho
-    weights_ok = all(np.isfinite(w) and w >= 0 for _, _, w in graph.edges)
+    weights = graph.matrix.data  # the same nonzero weights as graph.edges
+    weights_ok = bool(np.isfinite(weights).all() and (weights >= 0).all())
     checks = (
         ValidationCheck(
             "alpha_ge_price", params.alpha >= params.price,

@@ -239,6 +239,25 @@ class TestAsrScan:
                            "--schedule", "10,10,100", "--out", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("family", [
+        "mystery:chi=3,g=0.5", "core-periphery:chi=3", "core-periphery:chi=3,g=x",
+        "core-periphery:chi=3,g=0.5,m=4", "bounded-outdegree:d=2",
+    ])
+    def test_bad_family_exits_one(self, tmp_path, family):
+        code, _, err = run("asr-scan", "--family", family, "--schedule", "10,31,100",
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert "error:" in err
+
+    @pytest.mark.parametrize("family, expected", [
+        ("mystery:x=1", 2),          # the market is checked before the family's kind
+        ("core-periphery:chi", 1),   # but after the family's entry syntax
+    ])
+    def test_market_and_family_precedence(self, tmp_path, family, expected):
+        code, _, _ = run("asr-scan", "--family", family, "--schedule", "10,31,100",
+                         "--alpha", "0.5", "--out", str(tmp_path))
+        assert code == expected
+
 
 class TestAssumptionFailures:
     def test_spectral_violation_exits_two(self, tmp_path):
@@ -365,6 +384,23 @@ class TestCallCounts:
         assert code == 0
         assert counts["validate"] <= 2
 
+    def test_spectral_radius_is_not_recomputed_at_a_loose_tol(self, tmp_path,
+                                                               monkeypatch):
+        import seedgame.graph as graph_mod
+        calls = []
+        power_iteration = graph_mod._power_iteration
+        monkeypatch.setattr(graph_mod, "_power_iteration",
+                            lambda *args: calls.append(1) or power_iteration(*args))
+        counts = []
+        for tol in ("1e-10", "1e-6"):
+            calls.clear()
+            code, _, _ = run("centrality", "--generate",
+                             "bounded-outdegree:n=300,d=3,weight=0.2",
+                             "--tol", tol, "--out", str(tmp_path / tol))
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
 
 class TestVerify:
     def test_default_suite_passes(self, tmp_path):
@@ -382,6 +418,18 @@ class TestVerify:
         code, _, _ = run("verify", "--graph", str(tmp_path / "graph.edges"),
                          "--samples", "200", "--out", str(tmp_path / "v"))
         assert code == 0
+
+    @pytest.mark.parametrize("spec", [
+        CP_SPEC, "CORE-PERIPHERY:chi=3,m=4,g=0.5", " core-periphery:chi=3,m=4,g=0.5",
+    ])
+    def test_generated_core_periphery_gets_closed_form_check(self, tmp_path, spec):
+        code, _, _ = run("verify", "--generate", spec, "--samples", "200",
+                         "--out", str(tmp_path))
+        assert code == 0
+        checks = {c["check"]: c["passed"]
+                  for c in read_json(tmp_path / "verify.json")["checks"]}
+        assert len(checks) == 6
+        assert checks["analytic_core_periphery_matches_solve"] is True
 
     def test_failure_exits_three(self, tmp_path, monkeypatch):
         import seedgame.cli as cli_mod

@@ -132,6 +132,16 @@ class TestSpectralRadius:
         g = WeightedDigraph(4, [(1, 2, 0.2), (2, 1, 0.2), (3, 4, 0.7), (4, 3, 0.7)])
         assert spectral_radius(g) == pytest.approx(0.7, abs=1e-10)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_singletons_around_components(self, reverse):
+        # singletons 1, 4 and 7 sit before, between and after two 2-cycles;
+        # reversing the ids moves the larger cycle to the other end
+        edges = [(2, 3, 0.2), (3, 2, 0.2), (5, 6, 0.6), (6, 5, 0.6),
+                 (4, 1, 0.1), (7, 4, 0.1)]
+        if reverse:
+            edges = [(8 - i, 8 - j, w) for i, j, w in edges]
+        assert spectral_radius(WeightedDigraph(7, edges)) == pytest.approx(0.6, abs=1e-10)
+
     def test_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
