@@ -7,6 +7,7 @@ difference is the cross-product (spillover) component.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,10 @@ from .graph import (AssumptionError, MarketParams, WeightedDigraph,
                     _as_readonly, ensure_assumptions, spectral_radius)
 
 _DEFAULT_TOL = 1e-10
-DIRECT_SOLVE_MAX_N = 2000
+DIRECT_SOLVE_MAX_N = 2000  # largest system factored up front (prefactor)
+_ANDERSON_DEPTH = 10
+_ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
+_STACK_SIZE = 1 << 16  # entries per stacked group of right-hand-side columns
 
 
 class SolverError(RuntimeError):
@@ -51,58 +55,124 @@ class CentralityBundle:
 
 
 class _AttenuatedSystem:
-    """(I - coeff * matrix) x = rhs, factored once and solved to residual
-    <= tol (max norm) for 1-D or 2-D right-hand sides.
+    """(I - coeff * matrix) x = rhs, solved to residual <= tol (max norm) for
+    1-D or 2-D right-hand sides.
 
-    Systems up to DIRECT_SOLVE_MAX_N go through a sparse direct factorization
-    with iterative refinement; larger systems use the fixed-point iteration
-    x <- rhs + coeff * matrix @ x, which converges whenever
-    coeff * spectral_radius(matrix) < 1.
+    A solve runs Anderson acceleration of depth _ANDERSON_DEPTH (Walker & Ni
+    2011) on the fixed point x <- g(x) = rhs + coeff * matrix @ x, which
+    converges whenever coeff * spectral_radius(matrix) < 1.  The columns of a
+    2-D right-hand side are stacked in groups of whole columns, at most
+    _STACK_SIZE entries each (one column when a column is longer), which
+    bounds the memory of the iteration's history.  The
+    residual f = g(x) - x is the system's residual at x, so the stop test
+    certifies the iterate it returns.  A solve whose residual falls less than
+    tenfold over _ANDERSON_WINDOW iterations factors the system once with a
+    sparse LU and refines, and later solves reuse that factorization.  With
+    prefactor, for systems that serve many right-hand sides, systems up to
+    DIRECT_SOLVE_MAX_N are factored up front.
+
+    method ("anderson", "lu" or "identity") and iterations (Anderson
+    iterations, the most over the stacked groups, or LU refinement steps)
+    describe the last solve.
     """
 
     def __init__(self, matrix: sp.csr_matrix, coeff: float, tol: float,
-                 max_iter: int = 500_000):
+                 prefactor: bool = True):
         self.matrix = matrix
         self.coeff = coeff
         self.tol = tol
-        self.max_iter = max_iter
-        n = matrix.shape[0]
+        self.method: str | None = None
+        self.iterations = 0
         self._lu = None
-        if coeff != 0.0 and n <= DIRECT_SOLVE_MAX_N:
-            self._lu = spla.splu((sp.identity(n, format="csr") - coeff * matrix).tocsc())
+        if prefactor and coeff != 0.0 and matrix.shape[0] <= DIRECT_SOLVE_MAX_N:
+            self._factor()
 
-    def _residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return rhs - (x - self.coeff * (self.matrix @ x))
+    def _factor(self) -> None:
+        n = self.matrix.shape[0]
+        self._lu = spla.splu((sp.identity(n, format="csr") - self.coeff * self.matrix).tocsc())
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """The solution and its residual in the max norm over all entries."""
         rhs = np.asarray(rhs, dtype=float)
-        coeff, tol = self.coeff, self.tol
-        if coeff == 0.0:
+        if self.coeff == 0.0:
+            self.method, self.iterations = "identity", 0
             return rhs.copy(), 0.0
-        if self._lu is not None:
-            x = self._lu.solve(rhs)
-            for _ in range(3):
-                residual_vec = self._residual(x, rhs)
-                residual = float(np.abs(residual_vec).max())
-                if residual <= tol:
-                    return x, residual
-                x = x + self._lu.solve(residual_vec)
-            raise SolverError(
-                f"direct solve stalled at residual {residual:.3g} > tol {tol:.3g}",
-                residual=residual)
-        x = rhs.copy()
-        for _ in range(self.max_iter):
-            nxt = rhs + coeff * (self.matrix @ x)
-            if float(np.abs(nxt - x).max()) <= tol:
-                residual = float(np.abs(self._residual(nxt, rhs)).max())
-                if residual <= tol:
-                    return nxt, residual
-            x = nxt
-        residual = float(np.abs(self._residual(x, rhs)).max())
+        if self._lu is None:
+            if rhs.ndim == 1:
+                groups = [rhs]
+            else:
+                step = max(1, _STACK_SIZE // rhs.shape[0])
+                groups = [rhs[:, i:i + step] for i in range(0, rhs.shape[1], step)]
+            parts = []
+            for group in groups:
+                part = self._anderson(group)
+                if part is None:
+                    break
+                parts.append(part)
+            else:
+                xs, residuals, iterations = zip(*parts)
+                self.method, self.iterations = "anderson", max(iterations)
+                return np.hstack(xs), max(residuals)
+            self._factor()
+        return self._direct(rhs)
+
+    def _direct(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        x = self._lu.solve(rhs)
+        for step in range(3):
+            residual_vec = rhs - (x - self.coeff * (self.matrix @ x))
+            residual = float(np.abs(residual_vec).max())
+            if residual <= self.tol:
+                self.method, self.iterations = "lu", step
+                return x, residual
+            x = x + self._lu.solve(residual_vec)
         raise SolverError(
-            f"fixed-point solve did not reach tol {tol:.3g} in {self.max_iter} iterations "
-            f"(residual {residual:.3g})", residual=residual)
+            f"direct solve stalled at residual {residual:.3g} > tol {self.tol:.3g}",
+            residual=residual)
+
+    def _anderson(self, rhs: np.ndarray) -> tuple[np.ndarray, float, int] | None:
+        """The Anderson iterate, its residual and the iteration count, or None
+        once the iteration stalls or stops being finite.
+
+        The last depth differences of f and g sit in ring buffers, and the
+        Gram matrix of the f differences is updated one row per iteration,
+        so an iteration costs one matvec plus O(depth * size) vector work.
+        Each window that goes on divides the residual by at least ten, so
+        the loop ends.
+        """
+        shape, flat = rhs.shape, rhs.ravel()
+        depth = _ANDERSON_DEPTH
+        d_f = np.empty((depth, flat.size))
+        d_g = np.empty((depth, flat.size))
+        gram = np.empty((depth, depth))
+        x = flat.copy()
+        checkpoint = np.inf
+        for it in itertools.count():
+            g = flat + self.coeff * (self.matrix @ x.reshape(shape)).ravel()
+            f = g - x
+            residual = float(np.abs(f).max())
+            if residual <= self.tol:
+                return x.reshape(shape), residual, it
+            if not np.isfinite(residual):
+                return None
+            if it % _ANDERSON_WINDOW == 0:
+                if residual > 0.1 * checkpoint:
+                    return None
+                checkpoint = residual
+            if it == 0:
+                x = g
+            else:
+                slot, filled = (it - 1) % depth, min(it, depth)
+                np.subtract(f, f_prev, out=d_f[slot])
+                np.subtract(g, g_prev, out=d_g[slot])
+                gram[slot, :filled] = gram[:filled, slot] = d_f[:filled] @ d_f[slot]
+                projections = d_f[:filled] @ f
+                try:
+                    gamma = np.linalg.solve(gram[:filled, :filled], projections)
+                except np.linalg.LinAlgError:  # exactly singular: least squares
+                    gamma = np.linalg.lstsq(gram[:filled, :filled], projections,
+                                            rcond=None)[0]
+                x = g - gamma @ d_g[:filled]
+            f_prev, g_prev = f, g
 
 
 def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
@@ -113,7 +183,7 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
             f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
             f"is not below 1; the walk series diverges",
             rho=rho, bound=(np.inf if rho == 0 else 1.0 / rho))
-    system = _AttenuatedSystem(graph.matrix.T.tocsr(), attenuation, tol)
+    system = _AttenuatedSystem(graph.matrix.T.tocsr(), attenuation, tol, prefactor=False)
     x, residual = system.solve(np.ones(graph.n))
     if float(x.min()) < 1.0 - 1e-8:
         raise SolverError(

@@ -349,7 +349,7 @@ def cmd_simulate(config: RunConfig) -> int:
         raise UsageError(f"unknown --seeding {config.seeding!r} "
                          f"(expected zero, nash, or restricted)")
     trajectory = simulate(graph, params, seeding, horizon=config.horizon,
-                          tail_tol=config.tail_tol)
+                          tail_tol=config.tail_tol, tol=config.tol)
     csv_path = out / "trajectory.csv"
     write_trajectory_csv(trajectory, csv_path)
     _report(config, out / "trajectory.json", {
@@ -443,7 +443,7 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
     # strictly positive so central differences below stay inside the domain
     seeding = SeedingPair(s_bar=params.price * bundle.c_new * (0.25 + rng.random(graph.n)),
                           s_under=params.price * (0.25 + rng.random(graph.n)))
-    trajectory = simulate(graph, params, seeding, tail_tol=config.tail_tol)
+    trajectory = simulate(graph, params, seeding, tail_tol=config.tail_tol, tol=config.tol)
     y_bar, y_under = solver.consumption(seeding)
     gap = max(float(np.abs(trajectory.discounted_bar - y_bar).max()),
               float(np.abs(trajectory.discounted_under - y_under).max()))
@@ -468,7 +468,8 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
            f"worst relative gap {worst_rel:.3e} at h={h:g}")
 
     worst_gain = nash_deviation_check(graph, params, samples=config.samples,
-                                      seed=config.seed, bundle=bundle)
+                                      seed=config.seed, bundle=bundle, tol=config.tol,
+                                      solver=solver)
     _check(checks, name, "nash_deviations_never_gain", worst_gain <= 1e-9,
            f"best sampled gain {worst_gain:.3e} over {config.samples} deviations")
 

@@ -20,6 +20,7 @@ from .graph import (MarketParams, WeightedDigraph, _as_readonly, _check_id,
                     ensure_assumptions)
 
 _DEFAULT_TAIL_TOL = 1e-10
+_DEFAULT_TOL = 1e-10
 _MAX_AUTO_HORIZON = 10_000_000
 
 
@@ -199,14 +200,15 @@ def auto_horizon(graph: WeightedDigraph, params: MarketParams, seeding: SeedingP
 
 def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
              horizon: int | None = None, tail_tol: float = _DEFAULT_TAIL_TOL,
-             store_states: bool = True) -> Trajectory:
+             store_states: bool = True, tol: float = _DEFAULT_TOL) -> Trajectory:
     """Run the best-response dynamics from the given seedings.
 
-    With horizon=None the horizon is chosen so the certified tail bound drops
-    to tail_tol.  States are stored unless store_states=False (sums-only
-    streaming for large runs); discounted sums always cover k = 1..horizon.
+    The model assumptions are validated at tol first.  With horizon=None the
+    horizon is chosen so the certified tail bound drops to tail_tol.  States
+    are stored unless store_states=False (sums-only streaming for large
+    runs); discounted sums always cover k = 1..horizon.
     """
-    ensure_assumptions(graph, params)
+    ensure_assumptions(graph, params, tol)
     if seeding.n != graph.n:
         raise ValueError(f"seeding has {seeding.n} agents, graph has {graph.n}")
     if horizon is None:

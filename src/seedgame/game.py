@@ -112,13 +112,14 @@ class DiscountedSolver:
     The 2n-dimensional discounted-consumption system block-diagonalizes under
     the sum/difference transform into two independent n x n systems with
     attenuations delta*(1+beta) and delta*(1-beta); no 2n x 2n matrix is ever
-    materialized.  Both systems are factored once, on the same solver as the
-    centralities, and then serve any number of right-hand sides.
+    materialized.  Both systems serve any number of right-hand sides; up to
+    DIRECT_SOLVE_MAX_N agents each is factored once with a sparse LU, so the
+    oracle checks the centralities' Anderson iteration with a direct solve.
     """
 
     def __init__(self, graph: WeightedDigraph, params: MarketParams,
                  tol: float = _DEFAULT_TOL):
-        ensure_assumptions(graph, params)
+        ensure_assumptions(graph, params, tol)
         self.graph = graph
         self.params = params
         self.tol = tol
@@ -340,17 +341,22 @@ def sparsify(graph: WeightedDigraph, params: MarketParams, epsilon_target: float
 def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
                          samples: int = 10_000, seed: int = 0,
                          bundle: CentralityBundle | None = None,
-                         tol: float = _DEFAULT_TOL) -> float:
+                         tol: float = _DEFAULT_TOL,
+                         solver: DiscountedSolver | None = None) -> float:
     """Largest net-payoff improvement any sampled unilateral deviation achieves
     against the Nash seeding (should be <= solver noise).
 
     Candidates mix local perturbations of the optimum, global uniform draws,
     and sparse profiles; they are generated by a seeded generator and
     evaluated through the full linear solve in batches, so the check is
-    deterministic in (graph, params, samples, seed).
+    deterministic in (graph, params, samples, seed).  A caller holding a
+    DiscountedSolver for the same graph, market and tol passes it as solver.
     """
     bundle = _require_bundle(graph, params, bundle, tol)
-    solver = DiscountedSolver(graph, params, tol)
+    if solver is None:
+        solver = DiscountedSolver(graph, params, tol)
+    elif not (solver.graph is graph and solver.params == params and solver.tol == tol):
+        raise ValueError("solver was built for a different graph, market or tol")
     star = params.price * bundle.c_new
     seeding_star = SeedingPair(s_bar=star.copy(), s_under=star.copy())
     net_star = _net_pair(solver, params, seeding_star)

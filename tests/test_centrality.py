@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from seedgame import (AssumptionError, MarketParams, WeightedDigraph,
@@ -54,12 +56,64 @@ class TestKatzBonacich:
             assert np.all(cur >= prev - 1e-12)
             prev = cur
 
-    def test_fixed_point_path_matches_direct(self, monkeypatch, random_suite):
-        direct = [katz_bonacich(g, 0.7) for g in random_suite[:5]]
-        monkeypatch.setattr(centrality_mod, "DIRECT_SOLVE_MAX_N", 1)
-        iterative = [katz_bonacich(g, 0.7) for g in random_suite[:5]]
-        for d, i in zip(direct, iterative):
-            assert np.allclose(d, i, atol=1e-9)
+    def test_fixed_point_path_matches_direct(self, random_suite):
+        for g in random_suite[:5]:
+            system = sp.identity(g.n, format="csc") - 0.7 * g.matrix.T.tocsc()
+            direct = spla.spsolve(system, np.ones(g.n))
+            assert np.allclose(katz_bonacich(g, 0.7), direct, atol=1e-9)
+
+
+def _in_degree_graph(n: int, degree: int, weight: float, seed: int) -> WeightedDigraph:
+    """Every agent listens to `degree` distinct others at one weight, so each
+    row sums to degree * weight, which is the spectral radius."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n):
+        others = rng.choice(n - 1, size=degree, replace=False)
+        edges.extend((i + 1, int(j) + 1 + (j >= i), weight) for j in others)
+    return WeightedDigraph(n, edges)
+
+
+@pytest.fixture
+def recorded_systems(monkeypatch):
+    """Every _AttenuatedSystem the centrality solves build."""
+    systems = []
+
+    class Recording(centrality_mod._AttenuatedSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    monkeypatch.setattr(centrality_mod, "_AttenuatedSystem", Recording)
+    return systems
+
+
+class TestSolverPolicy:
+    def test_near_critical_converges_without_lu(self, market, recorded_systems):
+        # c * rho = delta * (1 + beta) * 5 * weight = 0.999
+        graph = _in_degree_graph(2500, 5, 0.999 / (0.75 * 5), seed=2500)
+        bundle = biproduct_centrality(graph, market)
+        assert [s.method for s in recorded_systems] == ["anderson", "anderson"]
+        assert all(s._lu is None and s.iterations <= 200 for s in recorded_systems)
+        high = sp.identity(graph.n, format="csc") - 0.75 * graph.matrix.T.tocsc()
+        direct = spla.spsolve(high, np.ones(graph.n))
+        assert np.allclose(bundle.b, direct, rtol=1e-9, atol=0.0)
+        assert max(bundle.residuals) <= 1e-10
+
+    def test_weighted_cycle_falls_back_to_lu(self):
+        n, tol = 200, 1e-10
+        weights = 0.5 + 0.6 * np.random.default_rng(0).random(n)
+        rho = float(np.exp(np.log(weights).mean()))  # geometric mean on a cycle
+        graph = WeightedDigraph(n, [(i + 1, (i + 1) % n + 1, float(w))
+                                    for i, w in enumerate(weights)])
+        coeff = 0.99 / rho
+        system = centrality_mod._AttenuatedSystem(graph.matrix.T.tocsr(), coeff, tol,
+                                                  prefactor=False)
+        assert system._lu is None
+        x, residual = system.solve(np.ones(n))
+        assert system.method == "lu"
+        assert residual <= tol
+        assert np.abs(1.0 - (x - coeff * (graph.matrix.T @ x))).max() <= tol
 
 
 class TestBiProduct:

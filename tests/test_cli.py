@@ -384,8 +384,9 @@ class TestCallCounts:
         assert code == 0
         assert counts["validate"] <= 2
 
-    def test_spectral_radius_is_not_recomputed_at_a_loose_tol(self, tmp_path,
-                                                               monkeypatch):
+    @staticmethod
+    def power_iterations_per_tol(monkeypatch, tmp_path, *argv) -> list[int]:
+        """_power_iteration calls of one command at --tol 1e-10 and 1e-6."""
         import seedgame.graph as graph_mod
         calls = []
         power_iteration = graph_mod._power_iteration
@@ -394,12 +395,27 @@ class TestCallCounts:
         counts = []
         for tol in ("1e-10", "1e-6"):
             calls.clear()
-            code, _, _ = run("centrality", "--generate",
-                             "bounded-outdegree:n=300,d=3,weight=0.2",
+            code, _, _ = run(*argv, "--generate", "bounded-outdegree:n=300,d=3,weight=0.2",
                              "--tol", tol, "--out", str(tmp_path / tol))
             assert code == 0
             counts.append(len(calls))
+        return counts
+
+    def test_spectral_radius_is_not_recomputed_at_a_loose_tol(self, tmp_path,
+                                                               monkeypatch):
+        counts = self.power_iterations_per_tol(monkeypatch, tmp_path, "centrality")
         assert counts[0] == counts[1]
+
+    def test_simulate_validates_at_the_callers_tol(self, tmp_path, monkeypatch):
+        counts = self.power_iterations_per_tol(monkeypatch, tmp_path,
+                                               "simulate", "--seeding", "nash")
+        assert counts[0] == counts[1]
+
+    def test_verify_builds_one_solver_per_graph(self, counts, tmp_path):
+        code, _, _ = run("verify", "--generate", CP_SPEC, "--samples", "200",
+                         "--out", str(tmp_path))
+        assert code == 0
+        assert counts["solver"] == 1
 
 
 class TestVerify:

@@ -169,6 +169,34 @@ class TestDiscountedSolver:
         assert np.abs(direct[0] - iterative[0]).max() <= 1e-9
         assert np.abs(direct[1] - iterative[1]).max() <= 1e-9
 
+    @pytest.mark.parametrize("stack_size", [5, 30])
+    def test_grouped_iteration_matches_direct(self, monkeypatch, cp_graph, stack_size):
+        # stack_size 5 < n = 12 puts one column in each group; 30 puts two,
+        # leaving a one-column remainder on the 7 columns below
+        import seedgame.centrality as centrality_mod
+        rhs = np.random.default_rng(19).random((12, 7))
+        direct_solver = DiscountedSolver(cp_graph, MARKET)
+        direct, _ = direct_solver._plus.solve(rhs)
+        direct_gain = nash_deviation_check(cp_graph, MARKET, samples=600, seed=4,
+                                           solver=direct_solver)
+        monkeypatch.setattr(centrality_mod, "DIRECT_SOLVE_MAX_N", 1)
+        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", stack_size)
+        solver = DiscountedSolver(cp_graph, MARKET)
+        iterative, residual = solver._plus.solve(rhs)
+        assert solver._plus.method == "anderson"
+        assert residual <= 1e-10
+        assert np.abs(direct - iterative).max() <= 1e-9
+        gain = nash_deviation_check(cp_graph, MARKET, samples=600, seed=4, solver=solver)
+        assert solver._plus.method == "anderson" and solver._plus._lu is None
+        assert abs(gain - direct_gain) <= 1e-9
+
+    def test_deviation_check_refuses_a_foreign_solver(self, cp_graph, two_node):
+        solver = DiscountedSolver(cp_graph, MARKET)
+        with pytest.raises(ValueError, match="different graph"):
+            nash_deviation_check(two_node, MARKET, samples=10, solver=solver)
+        with pytest.raises(ValueError, match="different graph"):
+            nash_deviation_check(cp_graph, MARKET, samples=10, tol=1e-8, solver=solver)
+
 
 class TestEpsilon:
     def test_role_model_certificate_frozen_values(self, cp_graph, cp_params):
