@@ -183,7 +183,7 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
             f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
             f"is not below 1; the walk series diverges",
             rho=rho, bound=(np.inf if rho == 0 else 1.0 / rho))
-    system = _AttenuatedSystem(graph.matrix.T.tocsr(), attenuation, tol, prefactor=False)
+    system = _AttenuatedSystem(graph._transpose, attenuation, tol, prefactor=False)
     x, residual = system.solve(np.ones(graph.n))
     if float(x.min()) < 1.0 - 1e-8:
         raise SolverError(
@@ -237,12 +237,11 @@ def _walk_series(graph: WeightedDigraph, attenuation: float,
     omitted term attenuation^terms (G^T)^terms 1."""
     if terms < 1:
         raise ValueError(f"terms must be at least 1, got {terms}")
-    gt = graph.matrix.T.tocsr()
     term = np.ones(graph.n)
     total = np.zeros(graph.n)
     for _ in range(terms):
         total += term
-        term = attenuation * (gt @ term)
+        term = attenuation * (graph._transpose @ term)
     return total, term
 
 

@@ -11,6 +11,7 @@ vectors elsewhere in the package are 0-based, index ``i`` holding agent
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -38,7 +39,7 @@ class EdgeListError(GraphError):
 
 
 class MalformedLineError(EdgeListError):
-    """Line does not parse as a header or an edge record."""
+    """Unparsable header or edge record, ids outside 1..n, or a non-finite weight."""
 
 
 class DuplicateEdgeError(EdgeListError):
@@ -148,54 +149,38 @@ class CorePeripheryParams:
 class WeightedDigraph:
     """Immutable weighted digraph over agents 1..n with nonnegative weights.
 
-    Edges are (influenced, influencer, weight) triples with 1-based ids.
-    Self-loops and duplicate ordered pairs are rejected.
-    """
+    Edges are (influenced, influencer, weight) triples with 1-based ids, as an
+    iterable or an (m, 3) array; self-loops and duplicate ordered pairs are
+    rejected.  The CSR matrix is the only store of the edges (zero weights
+    dropped)."""
 
-    __slots__ = ("n", "edges", "_matrix", "_in_deg", "_out_deg", "_rho_cache")
-
-    def __init__(self, n: int, edges: Iterable[Edge] = ()):
+    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray = ()):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise GraphError(f"node count must be a positive integer, got {n!r}")
-        canon: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        for edge in edges:
-            try:
-                i, j, w = edge
-                i = int(i); j = int(j); w = float(w)
-            except (TypeError, ValueError) as exc:
-                raise GraphError(f"malformed edge {edge!r}") from exc
-            if not 1 <= i <= n or not 1 <= j <= n:
-                raise GraphError(f"edge ({i}, {j}) uses ids outside 1..{n}")
-            if i == j:
-                raise SelfLoopError(f"agent {i} cannot influence itself")
-            if not (np.isfinite(w) and w >= 0):
-                raise NegativeWeightError(f"edge ({i}, {j}) has invalid weight {w!r}")
-            if (i, j) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            if w > 0:  # zero weight means no influence; keep the matrix sparse
-                canon.append((i, j, w))
-        canon.sort(key=lambda e: (e[0], e[1]))
-        self_set = lambda name, value: object.__setattr__(self, name, value)
-        self_set("n", int(n))
-        self_set("edges", tuple(canon))
-        rows = np.fromiter((e[0] - 1 for e in canon), dtype=np.int64, count=len(canon))
-        cols = np.fromiter((e[1] - 1 for e in canon), dtype=np.int64, count=len(canon))
-        vals = np.fromiter((e[2] for e in canon), dtype=float, count=len(canon))
-        matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        try:
+            triples = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                                 dtype=float)
+            if triples.shape[1:] != (3,) and triples.shape != (0,):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedLineError("edges must be (i, j, weight) triples") from None
+        triples = triples.reshape(-1, 3)
+        _check_edges(n, triples)
+        rows, cols, weights = triples[triples[:, 2] > 0].T  # zero weight: no influence
+        matrix = sp.csr_matrix((weights, (rows.astype(int) - 1, cols.astype(int) - 1)), (n, n))
+        transpose = matrix.T.tocsr()  # the walk systems iterate with G^T
         matrix.data.setflags(write=False)
-        self_set("_matrix", matrix)
-        self_set("_in_deg", _as_readonly(np.asarray(matrix.sum(axis=1)).ravel()))
-        self_set("_out_deg", _as_readonly(np.asarray(matrix.sum(axis=0)).ravel()))
-        self_set("_rho_cache", {})
+        transpose.data.setflags(write=False)
+        for name, value in (("n", int(n)), ("_matrix", matrix),
+                            ("_transpose", transpose), ("_rho_cache", {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedDigraph is immutable")
 
     @classmethod
     def empty(cls, n: int) -> "WeightedDigraph":
-        return cls(n, ())
+        return cls(n)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "WeightedDigraph":
@@ -204,8 +189,7 @@ class WeightedDigraph:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GraphError(f"adjacency must be square, got shape {arr.shape}")
         rows, cols = np.nonzero(arr)
-        edges = [(int(i) + 1, int(j) + 1, float(arr[i, j])) for i, j in zip(rows, cols)]
-        return cls(arr.shape[0], edges)
+        return cls(arr.shape[0], np.column_stack((rows + 1, cols + 1, arr[rows, cols])))
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -213,24 +197,33 @@ class WeightedDigraph:
         return self._matrix
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[Edge, ...]:
+        """Edge triples sorted by (influenced, influencer), zero weights left out."""
+        return tuple(zip(*self._edge_lists()))
+
+    def _edge_lists(self) -> tuple[list[int], list[int], list[float]]:
+        coo = self._matrix.tocoo()  # keeps the sorted order of the CSR
+        return (coo.row + 1).tolist(), (coo.col + 1).tolist(), coo.data.tolist()
 
     @property
+    def edge_count(self) -> int:
+        return self._matrix.nnz
+
+    @cached_property
     def in_degrees(self) -> np.ndarray:
         """Weighted in-degree per agent (row sums), 0-based."""
-        return self._in_deg
+        return _as_readonly(np.asarray(self._matrix.sum(axis=1)).ravel())
 
-    @property
+    @cached_property
     def out_degrees(self) -> np.ndarray:
         """Weighted out-degree per agent (column sums), 0-based."""
-        return self._out_deg
+        return _as_readonly(np.asarray(self._matrix.sum(axis=0)).ravel())
 
     def in_degree(self, i: int) -> float:
-        return float(self._in_deg[_check_id(i, self.n) - 1])
+        return float(self.in_degrees[_check_id(i, self.n) - 1])
 
     def out_degree(self, i: int) -> float:
-        return float(self._out_deg[_check_id(i, self.n) - 1])
+        return float(self.out_degrees[_check_id(i, self.n) - 1])
 
     def to_dense(self) -> np.ndarray:
         return self._matrix.toarray()
@@ -238,13 +231,44 @@ class WeightedDigraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and (self._matrix != other._matrix).nnz == 0
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._matrix.indices.tobytes(), self._matrix.data.tobytes()))
 
     def __repr__(self) -> str:
         return f"WeightedDigraph(n={self.n}, edges={self.edge_count})"
+
+
+def _check_edges(n: int, triples: np.ndarray, lines: list[int] | None = None) -> None:
+    """The one edge check, shared by WeightedDigraph and load_edge_list: raise
+    for the first (influenced, influencer, weight) row that breaks a rule,
+    naming ``lines[row]`` when given.  Rules, in order: integral ids in 1..n,
+    no self-loop, finite and then nonnegative weight, and no earlier row with
+    the same ordered pair (zero weights count)."""
+    ids, weights = triples[:, :2], triples[:, 2]
+    ids_ok = ((ids >= 1) & (ids <= n) & (ids == np.floor(ids))).all(axis=1)
+    # bad ids get the key of the self-loop (1, 1), so a repeat they cause
+    # lands on a row that already breaks an earlier rule
+    pairs = np.where(ids_ok[:, None], ids, 1).astype(np.int64) - 1
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    repeat = np.ones(keys.size, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False  # first occurrences
+    masks = (~ids_ok, ids[:, 0] == ids[:, 1], ~np.isfinite(weights), weights < 0, repeat)
+    bad = np.flatnonzero(np.logical_or.reduce(masks))
+    if bad.size == 0:
+        return
+    k = int(bad[0])
+    i, j = (int(x) if x.is_integer() else x for x in ids[k].tolist())
+    w = float(weights[k])
+    error, message = (
+        (MalformedLineError, f"agent ids ({i}, {j}) outside 1..{n}"),
+        (SelfLoopError, f"agent {i} influences itself"),
+        (MalformedLineError, f"weight {w!r} is not finite"),
+        (NegativeWeightError, f"weight {w!r} is negative"),
+        (DuplicateEdgeError, f"duplicate pair ({i}, {j})"),
+    )[next(rule for rule, mask in enumerate(masks) if mask[k])]
+    raise error(message, line=None if lines is None else lines[k]) from None
 
 
 def _check_id(i, n: int) -> int:
@@ -258,8 +282,6 @@ def _check_id(i, n: int) -> int:
 def row_sum_cap(graph: WeightedDigraph) -> float:
     """Certified upper bound on the spectral radius: min of the largest
     weighted in-degree and the largest weighted out-degree."""
-    if graph.edge_count == 0:
-        return 0.0
     return float(min(graph.in_degrees.max(), graph.out_degrees.max()))
 
 
@@ -267,16 +289,13 @@ def _power_iteration(sub: sp.csr_matrix, tol: float, max_iter: int, cap: float) 
     # Shifted iteration keeps the chain aperiodic so the Collatz-Wielandt
     # bracket [min_i (Ax)_i / x_i, max_i (Ax)_i / x_i] closes on the Perron
     # root; the shift cancels out of the returned estimate.
-    k = sub.shape[0]
     shift = 0.05 * max(float(np.asarray(sub.sum(axis=1)).max()), 1e-300)
-    x = np.ones(k)
-    lo = 0.0
-    hi = np.inf
+    x = np.ones(sub.shape[0])
+    lo, hi = 0.0, np.inf
     for it in range(1, max_iter + 1):
         y = sub @ x + shift * x
         ratios = y / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
+        lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= 2.0 * tol:
             return 0.5 * (hi + lo) - shift
         x = y / y.sum()
@@ -308,8 +327,7 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
     _, labels = connected_components(matrix, directed=True, connection="strong")
     best = 0.0
     order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(sorted_labels) != 0])
+    starts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0])
     ends = np.r_[starts[1:], labels.size]
     nontrivial = ends - starts >= 2  # a singleton (no self-loop) has eigenvalue 0
     for start, end in zip(starts[nontrivial], ends[nontrivial]):
@@ -358,8 +376,7 @@ def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
     rho = spectral_radius(graph, tol)
     bound = params.spectral_bound
     margin = bound - rho
-    weights = graph.matrix.data  # the same nonzero weights as graph.edges
-    weights_ok = bool(np.isfinite(weights).all() and (weights >= 0).all())
+    weights_ok = bool(np.isfinite(graph.matrix.data).all() and (graph.matrix.data >= 0).all())
     checks = (
         ValidationCheck(
             "alpha_ge_price", params.alpha >= params.price,
@@ -388,16 +405,13 @@ def ensure_assumptions(graph: WeightedDigraph, params: MarketParams,
 def generate_core_periphery(params: CorePeripheryParams) -> WeightedDigraph:
     """Build the core-periphery graph: every agent ends up with exactly one
     in-edge of weight g, so the spectral radius equals g."""
-    chi, m, g = params.chi, params.m, params.g
-    edges: list[Edge] = []
-    for r in range(1, chi + 1):
-        role = r * m
-        for i in range((r - 1) * m + 1, r * m):
-            edges.append((i, role, g))
-    for r in range(1, chi):
-        edges.append(((r + 1) * m, r * m, g))
-    edges.append((m, chi * m, g))
-    return WeightedDigraph(params.n, edges)
+    m = params.m
+    agents = np.arange(1, params.n + 1)
+    influencers = (agents - 1) // m * m + m  # each community's role model
+    roles = agents % m == 0
+    influencers[roles] = np.roll(agents[roles], 1)  # the previous role model
+    return WeightedDigraph(params.n, np.column_stack(
+        (agents, influencers, np.full(params.n, params.g, dtype=float))))
 
 
 def generate_bounded_outdegree_family(n: int, d: int, weight: float,
@@ -415,16 +429,18 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
     if not (np.isfinite(weight) and weight >= 0):
         raise ValueError(f"weight must be a nonnegative real, got {weight}")
     rng = np.random.default_rng(seed)
-    edges: list[Edge] = []
+    targets, influencers = [np.empty(0)], [np.empty(0)]
     for j in range(1, n + 1):
         k = int(rng.integers(0, d + 1))
         if k == 0:
             continue
-        pool = np.delete(np.arange(1, n + 1), j - 1)
-        targets = rng.choice(pool, size=k, replace=False)
-        for t in np.sort(targets):
-            edges.append((int(t), j, weight))
-    return WeightedDigraph(n, edges)
+        # positions in the pool of the n - 1 agents other than j
+        idx = rng.choice(n - 1, size=k, replace=False)
+        targets.append(idx + 1 + (idx >= j - 1))
+        influencers.append(np.full(k, j))
+    rows = np.concatenate(targets)
+    return WeightedDigraph(n, np.column_stack(
+        (rows, np.concatenate(influencers), np.full(rows.size, weight, dtype=float))))
 
 
 def load_edge_list(path: str | Path) -> WeightedDigraph:
@@ -435,59 +451,44 @@ def load_edge_list(path: str | Path) -> WeightedDigraph:
     ``influenced influencer weight`` (whitespace-separated).  Violations raise
     a distinct error naming the offending line.
     """
-    path = Path(path)
-    n: int | None = None
-    edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if n is None:
-                if not text.startswith("n="):
+    edges, lines = [], []  # lines[k] is the file line of edges[k]
+    with Path(path).open("r", encoding="utf-8") as handle:
+        content = ((lineno, text) for lineno, raw in enumerate(handle, start=1)
+                   if (text := raw.split("#", 1)[0].strip()))
+        lineno, header = next(content, (1, ""))
+        if not header.startswith("n="):
+            raise MalformedLineError(f"expected header 'n=<count>', got {header!r}" if header
+                                     else "file has no 'n=<count>' header", line=lineno)
+        try:
+            n = int(header[2:])
+        except ValueError:
+            raise MalformedLineError(
+                f"header count is not an integer: {header!r}", line=lineno) from None
+        if n < 1:
+            raise MalformedLineError(f"node count must be positive, got {n}", line=lineno)
+        try:
+            for lineno, text in content:
+                fields = text.split()
+                if len(fields) != 3:
                     raise MalformedLineError(
-                        f"expected header 'n=<count>', got {text!r}", line=lineno)
-                try:
-                    n = int(text[2:])
+                        f"expected 3 fields (influenced influencer weight), got {len(fields)}",
+                        line=lineno)
+                try:  # ids must be integer literals
+                    int(fields[0]), int(fields[1])
                 except ValueError:
                     raise MalformedLineError(
-                        f"header count is not an integer: {text!r}", line=lineno) from None
-                if n < 1:
+                        f"agent ids must be integers: {text!r}", line=lineno) from None
+                try:  # which always parse as floats
+                    edges.append((float(fields[0]), float(fields[1]), float(fields[2])))
+                except ValueError:
                     raise MalformedLineError(
-                        f"node count must be positive, got {n}", line=lineno)
-                continue
-            fields = text.split()
-            if len(fields) != 3:
-                raise MalformedLineError(
-                    f"expected 3 fields (influenced influencer weight), got {len(fields)}",
-                    line=lineno)
-            try:
-                i = int(fields[0]); j = int(fields[1])
-            except ValueError:
-                raise MalformedLineError(
-                    f"agent ids must be integers: {text!r}", line=lineno) from None
-            try:
-                w = float(fields[2])
-            except ValueError:
-                raise MalformedLineError(
-                    f"weight is not a real number: {fields[2]!r}", line=lineno) from None
-            if not 1 <= i <= n or not 1 <= j <= n:
-                raise MalformedLineError(
-                    f"agent ids ({i}, {j}) outside 1..{n}", line=lineno)
-            if i == j:
-                raise SelfLoopError(f"agent {i} influences itself", line=lineno)
-            if not np.isfinite(w):
-                raise MalformedLineError(f"weight {fields[2]!r} is not finite", line=lineno)
-            if w < 0:
-                raise NegativeWeightError(f"weight {w} is negative", line=lineno)
-            if (i, j) in seen:
-                raise DuplicateEdgeError(f"duplicate pair ({i}, {j})", line=lineno)
-            seen.add((i, j))
-            edges.append((i, j, w))
-    if n is None:
-        raise MalformedLineError("file has no 'n=<count>' header", line=1)
-    return WeightedDigraph(n, edges)
+                        f"weight is not a real number: {fields[2]!r}", line=lineno) from None
+                lines.append(lineno)
+            return WeightedDigraph(n, edges)
+        except EdgeListError:
+            # the first offending line wins, whichever check it breaks
+            _check_edges(n, np.reshape(edges, (-1, 3)), lines)
+            raise
 
 
 def save_edge_list(graph: WeightedDigraph, path: str | Path) -> None:
@@ -495,8 +496,6 @@ def save_edge_list(graph: WeightedDigraph, path: str | Path) -> None:
 
     Weights use shortest round-trip decimal form, so load(save(g)) == g.
     """
-    path = Path(path)
-    lines = ["# influenced\tinfluencer\tweight", f"n={graph.n}"]
-    for i, j, w in graph.edges:
-        lines.append(f"{i}\t{j}\t{w!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = ["# influenced\tinfluencer\tweight", f"n={graph.n}",
+             *(f"{i}\t{j}\t{w!r}" for i, j, w in zip(*graph._edge_lists()))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

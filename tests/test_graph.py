@@ -218,6 +218,27 @@ class TestBoundedOutDegree:
         g = generate_bounded_outdegree_family(50, 2, 0.25, seed=0)
         assert all(w == 0.25 for _, _, w in g.edges)
 
+    @staticmethod
+    def pool_based_family(n, d, weight, seed):
+        """Reference draw: rng.choice on the explicit pool of the other agents."""
+        rng = np.random.default_rng(seed)
+        edges = []
+        for j in range(1, n + 1):
+            k = int(rng.integers(0, d + 1))
+            if k == 0:
+                continue
+            pool = np.delete(np.arange(1, n + 1), j - 1)
+            edges.extend((int(t), j, weight) for t in rng.choice(pool, size=k, replace=False))
+        return WeightedDigraph(n, edges)
+
+    @pytest.mark.parametrize("n,d,seed", [(1, 0, 4), (2, 1, 0), (5, 4, 3), (30, 2, 1),
+                                          (300, 3, 7), (3000, 10, 5)])
+    def test_same_graph_as_pool_based_draw(self, n, d, seed):
+        fast = generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
+        reference = self.pool_based_family(n, d, 0.1, seed)
+        assert fast == reference
+        assert fast.edges == reference.edges
+
 
 class TestEdgeListIO:
     def test_load_basic(self, tmp_path):
@@ -245,6 +266,78 @@ class TestEdgeListIO:
             load_edge_list(path)
         assert info.value.line == line
         assert f"line {line}:" in str(info.value)
+
+    @pytest.mark.parametrize("text,edge,exc", [
+        ("n=3\n1 9 0.5\n", (1, 9, 0.5), MalformedLineError),
+        ("n=3\n0 2 0.5\n", (0, 2, 0.5), MalformedLineError),
+        ("n=3\n2 2 0.5\n", (2, 2, 0.5), SelfLoopError),
+        ("n=3\n1 2 -0.5\n", (1, 2, -0.5), NegativeWeightError),
+        ("n=3\n1 2 nan\n", (1, 2, float("nan")), MalformedLineError),
+        ("n=3\n1 2 inf\n", (1, 2, float("inf")), MalformedLineError),
+    ])
+    def test_constructor_raises_what_the_loader_raises(self, tmp_path, text, edge, exc):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListError) as loaded:
+            load_edge_list(path)
+        with pytest.raises(EdgeListError) as built:
+            WeightedDigraph(3, [edge])
+        assert type(loaded.value) is type(built.value) is exc
+        assert built.value.line is None
+        assert str(loaded.value) == f"line 2: {built.value}"
+
+    def test_constructor_duplicate_matches_loader(self, tmp_path):
+        path = tmp_path / "dup.edges"
+        path.write_text("n=3\n1 2 0.5\n2 3 0.0\n1 2 0.25\n")
+        with pytest.raises(DuplicateEdgeError) as loaded:
+            load_edge_list(path)
+        with pytest.raises(DuplicateEdgeError) as built:
+            WeightedDigraph(3, [(1, 2, 0.5), (2, 3, 0.0), (1, 2, 0.25)])
+        assert str(loaded.value) == f"line 4: {built.value}"
+
+    @pytest.mark.parametrize("edges,exc", [
+        ([(3, 3, -1.0)], MalformedLineError),     # range before self-loop
+        ([(2, 2, np.nan)], SelfLoopError),        # self-loop before finite
+        ([(1, 2, -np.inf)], MalformedLineError),  # finite before negative
+        ([(1, 2, 0.5), (1, 2, -1.0)], NegativeWeightError),  # before duplicate
+    ])
+    def test_rule_order_within_one_edge(self, edges, exc):
+        with pytest.raises(EdgeListError) as info:
+            WeightedDigraph(2, edges)
+        assert type(info.value) is exc
+
+    @pytest.mark.parametrize("edge", [(1.5, 2, 0.5), (1, 2.25, 0.5), (np.inf, 2, 0.5),
+                                      (np.nan, 2, 0.5)])
+    def test_non_integral_id_rejected(self, edge):
+        with pytest.raises(MalformedLineError):
+            WeightedDigraph(3, [edge])
+
+    @pytest.mark.parametrize("edges", [[(1, 2)], [(1, 2, 0.5, 9)], [(1, 2, None)],
+                                       [(1, 2, "x")], [(1, 2, 0.5), (2, 3)],
+                                       np.ones((3, 4))])
+    def test_malformed_triples_rejected(self, edges):
+        with pytest.raises(MalformedLineError):  # None reads as nan
+            WeightedDigraph(3, edges)
+
+    @pytest.mark.parametrize("text,exc,line", [
+        ("n=3\n2 2 0.5\n1 2\n", SelfLoopError, 2),
+        ("n=3\n1 2 0.5\n1 2 0.5\n1 x 0.5\n", DuplicateEdgeError, 3),
+        ("n=3\n1 2 0.5\n1 x 0.5\n1 2 0.5\n", MalformedLineError, 3),
+        ("n=3\n1 2 0.5\n2 3 -1\n3 1 0.5\n3 3 0.5\n", NegativeWeightError, 3),
+    ])
+    def test_first_offending_line_wins(self, tmp_path, text, exc, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(exc) as info:
+            load_edge_list(path)
+        assert info.value.line == line
+
+    def test_huge_id_is_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("n=3\n1 2 0.5\n" + "9" * 400 + " 2 0.5\n")
+        with pytest.raises(MalformedLineError) as info:
+            load_edge_list(path)
+        assert info.value.line == 3
 
     def test_all_loader_errors_are_edge_list_errors(self):
         for exc in (MalformedLineError, DuplicateEdgeError, SelfLoopError,
@@ -280,6 +373,46 @@ class TestEdgeListIO:
         path = tmp_path_factory.mktemp("rt") / "g.edges"
         save_edge_list(graph, path)
         assert load_edge_list(path) == graph
+
+
+class TestRepresentation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_edges_come_from_the_matrix(self, n, data):
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+            lambda p: p[0] != p[1])
+        chosen = data.draw(st.lists(pairs, unique=True, max_size=20))
+        weights = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_nan=False)),
+            min_size=len(chosen), max_size=len(chosen)))
+        drawn = [(i, j, w) for (i, j), w in zip(chosen, weights)]
+        graph = WeightedDigraph(n, drawn)
+        assert graph.edges == tuple(sorted(e for e in drawn if e[2] > 0))
+        assert all(type(i) is int and type(j) is int and type(w) is float
+                   for i, j, w in graph.edges)
+        assert graph.edge_count == sum(1 for e in drawn if e[2] > 0)
+        rebuilt = WeightedDigraph.from_matrix(graph.to_dense())
+        assert graph == rebuilt and hash(graph) == hash(rebuilt)
+
+    def test_transpose_is_read_only_and_matches(self, cp_graph):
+        transpose = cp_graph._transpose
+        assert (transpose != cp_graph.matrix.T).nnz == 0
+        with pytest.raises(ValueError):
+            transpose.data[0] = 2.0
+
+    def test_walk_systems_share_the_cached_transpose(self, cp_graph, market, monkeypatch):
+        import seedgame.centrality as centrality
+        seen = []
+        original = centrality._AttenuatedSystem.__init__
+
+        def spy(self, matrix, *args, **kwargs):
+            seen.append(matrix)
+            original(self, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(centrality._AttenuatedSystem, "__init__", spy)
+        centrality.biproduct_centrality(cp_graph, market)
+        centrality.katz_bonacich(cp_graph, 0.25)
+        assert len(seen) == 3 and all(m is cp_graph._transpose for m in seen)
 
 
 class TestAssumptionError:
