@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -231,18 +232,31 @@ def biproduct_centrality(graph: WeightedDigraph, params: MarketParams,
         residuals=(float(res_a), float(res_b)))
 
 
-def _walk_series(graph: WeightedDigraph, attenuation: float,
-                 terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partial sum sum_{t=0}^{terms-1} attenuation^t (G^T)^t 1 and the first
-    omitted term attenuation^terms (G^T)^terms 1."""
-    if terms < 1:
-        raise ValueError(f"terms must be at least 1, got {terms}")
+def _walk_series(graph: WeightedDigraph,
+                 attenuation: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For terms = 1, 2, ...: the partial sum
+    sum_{t=0}^{terms-1} attenuation^t (G^T)^t 1 and the first omitted term
+    attenuation^terms (G^T)^terms 1 (the partial sum is updated in place)."""
     term = np.ones(graph.n)
     total = np.zeros(graph.n)
-    for _ in range(terms):
+    while True:
         total += term
         term = attenuation * (graph._transpose @ term)
-    return total, term
+        yield total, term
+
+
+def _truncated_series(graph: WeightedDigraph, attenuation: float,
+                      terms: int) -> tuple[np.ndarray, np.ndarray]:
+    if terms < 1:
+        raise ValueError(f"terms must be at least 1, got {terms}")
+    return next(itertools.islice(_walk_series(graph, attenuation), terms - 1, None))
+
+
+def _tail_mass(total: np.ndarray, omitted: np.ndarray) -> float:
+    m = float(np.abs(omitted).max())
+    if m >= 1.0:
+        return float("inf")
+    return m * float(total.max()) / (1.0 - m)
 
 
 def neumann_oracle(graph: WeightedDigraph, attenuation: float, terms: int) -> np.ndarray:
@@ -253,7 +267,7 @@ def neumann_oracle(graph: WeightedDigraph, attenuation: float, terms: int) -> np
     """
     if not (np.isfinite(attenuation) and attenuation >= 0):
         raise ValueError(f"attenuation must be a nonnegative real, got {attenuation}")
-    total, _ = _walk_series(graph, attenuation, terms)
+    total, _ = _truncated_series(graph, attenuation, terms)
     return _as_readonly(total)
 
 
@@ -266,8 +280,20 @@ def neumann_tail_bound(graph: WeightedDigraph, attenuation: float, terms: int) -
     ||m_T||_inf * ||partial||_inf / (1 - ||m_T||_inf) once ||m_T||_inf < 1.
     Returns inf when the bound is not yet conclusive at this truncation.
     """
-    total, omitted = _walk_series(graph, attenuation, terms)
-    m = float(np.abs(omitted).max())
-    if m >= 1.0:
-        return float("inf")
-    return m * float(total.max()) / (1.0 - m)
+    return _tail_mass(*_truncated_series(graph, attenuation, terms))
+
+
+def certified_neumann_series(graph: WeightedDigraph, attenuation: float, tail_tol: float,
+                             max_terms: int = 1_000_000) -> np.ndarray | None:
+    """neumann_oracle at the first terms of 8, 16, 32, ... (at most max_terms)
+    whose neumann_tail_bound is below tail_tol, from one pass over the
+    series; None when no such terms exists."""
+    terms = 8
+    for count, (total, omitted) in enumerate(_walk_series(graph, attenuation), start=1):
+        if count < terms:
+            continue
+        if _tail_mass(total, omitted) < tail_tol:
+            return _as_readonly(total)
+        terms *= 2
+        if terms > max_terms:
+            return None

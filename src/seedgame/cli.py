@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_csv
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
-                         katz_bonacich, neumann_oracle, neumann_tail_bound)
+                         certified_neumann_series, katz_bonacich)
 from .dynamics import SeedingPair, TailCertificationError, simulate, write_trajectory_csv
 from .game import (DiscountedSolver, SeedSet, epsilon_for_sets, firm_utility,
                    nash_deviation_check, nash_seeding, restricted_nash_seeding,
@@ -475,12 +475,9 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
 
     worst_oracle = 0.0
     for att in bundle.attenuations:
-        terms = 8
-        while neumann_tail_bound(graph, att, terms) >= 1e-8:
-            terms *= 2
-            if terms > 1_000_000:
-                raise VerificationFailure("walk-series tail bound will not certify")
-        series = neumann_oracle(graph, att, terms)
+        series = certified_neumann_series(graph, att, 1e-8)
+        if series is None:
+            raise VerificationFailure("walk-series tail bound will not certify")
         katz = katz_bonacich(graph, att, config.tol)
         worst_oracle = max(worst_oracle, float(np.abs(series - katz).max()))
     _check(checks, name, "centrality_matches_walk_series", worst_oracle <= 1e-8,

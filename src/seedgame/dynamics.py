@@ -238,9 +238,10 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Export states as CSV rows (k, node, x_bar, x_under), 1-based nodes."""
     if not trajectory.states:
         raise ValueError("trajectory was simulated without stored states")
-    lines = ["k,node,x_bar,x_under"]
-    for state in trajectory.states:
-        for idx in range(state.n):
-            lines.append(f"{state.k},{idx + 1},"
-                         f"{float(state.x_bar[idx])!r},{float(state.x_under[idx])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [f",{node}," for node in range(1, trajectory.states[0].n + 1)]
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write("k,node,x_bar,x_under\n")
+        for state in trajectory.states:
+            k = str(state.k)
+            handle.write("".join([f"{k}{column}{bar!r},{under!r}\n" for column, bar, under
+                                  in zip(columns, state.x_bar.tolist(), state.x_under.tolist())]))

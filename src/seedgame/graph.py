@@ -10,6 +10,7 @@ vectors elsewhere in the package are 0-based, index ``i`` holding agent
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -450,8 +451,11 @@ def load_edge_list(path: str | Path) -> WeightedDigraph:
     is ``n=<count>``; each following content line is
     ``influenced influencer weight`` (whitespace-separated).  Violations raise
     a distinct error naming the offending line.
+
+    A bulk parser reads well-formed bodies; whenever it or the edge check
+    objects, the line-by-line reader, which accepts exactly the same files,
+    reads the body again and reports the error.
     """
-    edges, lines = [], []  # lines[k] is the file line of edges[k]
     with Path(path).open("r", encoding="utf-8") as handle:
         content = ((lineno, text) for lineno, raw in enumerate(handle, start=1)
                    if (text := raw.split("#", 1)[0].strip()))
@@ -467,28 +471,52 @@ def load_edge_list(path: str | Path) -> WeightedDigraph:
         if n < 1:
             raise MalformedLineError(f"node count must be positive, got {n}", line=lineno)
         try:
-            for lineno, text in content:
-                fields = text.split()
-                if len(fields) != 3:
-                    raise MalformedLineError(
-                        f"expected 3 fields (influenced influencer weight), got {len(fields)}",
-                        line=lineno)
-                try:  # ids must be integer literals
-                    int(fields[0]), int(fields[1])
-                except ValueError:
-                    raise MalformedLineError(
-                        f"agent ids must be integers: {text!r}", line=lineno) from None
-                try:  # which always parse as floats
-                    edges.append((float(fields[0]), float(fields[1]), float(fields[2])))
-                except ValueError:
-                    raise MalformedLineError(
-                        f"weight is not a real number: {fields[2]!r}", line=lineno) from None
-                lines.append(lineno)
-            return WeightedDigraph(n, edges)
-        except EdgeListError:
-            # the first offending line wins, whichever check it breaks
-            _check_edges(n, np.reshape(edges, (-1, 3)), lines)
-            raise
+            return _read_edges_bulk(path, n, lineno)
+        except Exception:  # the line loop decides, and names the error
+            pass
+        return _read_edge_lines(n, content)
+
+
+_BULK_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
+
+
+def _read_edges_bulk(path: str | Path, n: int, header_line: int) -> WeightedDigraph:
+    """The graph of the edges after file line ``header_line``, parsed in C.
+    Raises on any parse error or warning and on a failed edge check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        body = np.loadtxt(path, comments="#", skiprows=header_line, encoding="utf-8",
+                          dtype=_BULK_DTYPE, ndmin=1)
+    return WeightedDigraph(n, np.column_stack((body["i"], body["j"], body["w"])))
+
+
+def _read_edge_lines(n: int, content: Iterable[tuple[int, str]]) -> WeightedDigraph:
+    """The edges of the numbered content lines after the header, parsed one
+    line at a time; the first offending line names the error."""
+    edges, lines = [], []  # lines[k] is the file line of edges[k]
+    try:
+        for lineno, text in content:
+            fields = text.split()
+            if len(fields) != 3:
+                raise MalformedLineError(
+                    f"expected 3 fields (influenced influencer weight), got {len(fields)}",
+                    line=lineno)
+            try:  # ids must be integer literals
+                int(fields[0]), int(fields[1])
+            except ValueError:
+                raise MalformedLineError(
+                    f"agent ids must be integers: {text!r}", line=lineno) from None
+            try:  # which always parse as floats
+                edges.append((float(fields[0]), float(fields[1]), float(fields[2])))
+            except ValueError:
+                raise MalformedLineError(
+                    f"weight is not a real number: {fields[2]!r}", line=lineno) from None
+            lines.append(lineno)
+        return WeightedDigraph(n, edges)
+    except EdgeListError:
+        # the first offending line wins, whichever check it breaks
+        _check_edges(n, np.reshape(edges, (-1, 3)), lines)
+        raise
 
 
 def save_edge_list(graph: WeightedDigraph, path: str | Path) -> None:

@@ -31,6 +31,8 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64 and np.isfinite(obj).all():
+            return "[" + ", ".join(map("{:.17g}".format, obj.tolist())) + "]"
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"

@@ -8,6 +8,7 @@ from seedgame import (AssumptionError, MarketParams, WeightedDigraph,
                       biproduct_centrality, katz_bonacich, neumann_oracle,
                       neumann_tail_bound)
 import seedgame.centrality as centrality_mod
+from seedgame.centrality import certified_neumann_series
 
 from conftest import random_validated_graph
 
@@ -198,6 +199,22 @@ class TestNeumann:
         # one strong cycle of weight 1: powers of G^T never decay at q=1
         g = WeightedDigraph(2, [(1, 2, 1.0), (2, 1, 1.0)])
         assert neumann_tail_bound(g, 1.0, 4) == np.inf
+
+    def test_certified_series_is_the_oracle_at_the_first_certified_doubling(self,
+                                                                           test_suite):
+        for name, graph in test_suite:
+            for q in (0.25, 0.75):
+                terms = 8
+                while neumann_tail_bound(graph, q, terms) >= 1e-8:
+                    terms *= 2
+                series = certified_neumann_series(graph, q, 1e-8)
+                assert np.array_equal(series, neumann_oracle(graph, q, terms)), (name, q)
+
+    def test_certified_series_gives_up_past_max_terms(self, cp_graph):
+        assert certified_neumann_series(cp_graph, 0.75, 1e-8, max_terms=32) is not None
+        assert certified_neumann_series(cp_graph, 0.75, 1e-8, max_terms=16) is None
+        uncontracted = WeightedDigraph(2, [(1, 2, 1.0), (2, 1, 1.0)])
+        assert certified_neumann_series(uncontracted, 1.0, 1e-8, max_terms=1024) is None
 
     def test_one_term_is_ones(self, cp_graph):
         assert np.array_equal(neumann_oracle(cp_graph, 0.75, 1), np.ones(12))

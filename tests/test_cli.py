@@ -411,6 +411,17 @@ class TestCallCounts:
                                                "simulate", "--seeding", "nash")
         assert counts[0] == counts[1]
 
+    def test_verify_runs_one_walk_series_per_attenuation(self, tmp_path, monkeypatch):
+        import seedgame.centrality as centrality
+        calls = []
+        walk_series = centrality._walk_series
+        monkeypatch.setattr(centrality, "_walk_series", lambda graph, attenuation, *rest:
+                            calls.append(attenuation) or walk_series(graph, attenuation, *rest))
+        code, _, _ = run("verify", "--generate", "core-periphery:chi=10,m=30,g=0.5",
+                         "--samples", "200", "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [0.25, 0.75]
+
     def test_verify_builds_one_solver_per_graph(self, counts, tmp_path):
         code, _, _ = run("verify", "--generate", CP_SPEC, "--samples", "200",
                          "--out", str(tmp_path))

@@ -4,7 +4,8 @@ import pytest
 from seedgame import (ConsumptionState, DiscountedSolver,
                       SeedingPair, TailCertificationError, WeightedDigraph,
                       agent_utility, auto_horizon, best_response_step,
-                      simulate, write_trajectory_csv)
+                      generate_bounded_outdegree_family, simulate,
+                      write_trajectory_csv)
 
 from conftest import MARKET
 
@@ -206,6 +207,26 @@ class TestTrajectoryCsv:
                 assert int(k) == state.k and int(node) == idx + 1
                 assert float(x_bar) == state.x_bar[idx]
                 assert float(x_under) == state.x_under[idx]
+
+    @staticmethod
+    def reference_csv(trajectory, path):
+        """The value-by-value writer the streamed one replaced."""
+        lines = ["k,node,x_bar,x_under"]
+        for state in trajectory.states:
+            for idx in range(state.n):
+                lines.append(f"{state.k},{idx + 1},"
+                             f"{float(state.x_bar[idx])!r},{float(state.x_under[idx])!r}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_same_bytes_as_the_reference_writer(self, tmp_path):
+        graph = generate_bounded_outdegree_family(300, 4, 0.2, seed=11)
+        traj = simulate(graph, MARKET, nash_like_pair(300, np.random.default_rng(12)),
+                        horizon=25)
+        write_trajectory_csv(traj, tmp_path / "streamed.csv")
+        self.reference_csv(traj, tmp_path / "reference.csv")
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "reference.csv").read_bytes()
+        assert streamed.count(b"\n") == 1 + 26 * 300
 
     def test_requires_states(self, two_node, tmp_path):
         traj = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=3,

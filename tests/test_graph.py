@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from seedgame import (AssumptionError, CorePeripheryParams, DuplicateEdgeError,
                       WeightedDigraph, generate_bounded_outdegree_family,
                       generate_core_periphery, load_edge_list, save_edge_list,
                       spectral_radius, validate_assumptions)
+from seedgame import graph as graph_mod
 
 from conftest import MARKET, random_validated_graph
 
@@ -373,6 +377,127 @@ class TestEdgeListIO:
         path = tmp_path_factory.mktemp("rt") / "g.edges"
         save_edge_list(graph, path)
         assert load_edge_list(path) == graph
+
+
+def _outcome(read):
+    """What a read returns: (n, edges), or the error's class, line and text."""
+    try:
+        graph = read()
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return graph.n, graph.edges
+
+
+def _three_reads(path, n: int, header_line: int):
+    """load_edge_list, the line loop alone, and the bulk parser alone."""
+    loaded = _outcome(lambda: load_edge_list(path))
+    with mock.patch.object(graph_mod, "_read_edges_bulk", side_effect=ValueError):
+        looped = _outcome(lambda: load_edge_list(path))
+    bulk = _outcome(lambda: graph_mod._read_edges_bulk(path, n, header_line))
+    return loaded, looped, bulk
+
+
+# spellings where the C parser, the line loop or the edge check might disagree
+_ODD_IDS = ("0", "-1", "+2", "02", "9", "1_0", "\u0661", "\uff11", "1.0", "1e0",
+            "12345678901234567890", "9223372036854775808", "x", "\ufeff1")
+_ODD_WEIGHTS = ("-0.0", "0", "-1", "inf", "nan", "Infinity", "-inf", "0_5", "1d0", "0x1p-1",
+                "1e400", "5e-324", "1e308", "+.5", "2.", "x", "True")
+_ODD_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+                   "\u200b", "\ufeff")
+
+
+def _edge_line(n: int, ids=None, weights=st.sampled_from(("0.5", "0.25", "1e-3", "3")),
+               separators=st.sampled_from((" ", "\t", "  "))) -> st.SearchStrategy[str]:
+    ids = st.integers(1, n).map(str) if ids is None else ids
+    return st.builds(lambda i, j, w, sep, tail: sep.join((i, j, w)) + tail,
+                     ids, ids, weights, separators,
+                     st.sampled_from(("", " ", "  # note", "#", "\r")))
+
+
+def _lines(n: int) -> st.SearchStrategy[str]:
+    """Mostly clean edge lines (some repeat a pair or loop), some with one odd
+    spelling or a wrong field count, and lines with nothing to read."""
+    kinds = {
+        "clean": _edge_line(n),
+        "odd id": _edge_line(n, ids=st.sampled_from(_ODD_IDS)),
+        "odd weight": _edge_line(n, weights=st.sampled_from(_ODD_WEIGHTS)),
+        "odd separator": _edge_line(n, separators=st.sampled_from(_ODD_SEPARATORS)),
+        "field count": st.lists(st.sampled_from(("1", "2", "0.5")), max_size=4).map(" ".join),
+        "empty": st.sampled_from(("", "# comment", "   ")),
+    }
+    return st.sampled_from(["clean"] * 20 + list(kinds)).flatmap(kinds.__getitem__)
+
+
+_bodies = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_lines(n), max_size=8)))
+
+
+class TestBulkLoader:
+    """The bulk parser accepts only files the line loop accepts, with the same
+    edges; everything else falls back to the loop, which names the error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bodies, st.integers(0, 2), st.sampled_from(("\n", "\r\n", "\r")))
+    def test_fast_path_and_line_loop_agree(self, tmp_path_factory, body, preamble, newline):
+        n, lines = body
+        path = tmp_path_factory.mktemp("bulk") / "g.edges"
+        text = newline.join(["# preamble"] * preamble + [f"n={n}"] + lines) + newline
+        path.write_bytes(text.encode("utf-8"))
+        loaded, looped, bulk = _three_reads(path, n, preamble + 1)
+        assert loaded == looped
+        if bulk[0] == n:  # a graph, not an error
+            assert bulk == looped
+
+    def test_well_formed_files_skip_the_line_loop(self, tmp_path, test_suite):
+        with mock.patch.object(graph_mod, "_read_edge_lines", side_effect=AssertionError):
+            for name, graph in test_suite:
+                path = tmp_path / f"{name}.edges"
+                save_edge_list(graph, path)
+                assert load_edge_list(path) == graph
+
+    @pytest.mark.parametrize("n,body,edges", [
+        (12, "1_0 2 0.5", ((10, 2, 0.5),)),
+        (3, "\u0661 2 0.5", ((1, 2, 0.5),)),  # Arabic-Indic one
+        (3, "1 2 0_5", ((1, 2, 5.0),)),
+    ])
+    def test_spellings_only_the_loop_accepts(self, tmp_path, n, body, edges):
+        path = tmp_path / "g.edges"
+        path.write_text(f"n={n}\n{body}\n", encoding="utf-8")
+        loaded, looped, bulk = _three_reads(path, n, 1)
+        assert loaded == looped == (n, edges)
+        assert bulk[0] is ValueError
+
+    @pytest.mark.parametrize("text,exc", [
+        ("n=3\n1 2 0.5\n2 3 inf\n", MalformedLineError),
+        ("n=3\n1 2 0.5\n2 3 nan\n", MalformedLineError),
+        ("n=3\n1 2 0.5\n2 3 Infinity\n", MalformedLineError),
+        ("n=3\n1 2 0.5\n-1 3 0.5\n", MalformedLineError),
+    ])
+    def test_values_only_the_constructor_rejects(self, tmp_path, text, exc):
+        assert np.loadtxt(text.splitlines()[1:], dtype=graph_mod._BULK_DTYPE).size == 2
+        path = tmp_path / "g.edges"
+        path.write_text(text, encoding="utf-8")
+        loaded, looped, bulk = _three_reads(path, 3, 1)
+        assert loaded == looped
+        assert loaded[:2] == (exc, 3) and bulk[0] is exc
+
+    @pytest.mark.parametrize("text,outcome", [
+        ("\ufeffn=3\n1 2 0.5\n", (MalformedLineError, 1)),  # a BOM before the header
+        ("n=3\n1.0 2 0.5\n", (MalformedLineError, 2)),
+        ("n=3\n", (3, ())),
+        ("n=3\n# only comments\n\n   # and blanks\n", (3, ())),
+        ("n=3\n1 2 -0.0\n2 3 0.5\n", (3, ((2, 3, 0.5),))),
+        ("n=3\n12345678901234567890 2 0.5\n", (MalformedLineError, 2)),
+    ])
+    def test_edge_cases(self, tmp_path, text, outcome):
+        path = tmp_path / "g.edges"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = _outcome(lambda: load_edge_list(path))
+        assert not caught  # loadtxt's empty-input warning stays inside
+        assert loaded == _three_reads(path, 3, 1)[1]
+        assert loaded[:2] == outcome
 
 
 class TestRepresentation:
