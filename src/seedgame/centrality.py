@@ -23,6 +23,8 @@ DIRECT_SOLVE_MAX_N = 2000  # largest system factored up front (prefactor)
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
 _STACK_SIZE = 1 << 16  # entries per stacked group of right-hand-side columns
+_SERIES_TAIL_TOL = 1e-8  # tail bound below which a walk series is certified
+_MAX_SERIES_TERMS = 1_000_000  # longest walk series tried for certification
 
 
 class SolverError(RuntimeError):
@@ -283,17 +285,16 @@ def neumann_tail_bound(graph: WeightedDigraph, attenuation: float, terms: int) -
     return _tail_mass(*_truncated_series(graph, attenuation, terms))
 
 
-def certified_neumann_series(graph: WeightedDigraph, attenuation: float, tail_tol: float,
-                             max_terms: int = 1_000_000) -> np.ndarray | None:
-    """neumann_oracle at the first terms of 8, 16, 32, ... (at most max_terms)
-    whose neumann_tail_bound is below tail_tol, from one pass over the
-    series; None when no such terms exists."""
+def certified_neumann_series(graph: WeightedDigraph, attenuation: float) -> np.ndarray | None:
+    """neumann_oracle at the first terms of 8, 16, 32, ... (at most
+    _MAX_SERIES_TERMS) whose neumann_tail_bound is below _SERIES_TAIL_TOL,
+    from one pass over the series; None when no such terms exists."""
     terms = 8
     for count, (total, omitted) in enumerate(_walk_series(graph, attenuation), start=1):
         if count < terms:
             continue
-        if _tail_mass(total, omitted) < tail_tol:
+        if _tail_mass(total, omitted) < _SERIES_TAIL_TOL:
             return _as_readonly(total)
         terms *= 2
-        if terms > max_terms:
+        if terms > _MAX_SERIES_TERMS:
             return None

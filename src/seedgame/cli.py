@@ -475,7 +475,7 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
 
     worst_oracle = 0.0
     for att in bundle.attenuations:
-        series = certified_neumann_series(graph, att, 1e-8)
+        series = certified_neumann_series(graph, att)
         if series is None:
             raise VerificationFailure("walk-series tail bound will not certify")
         katz = katz_bonacich(graph, att, config.tol)

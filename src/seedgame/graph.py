@@ -10,11 +10,12 @@ vectors elsewhere in the package are 0-based, index ``i`` holding agent
 """
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -454,11 +455,10 @@ def load_edge_list(path: str | Path) -> WeightedDigraph:
 
     A bulk parser reads well-formed bodies; whenever it or the edge check
     objects, the line-by-line reader, which accepts exactly the same files,
-    reads the body again and reports the error.
+    parses the body again and reports the error.
     """
     with Path(path).open("r", encoding="utf-8") as handle:
-        content = ((lineno, text) for lineno, raw in enumerate(handle, start=1)
-                   if (text := raw.split("#", 1)[0].strip()))
+        content = _content_lines(handle, start=1)
         lineno, header = next(content, (1, ""))
         if not header.startswith("n="):
             raise MalformedLineError(f"expected header 'n=<count>', got {header!r}" if header
@@ -470,24 +470,30 @@ def load_edge_list(path: str | Path) -> WeightedDigraph:
                 f"header count is not an integer: {header!r}", line=lineno) from None
         if n < 1:
             raise MalformedLineError(f"node count must be positive, got {n}", line=lineno)
-        try:
-            return _read_edges_bulk(path, n, lineno)
-        except Exception:  # the line loop decides, and names the error
-            pass
-        return _read_edge_lines(n, content)
+        body = handle.read()  # read once: the path may name a pipe
+    try:
+        return _read_edges_bulk(body, n)
+    except (ValueError, OverflowError, Warning):  # the line loop decides, and names the error
+        pass
+    return _read_edge_lines(n, _content_lines(io.StringIO(body), start=lineno + 1))
+
+
+def _content_lines(lines: Iterable[str], start: int) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line with text left once its comment is cut."""
+    return ((lineno, text) for lineno, raw in enumerate(lines, start=start)
+            if (text := raw.split("#", 1)[0].strip()))
 
 
 _BULK_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
 
 
-def _read_edges_bulk(path: str | Path, n: int, header_line: int) -> WeightedDigraph:
-    """The graph of the edges after file line ``header_line``, parsed in C.
-    Raises on any parse error or warning and on a failed edge check."""
+def _read_edges_bulk(body: str, n: int) -> WeightedDigraph:
+    """The graph of the edge lines in ``body``, parsed in C.  Raises on any
+    parse error or warning and on a failed edge check."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        body = np.loadtxt(path, comments="#", skiprows=header_line, encoding="utf-8",
-                          dtype=_BULK_DTYPE, ndmin=1)
-    return WeightedDigraph(n, np.column_stack((body["i"], body["j"], body["w"])))
+        rows = np.loadtxt(io.StringIO(body), comments="#", dtype=_BULK_DTYPE, ndmin=1)
+    return WeightedDigraph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
 
 
 def _read_edge_lines(n: int, content: Iterable[tuple[int, str]]) -> WeightedDigraph:

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 
 
+_format_real = "{:.17g}".format
+
+
 def format_real(x: float) -> str:
     """17-significant-digit decimal form (exact round-trip for doubles)."""
-    return format(float(x), ".17g")
+    return _format_real(float(x))
 
 
 def _emit(obj) -> str:
@@ -32,7 +35,7 @@ def _emit(obj) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype == np.float64 and np.isfinite(obj).all():
-            return "[" + ", ".join(map("{:.17g}".format, obj.tolist())) + "]"
+            return "[" + ", ".join(map(_format_real, obj.tolist())) + "]"
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"

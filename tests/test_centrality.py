@@ -207,14 +207,17 @@ class TestNeumann:
                 terms = 8
                 while neumann_tail_bound(graph, q, terms) >= 1e-8:
                     terms *= 2
-                series = certified_neumann_series(graph, q, 1e-8)
+                series = certified_neumann_series(graph, q)
                 assert np.array_equal(series, neumann_oracle(graph, q, terms)), (name, q)
 
-    def test_certified_series_gives_up_past_max_terms(self, cp_graph):
-        assert certified_neumann_series(cp_graph, 0.75, 1e-8, max_terms=32) is not None
-        assert certified_neumann_series(cp_graph, 0.75, 1e-8, max_terms=16) is None
+    def test_certified_series_gives_up_past_max_terms(self, cp_graph, monkeypatch):
+        monkeypatch.setattr(centrality_mod, "_MAX_SERIES_TERMS", 32)
+        assert certified_neumann_series(cp_graph, 0.75) is not None
+        monkeypatch.setattr(centrality_mod, "_MAX_SERIES_TERMS", 16)
+        assert certified_neumann_series(cp_graph, 0.75) is None
+        monkeypatch.setattr(centrality_mod, "_MAX_SERIES_TERMS", 1024)
         uncontracted = WeightedDigraph(2, [(1, 2, 1.0), (2, 1, 1.0)])
-        assert certified_neumann_series(uncontracted, 1.0, 1e-8, max_terms=1024) is None
+        assert certified_neumann_series(uncontracted, 1.0) is None
 
     def test_one_term_is_ones(self, cp_graph):
         assert np.array_equal(neumann_oracle(cp_graph, 0.75, 1), np.ones(12))

@@ -1,3 +1,5 @@
+import os
+import threading
 import warnings
 from unittest import mock
 
@@ -393,7 +395,9 @@ def _three_reads(path, n: int, header_line: int):
     loaded = _outcome(lambda: load_edge_list(path))
     with mock.patch.object(graph_mod, "_read_edges_bulk", side_effect=ValueError):
         looped = _outcome(lambda: load_edge_list(path))
-    bulk = _outcome(lambda: graph_mod._read_edges_bulk(path, n, header_line))
+    with open(path, encoding="utf-8") as handle:
+        body = "".join(handle.readlines()[header_line:])
+    bulk = _outcome(lambda: graph_mod._read_edges_bulk(body, n))
     return loaded, looped, bulk
 
 
@@ -498,6 +502,42 @@ class TestBulkLoader:
         assert not caught  # loadtxt's empty-input warning stays inside
         assert loaded == _three_reads(path, 3, 1)[1]
         assert loaded[:2] == outcome
+
+    def test_other_errors_skip_the_line_loop(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("n=3\n1 2 0.5\n", encoding="utf-8")
+        with mock.patch.object(graph_mod, "_read_edge_lines", side_effect=AssertionError), \
+                mock.patch.object(np, "loadtxt", side_effect=MemoryError):
+            with pytest.raises(MemoryError):
+                load_edge_list(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("tail,outcome", [
+        ("", None),
+        ("1 2 0.5\n", (DuplicateEdgeError, 2002)),
+        ("1 2\n", (MalformedLineError, 2002)),
+    ])
+    def test_reads_a_pipe_once(self, tmp_path, tail, outcome):
+        # more than the 8 KB a text handle reads ahead, so a second open of
+        # the pipe would see only what the first left behind
+        graph = WeightedDigraph(2000, [(i, i + 1, 0.5) for i in range(1, 2000)])
+        save_edge_list(graph, tmp_path / "g.edges")
+        text = (tmp_path / "g.edges").read_bytes() + tail.encode()
+        assert len(text) > 8192 and text.count(b"\n") == 2001 + bool(tail)
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with os.fdopen(write_fd, "wb") as sink:
+                sink.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            loaded = _outcome(lambda: load_edge_list(f"/dev/fd/{read_fd}"))
+        finally:  # closing the read end first keeps a failed read from hanging the writer
+            os.close(read_fd)
+            writer.join()
+        assert loaded[:2] == (outcome or (graph.n, graph.edges))
 
 
 class TestRepresentation:
