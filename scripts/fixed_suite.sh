@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Run the fixed command suite and keep everything it produces: the files
+# each command writes, and its stdout, stderr and exit code.
+#
+#   scripts/fixed_suite.sh OUT [TREE]
+#
+# TREE is the checkout whose src/ runs (default: the one holding this
+# script).  OUT must be empty or absent.  The commands run inside OUT with
+# relative --out paths, so the suites of two trees run into the same OUT
+# compare with `diff -r`.  Set PYTHON to choose the interpreter.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 OUT [TREE]" >&2
+    exit 1
+fi
+tree=$(cd "${2:-$(dirname "$0")/..}" && pwd)
+if [ -n "$(ls -A "$1" 2>/dev/null)" ]; then
+    echo "$0: $1 is not empty" >&2
+    exit 1
+fi
+mkdir -p "$1"
+cd "$1"
+
+step=0
+# run NAME ARGS...: one seedgame command; its stdout, stderr and exit code
+# go to NN-NAME.stdout, NN-NAME.stderr and NN-NAME.exit
+run() {
+    local name=$1 code=0
+    shift
+    step=$((step + 1))
+    name=$(printf '%02d-%s' "$step" "$name")
+    PYTHONPATH="$tree/src" "${PYTHON:-python3}" -m seedgame.cli "$@" \
+        > "$name.stdout" 2> "$name.stderr" || code=$?
+    echo "$code" > "$name.exit"
+}
+
+# the README quick start
+run generate generate --generate "core-periphery:chi=3,m=4,g=0.5" --out demo
+run centrality centrality --graph demo/graph.edges --out demo
+run nash nash --graph demo/graph.edges --out demo
+run epsilon epsilon --graph demo/graph.edges --sets 4,8,12 --out demo
+run sparsify sparsify --graph demo/graph.edges --epsilon-target 0.32 --out demo
+run simulate simulate --graph demo/graph.edges --seeding nash --out demo
+run asr-scan asr-scan --family "core-periphery:chi=3,g=0.5" --schedule 10,31,100 --out demo
+run verify verify --out demo
+
+# the benchmark's core-periphery graph and verify spec, and a 3000-agent
+# bounded-out-degree graph
+run generate-cp500 generate --generate "core-periphery:chi=10,m=500,g=0.5" --out cp500
+run simulate-cp500 simulate --graph cp500/graph.edges --seeding nash --out cp500
+run verify-cp30 verify --generate "core-periphery:chi=10,m=30,g=0.5" --samples 2000 \
+    --seed 101 --out cp30
+run generate-bo3000 generate --generate "bounded-outdegree:n=3000,d=10,weight=0.1" \
+    --seed 7 --out bo3000

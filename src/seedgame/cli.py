@@ -21,9 +21,9 @@ from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_cs
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          certified_neumann_series, katz_bonacich)
 from .dynamics import SeedingPair, TailCertificationError, simulate, write_trajectory_csv
-from .game import (DiscountedSolver, SeedSet, epsilon_for_sets, firm_utility,
-                   nash_deviation_check, nash_seeding, restricted_nash_seeding,
-                   sparsify, utility_gradient)
+from .game import (_BLOCK_COLUMNS, DiscountedSolver, SeedSet, epsilon_for_sets,
+                   firm_utility, nash_deviation_check, nash_seeding,
+                   restricted_nash_seeding, sparsify, utility_gradient)
 from .graph import (AssumptionError, CorePeripheryParams, EdgeListError,
                     MarketParams, PowerIterationError, WeightedDigraph,
                     generate_bounded_outdegree_family, generate_core_periphery,
@@ -450,20 +450,21 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
     _check(checks, name, "simulation_matches_closed_form", gap <= 1e-8,
            f"max gap {gap:.3e}, tail bound {trajectory.tail_bound:.3e}")
 
-    def solved_net_a(s_bar: np.ndarray) -> float:
-        gross, _ = solver.gross_revenues(SeedingPair(s_bar, seeding.s_under))
-        return gross - 0.5 * float(s_bar @ s_bar)
-
-    # the closed-form gradient against differences of the full solve
+    # the closed-form gradient against central differences of the full
+    # solve: the +h and -h bumps of a run of agents form one block of seedings
     h = 1e-4
     grad = utility_gradient(graph, params, seeding, firm="a", bundle=bundle)
     worst_rel = 0.0
-    for idx in range(graph.n):
-        bumped_up = seeding.s_bar.copy(); bumped_up[idx] += h
-        bumped_dn = seeding.s_bar.copy(); bumped_dn[idx] -= h
-        fd = (solved_net_a(bumped_up) - solved_net_a(bumped_dn)) / (2 * h)
-        denom = max(1.0, abs(grad[idx]))
-        worst_rel = max(worst_rel, abs(fd - grad[idx]) / denom)
+    for start in range(0, graph.n, _BLOCK_COLUMNS // 2):
+        idx = np.arange(start, min(start + _BLOCK_COLUMNS // 2, graph.n))
+        cols = np.arange(idx.size)
+        block = np.repeat(seeding.s_bar[:, None], 2 * idx.size, axis=1)
+        block[idx, cols] += h
+        block[idx, cols + idx.size] -= h
+        net = solver.net_payoffs_a(block, seeding.s_under)
+        fd = (net[:idx.size] - net[idx.size:]) / (2 * h)
+        rel = np.abs(fd - grad[idx]) / np.maximum(1.0, np.abs(grad[idx]))
+        worst_rel = max(worst_rel, float(rel.max()))
     _check(checks, name, "gradient_matches_finite_differences", worst_rel <= 1e-5,
            f"worst relative gap {worst_rel:.3e} at h={h:g}")
 
@@ -508,6 +509,8 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
 
 
 def cmd_verify(config: RunConfig) -> int:
+    if config.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {config.samples}")
     params = _checked_market(config)
     out = _ensure_out(config)
     checks: list[dict] = []
@@ -603,7 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
               if hasattr(args, f)}
-    return RunConfig(**fields)
+    config = RunConfig(**fields)
+    # written as "not > 0" so that NaN, which certifies nothing, is refused too
+    for flag, value in (("--tol", config.tol), ("--tail-tol", config.tail_tol)):
+        if not value > 0:
+            raise UsageError(f"{flag} must be positive, got {value}")
+    return config
 
 
 _COMMANDS = {

@@ -177,8 +177,8 @@ def _tail_certificate(graph: WeightedDigraph, params: MarketParams,
 def auto_horizon(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
                  tail_tol: float = _DEFAULT_TAIL_TOL) -> int:
     """Smallest horizon whose certified tail bound is at most tail_tol."""
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
+    if not tail_tol > 0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     lo = 1
     if _tail_certificate(graph, params, seeding, lo) <= tail_tol:
         return lo
@@ -235,13 +235,24 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Export states as CSV rows (k, node, x_bar, x_under), 1-based nodes."""
+    """Export states as CSV rows (k, node, x_bar, x_under), 1-based nodes.
+
+    Values print as repr of the float, so they read back exactly.  Each
+    state is written with one join, and repr runs once per distinct value
+    of the state: values are told apart by their bits, so -0.0 still
+    prints as -0.0 next to a 0.0.
+    """
     if not trajectory.states:
         raise ValueError("trajectory was simulated without stored states")
-    columns = [f",{node}," for node in range(1, trajectory.states[0].n + 1)]
+    n = trajectory.states[0].n
+    columns = [f",{node}," for node in range(1, n + 1)]
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("k,node,x_bar,x_under\n")
         for state in trajectory.states:
+            values = np.concatenate((state.x_bar, state.x_under))
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                             dtype=object)[inverse].tolist()
             k = str(state.k)
-            handle.write("".join([f"{k}{column}{bar!r},{under!r}\n" for column, bar, under
-                                  in zip(columns, state.x_bar.tolist(), state.x_under.tolist())]))
+            handle.write("".join([f"{k}{column}{bar},{under}\n" for column, bar, under
+                                  in zip(columns, texts[:n], texts[n:])]))

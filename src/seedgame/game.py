@@ -25,6 +25,7 @@ from .dynamics import SeedingPair
 from .graph import MarketParams, WeightedDigraph, _check_id, ensure_assumptions
 
 _DEFAULT_TOL = 1e-10
+_BLOCK_COLUMNS = 512  # seedings per blocked oracle solve
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,7 @@ class DiscountedSolver:
     materialized.  Both systems serve any number of right-hand sides; up to
     DIRECT_SOLVE_MAX_N agents each is factored once with a sparse LU, so the
     oracle checks the centralities' Anderson iteration with a direct solve.
+    net_payoffs_a prices a block of seedings with one solve per system.
     """
 
     def __init__(self, graph: WeightedDigraph, params: MarketParams,
@@ -136,17 +138,41 @@ class DiscountedSolver:
         """Discounted sums (y_bar, y_under) with y = sum_{k>=1} delta^k x(k)."""
         if seeding.n != self.graph.n:
             raise ValueError(f"seeding has {seeding.n} agents, graph has {self.graph.n}")
+        y_bar, y_under = self._consumption(seeding.s_bar[:, None], seeding.s_under[:, None])
+        return y_bar[:, 0], y_under[:, 0]
+
+    def _consumption(self, s_bar: np.ndarray,
+                     s_under: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Discounted sums (y_bar, y_under), (n, k) each, for the k seeding
+        pairs in the columns of s_bar and s_under; an (n, 1) s_under serves
+        every column of s_bar.  consumption is its k = 1 case."""
         matrix = self.graph.matrix
-        ones = np.ones(self.graph.n)
-        rhs_sum = 2.0 * self._r * ones + self._q_plus * (matrix @ (seeding.s_bar + seeding.s_under))
+        rhs_sum = 2.0 * self._r + self._q_plus * (matrix @ (s_bar + s_under))
         u, _ = self._plus.solve(rhs_sum)
-        diff_seed = seeding.s_bar - seeding.s_under
+        diff_seed = s_bar - s_under
         if np.any(diff_seed):
-            rhs_diff = self._q_minus * (matrix @ diff_seed)
-            v, _ = self._minus.solve(rhs_diff)
+            v, _ = self._minus.solve(self._q_minus * (matrix @ diff_seed))
         else:
-            v = np.zeros(self.graph.n)
+            v = np.zeros_like(u)
         return 0.5 * (u + v), 0.5 * (u - v)
+
+    def net_payoffs_a(self, s_bar: np.ndarray, s_under: np.ndarray) -> np.ndarray:
+        """Firm a's net payoff price * (1's + 1'y_bar) - s's / 2 for each
+        column s of the (n, k) block s_bar, against the rival's seeding
+        s_under, from one solve per system.
+
+        Each column's sums and cost are taken from a contiguous row, the
+        way gross_revenues and a 1-D dot take them for one seeding, so a
+        column's payoff equals the single-seeding one bit for bit whenever
+        the solve treats columns independently (always on the LU path)."""
+        if s_bar.ndim != 2 or s_bar.shape[0] != self.graph.n:
+            raise ValueError(f"seeding block must have shape ({self.graph.n}, k), "
+                             f"got {s_bar.shape}")
+        y_bar, _ = self._consumption(s_bar, s_under[:, None])
+        seeds = np.ascontiguousarray(s_bar.T)
+        gross = self.params.price * (seeds.sum(axis=1)
+                                     + np.ascontiguousarray(y_bar.T).sum(axis=1))
+        return gross - np.array([0.5 * float(s @ s) for s in seeds])
 
     def gross_revenues(self, seeding: SeedingPair) -> tuple[float, float]:
         """price * (seeded period + discounted consumption), per firm."""
@@ -352,6 +378,8 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     deterministic in (graph, params, samples, seed).  A caller holding a
     DiscountedSolver for the same graph, market and tol passes it as solver.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     bundle = _require_bundle(graph, params, bundle, tol)
     if solver is None:
         solver = DiscountedSolver(graph, params, tol)
@@ -364,16 +392,10 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     rng = np.random.default_rng(seed)
     n = graph.n
     scale = params.price * float(bundle.c_new.max())
-    matrix = graph.matrix
-    ones = np.ones(n)
-    r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
-    q_plus = params.delta * (1.0 + params.beta)
-    q_minus = params.delta * (1.0 - params.beta)
     p = params.price
 
-    # Whichever firm deviates, its own discounted consumption is (u + v)/2
-    # with u from the sum system and v from the difference system taken
-    # deviator-minus-opponent, so one evaluation loop serves both firms.
+    # Whichever firm deviates, its own discounted consumption is the first
+    # firm's against the Nash seeding, so one evaluation loop serves both.
     worst = -np.inf
     for firm_net_star in net_star:
         thirds = samples // 3
@@ -383,13 +405,9 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
         sparse = 2.0 * scale * rng.random((n, samples - 2 * thirds))
         sparse *= rng.random(sparse.shape) < 0.3
         candidates = np.hstack([local, uniform, sparse])
-        for start in range(0, candidates.shape[1], 512):
-            block = candidates[:, start:start + 512]
-            rhs_sum = (2.0 * r * ones)[:, None] + q_plus * (matrix @ (block + star[:, None]))
-            rhs_diff = q_minus * (matrix @ (block - star[:, None]))
-            u, _ = solver._plus.solve(rhs_sum)
-            v, _ = solver._minus.solve(rhs_diff)
-            y_dev = 0.5 * (u + v)
+        for start in range(0, candidates.shape[1], _BLOCK_COLUMNS):
+            block = candidates[:, start:start + _BLOCK_COLUMNS]
+            y_dev, _ = solver._consumption(block, star[:, None])
             net_dev = (p * (block.sum(axis=0) + y_dev.sum(axis=0))
                        - 0.5 * (block ** 2).sum(axis=0))
             worst = max(worst, float((net_dev - firm_net_star).max()))

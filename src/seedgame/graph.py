@@ -316,8 +316,8 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
     each nontrivial component from an all-ones start, and caps the result by
     the row/column-sum bound.  Acyclic graphs return exactly 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     cached = graph._rho_cache.get("rho")
     if cached is not None and cached[0] <= tol:
         return cached[1]

@@ -207,6 +207,16 @@ class TestSimulate:
         assert code == 1 and "waves" in err
 
 
+    @pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1.0"])
+    def test_tolerance_that_certifies_nothing_exits_one(self, tmp_path, flag, value):
+        code, out, err = run("simulate", "--generate", CP_SPEC, "--seeding", "nash",
+                             flag, value, "--out", str(tmp_path))
+        assert code == 1
+        assert f"{flag} must be positive" in err
+        assert out == "" and not (tmp_path / "trajectory.csv").exists()
+
+
 class TestAsrScan:
     def test_core_periphery_scan(self, tmp_path):
         code, out, _ = run("asr-scan", "--family", "core-periphery:chi=3,g=0.5",
@@ -422,6 +432,19 @@ class TestCallCounts:
         assert code == 0
         assert calls == [0.25, 0.75]
 
+    def test_verify_prices_the_gradient_in_blocks(self, tmp_path, monkeypatch):
+        from seedgame import DiscountedSolver
+        calls = []
+        gross_revenues = DiscountedSolver.gross_revenues
+        monkeypatch.setattr(DiscountedSolver, "gross_revenues", lambda self, seeding:
+                            calls.append(seeding) or gross_revenues(self, seeding))
+        code, _, _ = run("verify", "--generate", "core-periphery:chi=10,m=30,g=0.5",
+                         "--samples", "200", "--out", str(tmp_path))
+        assert code == 0
+        # the one single-seeding solve prices the deviation check's Nash
+        # reference; the 600 bumped seedings of the gradient go in blocks
+        assert len(calls) == 1
+
     def test_verify_builds_one_solver_per_graph(self, counts, tmp_path):
         code, _, _ = run("verify", "--generate", CP_SPEC, "--samples", "200",
                          "--out", str(tmp_path))
@@ -457,6 +480,18 @@ class TestVerify:
                   for c in read_json(tmp_path / "verify.json")["checks"]}
         assert len(checks) == 6
         assert checks["analytic_core_periphery_matches_solve"] is True
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_needs_at_least_one_sample(self, tmp_path, samples):
+        code, out, err = run("verify", "--samples", samples, "--out", str(tmp_path))
+        assert code == 1
+        assert f"--samples must be at least 1, got {samples}" in err
+        assert out == "" and not (tmp_path / "verify.json").exists()
+
+    def test_nan_tail_tol_exits_one(self, tmp_path):
+        code, out, err = run("verify", "--tail-tol", "nan", "--out", str(tmp_path))
+        assert code == 1 and "--tail-tol must be positive" in err
+        assert out == ""
 
     def test_failure_exits_three(self, tmp_path, monkeypatch):
         import seedgame.cli as cli_mod

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seedgame import (ConsumptionState, DiscountedSolver,
-                      SeedingPair, TailCertificationError, WeightedDigraph,
-                      agent_utility, auto_horizon, best_response_step,
-                      generate_bounded_outdegree_family, simulate,
+from seedgame import (ConsumptionState, CorePeripheryParams, DiscountedSolver,
+                      SeedingPair, TailCertificationError, Trajectory,
+                      WeightedDigraph, agent_utility, auto_horizon,
+                      best_response_step, generate_bounded_outdegree_family,
+                      generate_core_periphery, nash_seeding, simulate,
                       write_trajectory_csv)
 
 from conftest import MARKET
@@ -175,6 +177,12 @@ class TestTailCertification:
         y_bar, _ = DiscountedSolver(g, MARKET).consumption(SeedingPair.zeros(2))
         assert np.abs(traj.discounted_bar - y_bar).max() <= 1e-8
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, float("nan")])
+    def test_auto_horizon_refuses_a_tolerance_that_certifies_nothing(self, cp_graph,
+                                                                      tail_tol):
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            auto_horizon(cp_graph, MARKET, SeedingPair.zeros(12), tail_tol)
+
     def test_refuses_uncertifiable(self):
         # rho = sqrt(1.7 * 0.9) ~ 1.237 passes the model checks, but
         # delta * (1 + beta) * 1.7 = 1.275 defeats the per-entry certificate
@@ -227,6 +235,65 @@ class TestTrajectoryCsv:
         streamed = (tmp_path / "streamed.csv").read_bytes()
         assert streamed == (tmp_path / "reference.csv").read_bytes()
         assert streamed.count(b"\n") == 1 + 26 * 300
+
+    def assert_reference_bytes(self, trajectory, tmp_path):
+        write_trajectory_csv(trajectory, tmp_path / "written.csv")
+        self.reference_csv(trajectory, tmp_path / "reference.csv")
+        written = (tmp_path / "written.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        return written.decode("utf-8").splitlines()
+
+    @staticmethod
+    def trajectory_of(states):
+        """A Trajectory holding the given (x_bar, x_under) states as k = 0, 1, ..."""
+        states = tuple(ConsumptionState(np.asarray(bar, dtype=float),
+                                        np.asarray(under, dtype=float), k)
+                       for k, (bar, under) in enumerate(states))
+        zeros = np.zeros(states[0].n)
+        return Trajectory(states=states, discounted_bar=zeros, discounted_under=zeros,
+                          tail_bound=0.0, horizon=len(states) - 1)
+
+    def test_core_periphery_nash_same_bytes_as_the_reference_writer(self, tmp_path):
+        # every periphery agent of a community shares one state: values repeat
+        graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
+        traj = simulate(graph, MARKET, nash_seeding(graph, MARKET))
+        assert len(np.unique(traj.states[-1].x_bar)) < graph.n // 10
+        lines = self.assert_reference_bytes(traj, tmp_path)
+        assert len(lines) == 1 + (traj.horizon + 1) * graph.n
+
+    def test_negative_zero_seed_prints_as_negative_zero(self, two_node, tmp_path):
+        seeding = SeedingPair(np.array([-0.0, 0.0]), np.array([0.0, -0.0]))
+        traj = simulate(two_node, MARKET, seeding, horizon=2)
+        lines = self.assert_reference_bytes(traj, tmp_path)
+        assert lines[1:3] == ["0,1,-0.0,0.0", "0,2,0.0,-0.0"]
+
+    def test_subnormal_and_huge_entries(self, tmp_path):
+        tiny, huge = 5e-324, 1e300
+        traj = self.trajectory_of([
+            ([tiny, huge, 2.2250738585072014e-308, 0.0, -0.0],
+             [huge, tiny, 1.7976931348623157e308, -0.0, 0.0]),
+            ([1e-310, 1e-310, 9.999999999999999e299, huge, tiny],
+             [1e-310, huge, huge, 0.1 + 0.2, 1e16]),
+        ])
+        lines = self.assert_reference_bytes(traj, tmp_path)
+        assert lines[1] == "0,1,5e-324,1e+300"
+        assert lines[4:6] == ["0,4,0.0,-0.0", "0,5,-0.0,0.0"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_repeated_and_signed_zero_values(self, tmp_path_factory, data):
+        # a small pool of values, drawn into the states with repeats, so
+        # each state holds few distinct values and 0.0 sits next to -0.0
+        pool = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 1e300])
+            | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=6))
+        n = data.draw(st.integers(1, 8))
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
+        states = [([pool[i] for i in data.draw(picks)], [pool[i] for i in data.draw(picks)])
+                  for _ in range(data.draw(st.integers(1, 4)))]
+        self.assert_reference_bytes(self.trajectory_of(states),
+                                    tmp_path_factory.mktemp("csv"))
 
     def test_requires_states(self, two_node, tmp_path):
         traj = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=3,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seedgame import (DiscountedSolver, SeedSet, SeedingPair,
+from seedgame import (CorePeripheryParams, DiscountedSolver, SeedSet, SeedingPair,
                       WeightedDigraph, best_response_gain,
                       biproduct_centrality, discounted_consumption,
+                      generate_core_periphery,
                       epsilon_for_sets, firm_utility, nash_deviation_check,
                       nash_seeding, restricted_nash_seeding, simulate,
                       sparsify, utility_gradient)
@@ -189,6 +190,48 @@ class TestDiscountedSolver:
         gain = nash_deviation_check(cp_graph, MARKET, samples=600, seed=4, solver=solver)
         assert solver._plus.method == "anderson" and solver._plus._lu is None
         assert abs(gain - direct_gain) <= 1e-9
+
+    @pytest.mark.parametrize("graph", [
+        WeightedDigraph(2, [(1, 2, 0.5)]),
+        generate_core_periphery(CorePeripheryParams(chi=3, m=4, g=0.5)),
+        generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5)),
+    ], ids=["two-agent-chain", "core-periphery-3x4", "core-periphery-10x30"])
+    def test_blocked_net_payoffs_equal_single_seedings_bit_for_bit(self, graph):
+        # the +h and -h bumps of verify's finite-difference gradient
+        rng = np.random.default_rng(20)
+        s_bar, s_under = 0.25 + rng.random(graph.n), 0.25 + rng.random(graph.n)
+        cols = np.arange(graph.n)
+        block = np.repeat(s_bar[:, None], 2 * graph.n, axis=1)
+        block[cols, cols] += 1e-4
+        block[cols, cols + graph.n] -= 1e-4
+        solver = DiscountedSolver(graph, MARKET)
+        single = []
+        for column in block.T:
+            s = column.copy()  # contiguous, as a seeding vector is
+            gross, _ = solver.gross_revenues(SeedingPair(s, s_under))
+            single.append(gross - 0.5 * float(s @ s))
+        assert np.array_equal(solver.net_payoffs_a(block, s_under), single)
+        assert np.array_equal(solver.net_payoffs_a(block[:, :1], s_under), single[:1])
+
+    def test_blocked_net_payoffs_with_a_symmetric_column(self, cp_graph):
+        # a block whose every seeding equals the rival's skips the difference system
+        s = np.full(12, 0.7)
+        solver = DiscountedSolver(cp_graph, MARKET)
+        gross, _ = solver.gross_revenues(SeedingPair(s, s))
+        net = solver.net_payoffs_a(np.column_stack([s, s]), s)
+        assert np.array_equal(net, [gross - 0.5 * float(s @ s)] * 2)
+
+    def test_blocked_net_payoffs_want_an_agent_by_seeding_block(self, cp_graph):
+        solver = DiscountedSolver(cp_graph, MARKET)
+        with pytest.raises(ValueError, match="shape"):
+            solver.net_payoffs_a(np.ones(12), np.ones(12))
+        with pytest.raises(ValueError, match="shape"):
+            solver.net_payoffs_a(np.ones((11, 3)), np.ones(12))
+
+    def test_deviation_check_wants_a_sample(self, cp_graph):
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                nash_deviation_check(cp_graph, MARKET, samples=samples)
 
     def test_deviation_check_refuses_a_foreign_solver(self, cp_graph, two_node):
         solver = DiscountedSolver(cp_graph, MARKET)

@@ -117,6 +117,11 @@ class TestWeightedDigraph:
 
 
 class TestSpectralRadius:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_refuses_a_tolerance_that_certifies_nothing(self, two_node, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            spectral_radius(two_node, tol)
+
     def test_empty_graph(self):
         assert spectral_radius(WeightedDigraph.empty(4)) == 0.0
 
