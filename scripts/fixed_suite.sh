@@ -46,10 +46,17 @@ run asr-scan asr-scan --family "core-periphery:chi=3,g=0.5" --schedule 10,31,100
 run verify verify --out demo
 
 # the benchmark's core-periphery graph and verify spec, and a 3000-agent
-# bounded-out-degree graph
+# bounded-out-degree graph with its reports: all-distinct vectors
+# (centrality), partly repeated ones (a restricted seeding is mostly zeros),
+# long id lists (sparsify) and, on cp500, all-repeated values (nash)
 run generate-cp500 generate --generate "core-periphery:chi=10,m=500,g=0.5" --out cp500
 run simulate-cp500 simulate --graph cp500/graph.edges --seeding nash --out cp500
+run nash-cp500 nash --graph cp500/graph.edges --out cp500
 run verify-cp30 verify --generate "core-periphery:chi=10,m=30,g=0.5" --samples 2000 \
     --seed 101 --out cp30
 run generate-bo3000 generate --generate "bounded-outdegree:n=3000,d=10,weight=0.1" \
     --seed 7 --out bo3000
+run centrality-bo3000 centrality --graph bo3000/graph.edges --out bo3000
+run nash-bo3000 nash --graph bo3000/graph.edges --out bo3000/nash
+run epsilon-bo3000 epsilon --graph bo3000/graph.edges --sets 1,2,3 --out bo3000/epsilon
+run sparsify-bo3000 sparsify --graph bo3000/graph.edges --epsilon-target 0.2 --out bo3000

@@ -9,6 +9,7 @@ configuration and tool version and are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
@@ -21,8 +22,8 @@ from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_cs
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          certified_neumann_series, katz_bonacich)
 from .dynamics import SeedingPair, TailCertificationError, simulate, write_trajectory_csv
-from .game import (_BLOCK_COLUMNS, DiscountedSolver, SeedSet, epsilon_for_sets,
-                   firm_utility, nash_deviation_check, nash_seeding,
+from .game import (_BLOCK_COLUMNS, DiscountedSolver, SeedSet, check_epsilon_target,
+                   epsilon_for_sets, firm_utility, nash_deviation_check, nash_seeding,
                    restricted_nash_seeding, sparsify, utility_gradient)
 from .graph import (AssumptionError, CorePeripheryParams, EdgeListError,
                     MarketParams, PowerIterationError, WeightedDigraph,
@@ -319,6 +320,7 @@ def cmd_epsilon(config: RunConfig) -> int:
 def cmd_sparsify(config: RunConfig) -> int:
     if config.epsilon_target is None:
         raise UsageError("sparsify needs --epsilon-target")
+    check_epsilon_target(config.epsilon_target)
     graph, params, out, bundle = _load_bundle(config)
     set_bar, set_under, eps = sparsify(graph, params, config.epsilon_target, bundle=bundle)
     seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
@@ -603,6 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: each add_argument makes a help
+# formatter that asks for the terminal size, so a build costs milliseconds
+_main_parser = functools.cache(build_parser)
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
               if hasattr(args, f)}
@@ -627,9 +634,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)
     except AssumptionError as exc:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .graph import (MarketParams, WeightedDigraph, _as_readonly, _check_id,
                     ensure_assumptions)
+from .reportio import format_distinct
 
 _DEFAULT_TAIL_TOL = 1e-10
 _DEFAULT_TOL = 1e-10
@@ -239,20 +240,22 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 
     Values print as repr of the float, so they read back exactly.  Each
     state is written with one join, and repr runs once per distinct value
-    of the state: values are told apart by their bits, so -0.0 still
-    prints as -0.0 next to a 0.0.
+    of the state (reportio.format_distinct), so -0.0 still prints as -0.0
+    next to a 0.0.
     """
     if not trajectory.states:
         raise ValueError("trajectory was simulated without stored states")
     n = trajectory.states[0].n
-    columns = [f",{node}," for node in range(1, n + 1)]
+    # one row is the six cells k, ",node,", x_bar, ",", x_under, "\n"; the
+    # node, separator and newline cells are the same in every state
+    cells = [","] * (6 * n)
+    cells[1::6] = [f",{node}," for node in range(1, n + 1)]
+    cells[5::6] = ["\n"] * n
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("k,node,x_bar,x_under\n")
         for state in trajectory.states:
-            values = np.concatenate((state.x_bar, state.x_under))
-            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-            texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                             dtype=object)[inverse].tolist()
-            k = str(state.k)
-            handle.write("".join([f"{k}{column}{bar},{under}\n" for column, bar, under
-                                  in zip(columns, texts[:n], texts[n:])]))
+            texts = format_distinct(np.concatenate((state.x_bar, state.x_under)), repr)
+            cells[0::6] = [str(state.k)] * n
+            cells[2::6] = texts[:n]
+            cells[4::6] = texts[n:]
+            handle.write("".join(cells))

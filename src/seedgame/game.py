@@ -328,38 +328,46 @@ def epsilon_for_sets(graph: WeightedDigraph, params: MarketParams,
         residual_under=float(c2[~mask_under].sum()) / total)
 
 
+def check_epsilon_target(epsilon_target: float) -> None:
+    """Refuse a sparsify target that is not a nonnegative real."""
+    if not (np.isfinite(epsilon_target) and epsilon_target >= 0):
+        raise ValueError(f"epsilon_target must be a nonnegative real, got {epsilon_target}")
+
+
+def _greedy_prefix(c2: np.ndarray, base: float, epsilon_target: float) -> np.ndarray:
+    """0-based agents of the shortest prefix of the greedy order (descending
+    c2, ties by ascending id) whose tau = outside / (base + inside) is at
+    most epsilon_target; all agents when no shorter prefix reaches it."""
+    order = np.lexsort((np.arange(c2.size), -c2))
+    # tau before each greedy step: cumsum adds in order, as a loop of += and
+    # -= would, so every tau is the same float the loop gives
+    steps = c2[order[:-1]]
+    inside = np.cumsum(np.concatenate(([0.0], steps)))
+    outside = np.cumsum(np.concatenate(([c2.sum()], -steps)))
+    denominator = base + inside
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau = np.where(denominator > 0.0, outside / denominator,
+                       np.where(outside > 0.0, np.inf, 0.0))
+    reached = np.flatnonzero(tau <= epsilon_target)
+    return order[:reached[0] if reached.size else c2.size]
+
+
 def sparsify(graph: WeightedDigraph, params: MarketParams, epsilon_target: float,
              bundle: CentralityBundle | None = None,
              tol: float = _DEFAULT_TOL) -> tuple[SeedSet, SeedSet, EpsilonReport]:
     """Smallest greedy symmetric seed set with epsilon_paper <= epsilon_target.
 
     Agents enter by descending c_new^2, ties broken by ascending id.  Both
-    firms share the set; each added agent strictly lowers tau, so the loop
-    terminates (the full set reaches tau = 0).
+    firms share the set; each added agent strictly lowers tau, and the full
+    set reaches tau = 0.
     """
-    if not (np.isfinite(epsilon_target) and epsilon_target >= 0):
-        raise ValueError(f"epsilon_target must be a nonnegative real, got {epsilon_target}")
+    check_epsilon_target(epsilon_target)
     bundle = _require_bundle(graph, params, bundle, tol)
-    c2 = bundle.c_new ** 2
-    order = np.lexsort((np.arange(graph.n), -c2))
     kappa = (params.delta * (params.alpha - params.price)
              / (2.0 * params.price * (1.0 - params.delta)))
-    base = kappa * float(bundle.b.sum())
-    inside = 0.0
-    outside = float(c2.sum())
-    count = 0
-    while count < graph.n:
-        denominator = base + inside
-        tau = (outside / denominator if denominator > 0.0
-               else (float("inf") if outside > 0.0 else 0.0))
-        if tau <= epsilon_target:
-            break
-        picked = order[count]
-        inside += float(c2[picked])
-        outside -= float(c2[picked])
-        count += 1
-    members = tuple(sorted(int(i) + 1 for i in order[:count]))
-    seed_set = SeedSet.of(members, graph.n)
+    chosen = _greedy_prefix(bundle.c_new ** 2, kappa * float(bundle.b.sum()),
+                            epsilon_target)
+    seed_set = SeedSet.of((chosen + 1).tolist(), graph.n)
     report = epsilon_for_sets(graph, params, seed_set, seed_set, bundle=bundle, tol=tol)
     return seed_set, seed_set, report
 

@@ -18,6 +18,17 @@ def format_real(x: float) -> str:
     return _format_real(float(x))
 
 
+def format_distinct(values: np.ndarray, fmt) -> list[str]:
+    """fmt of each entry of a 1-D float64 vector, calling fmt once per
+    distinct value.  Values are keyed by their bits, so -0.0 stays apart
+    from 0.0; an all-distinct vector is formatted entry by entry."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if bits.size == values.size:
+        return list(map(fmt, values.tolist()))
+    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _emit(obj) -> str:
     if obj is None:
         return "null"
@@ -35,9 +46,11 @@ def _emit(obj) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype == np.float64 and np.isfinite(obj).all():
-            return "[" + ", ".join(map(_format_real, obj.tolist())) + "]"
+            return "[" + ", ".join(format_distinct(obj, _format_real)) + "]"
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is int for v in obj):
+            return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = []

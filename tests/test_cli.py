@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from seedgame import load_edge_list
-from seedgame.cli import main
+from seedgame import cli
+from seedgame.cli import build_parser, main
 
 CP_SPEC = "core-periphery:chi=3,m=4,g=0.5"
 
@@ -171,6 +172,16 @@ class TestSparsify:
         code, _, err = run("sparsify", "--generate", CP_SPEC,
                            "--out", str(tmp_path))
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_target_refused_before_the_graph_loads(self, tmp_path, monkeypatch, value):
+        loads = []
+        monkeypatch.setattr(cli, "_load_graph", lambda config: loads.append(config))
+        code, out, err = run("sparsify", "--generate", CP_SPEC,
+                             "--epsilon-target", value, "--out", str(tmp_path))
+        assert code == 1
+        assert err == f"error: epsilon_target must be a nonnegative real, got {float(value)}\n"
+        assert out == "" and loads == [] and not any(tmp_path.iterdir())
 
 
 class TestSimulate:
@@ -525,3 +536,26 @@ class TestParser:
     def test_unknown_command_exits_one(self):
         code, _, err = run("explode")
         assert code == 1
+
+    def test_main_reuses_one_parser(self):
+        assert cli._main_parser() is cli._main_parser()
+        assert build_parser() is not build_parser()
+
+    def test_consecutive_calls_share_no_values(self, tmp_path):
+        code, _, _ = run("epsilon", "--generate", CP_SPEC, "--sets", "4,8,12",
+                         "--alpha", "3.0", "--seed", "5", "--out", str(tmp_path / "eps"))
+        assert code == 0
+        code, _, _ = run("nash", "--generate", CP_SPEC, "--out", str(tmp_path / "nash"))
+        assert code == 0
+        config = read_json(tmp_path / "nash" / "equilibrium.json")["config"]
+        assert config["command"] == "nash"
+        assert (config["sets"], config["alpha"], config["seed"]) == (None, 2.0, 0)
+        # a --sets left over from the epsilon call would let this run
+        code, _, err = run("simulate", "--generate", CP_SPEC, "--seeding", "restricted",
+                           "--out", str(tmp_path / "sim"))
+        assert code == 1 and "provide --sets" in err
+        code, _, _ = run("epsilon", "--generate", CP_SPEC, "--sets-bar", "4",
+                         "--sets-under", "8", "--out", str(tmp_path / "eps2"))
+        assert code == 0
+        config = read_json(tmp_path / "eps2" / "equilibrium.json")["config"]
+        assert (config["sets"], config["sets_bar"], config["sets_under"]) == (None, "4", "8")

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seedgame import (CorePeripheryParams, DiscountedSolver, SeedSet, SeedingPair,
+from seedgame import (CorePeripheryParams, DiscountedSolver, MarketParams, SeedSet,
+                      SeedingPair,
                       WeightedDigraph, best_response_gain,
                       biproduct_centrality, discounted_consumption,
                       generate_core_periphery,
                       epsilon_for_sets, firm_utility, nash_deviation_check,
                       nash_seeding, restricted_nash_seeding, simulate,
                       sparsify, utility_gradient)
+from seedgame.game import _greedy_prefix
 
 from conftest import MARKET, random_validated_graph
 
@@ -331,3 +333,64 @@ class TestSparsify:
             for target in (0.05, 0.2, 0.6):
                 _, _, report = sparsify(graph, MARKET, target)
                 assert report.epsilon_paper <= target + 1e-12, name
+
+
+def loop_prefix(c2, base, epsilon_target):
+    """The agent-by-agent loop that _greedy_prefix replaced, as its
+    reference: the chosen prefix and the tau seen before each step."""
+    order = np.lexsort((np.arange(c2.size), -c2))
+    inside = 0.0
+    outside = float(c2.sum())
+    count = 0
+    taus = []
+    while count < c2.size:
+        denominator = base + inside
+        tau = (outside / denominator if denominator > 0.0
+               else (float("inf") if outside > 0.0 else 0.0))
+        taus.append(tau)
+        if tau <= epsilon_target:
+            break
+        picked = order[count]
+        inside += float(c2[picked])
+        outside -= float(c2[picked])
+        count += 1
+    return order[:count], taus
+
+
+# few values, so draws tie; one pair one ulp apart
+C_NEW_POOL = [0.0, 1e-3, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0, 3.3, 7.0]
+
+
+class TestGreedyPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(c_new=st.lists(st.sampled_from(C_NEW_POOL), min_size=1, max_size=30),
+           base=st.sampled_from([0.0, 0.25, 17.5]) | st.floats(0.0, 1e3),
+           target_kind=st.sampled_from(["zero", "hit", "free"]),
+           pick=st.integers(0, 29), free=st.floats(0.0, 10.0))
+    def test_same_prefix_as_the_loop(self, c_new, base, target_kind, pick, free):
+        c2 = np.array(c_new) ** 2
+        _, taus = loop_prefix(c2, base, -1.0)
+        hit = taus[pick % len(taus)]
+        target = {"zero": 0.0, "hit": hit if np.isfinite(hit) else 0.0,
+                  "free": free}[target_kind]
+        expected, _ = loop_prefix(c2, base, target)
+        assert np.array_equal(_greedy_prefix(c2, base, target), expected)
+
+    def test_every_exact_tau_is_a_hit(self, test_suite):
+        for name, graph in test_suite[:6]:
+            bundle = biproduct_centrality(graph, MARKET)
+            c2, base = bundle.c_new ** 2, 1.5 * float(bundle.b.sum())
+            _, taus = loop_prefix(c2, base, -1.0)
+            for tau in taus[:20]:
+                expected, _ = loop_prefix(c2, base, tau)
+                assert np.array_equal(_greedy_prefix(c2, base, tau), expected), name
+
+    def test_alpha_equal_to_price(self, cp_graph):
+        # the base is 0: with nobody seeded tau is infinite
+        market = MarketParams(alpha=1.0, price=1.0, beta=0.5, delta=0.5)
+        bundle = biproduct_centrality(cp_graph, market)
+        for target in (0.0, 0.1, 0.5, 2.0):
+            set_bar, _, _ = sparsify(cp_graph, market, target, bundle=bundle)
+            expected, _ = loop_prefix(bundle.c_new ** 2, 0.0, target)
+            assert set_bar.members == tuple(sorted(int(i) + 1 for i in expected))
+            assert set_bar.size >= 1

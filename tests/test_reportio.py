@@ -1,10 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from seedgame import dumps_report, format_real
-from seedgame.reportio import _emit
+from seedgame import WeightedDigraph, cli, dumps_report, format_real, reportio, save_edge_list
+from seedgame.reportio import _emit, _format_real, format_distinct
 
 
 def per_value(values) -> str:
@@ -54,3 +56,88 @@ class TestVectorFastPath:
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_matches_the_per_value_form(self, vector):
         assert _emit(vector) == per_value(vector.tolist())
+
+
+MAX = 1.7976931348623157e308
+# signed zeros, subnormals, the extremes and neighbours one ulp apart
+DISTINCT_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+                 2.2250738585072014e-308, MAX, -MAX, float(np.nextafter(MAX, 0.0)),
+                 1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)),
+                 0.1, 1.0 / 3.0]
+
+
+class TestFormatDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(DISTINCT_POOL), max_size=40))
+    def test_same_strings_as_formatting_each_entry(self, values):
+        vector = np.array(values, dtype=np.float64)
+        for fmt in (_format_real, repr):
+            assert format_distinct(vector, fmt) == list(map(fmt, vector.tolist()))
+
+    def test_out_regular_nash_report_formats_each_distinct_value_once(
+            self, tmp_path, monkeypatch):
+        n = 200
+        graph = WeightedDigraph(n, [(i, (i + k) % n + 1, 0.25)
+                                    for i in range(1, n + 1) for k in range(3)])
+        save_edge_list(graph, tmp_path / "ring.edges")
+        formatted, reports = [], []
+        monkeypatch.setattr(reportio, "_format_real",
+                            lambda x: formatted.append(x) or "{:.17g}".format(x))
+        write_report = cli.write_report
+        monkeypatch.setattr(cli, "write_report",
+                            lambda obj, path: reports.append(obj) or write_report(obj, path))
+        assert cli.main(["nash", "--graph", str(tmp_path / "ring.edges"),
+                         "--out", str(tmp_path)]) == 0
+        (report,) = reports
+        vectors = [v for v in report["nash"].values()] + \
+                  [v for v in report["seeding"].values()]
+        assert all(v.size == n and np.unique(v).size == 1 for v in vectors)
+        assert len(formatted) == count_distinct_floats(report) < n
+
+        # the bytes are those of the value-by-value form
+        monkeypatch.undo()
+        assert (tmp_path / "equilibrium.json").read_text() == \
+            dumps_report(as_lists(report))
+
+
+def count_distinct_floats(obj) -> int:
+    """Formatter calls a report needs: one per distinct value of each float
+    vector, one per float scalar."""
+    if isinstance(obj, np.ndarray):
+        return np.unique(obj.view(np.int64)).size
+    if isinstance(obj, dict):
+        return sum(map(count_distinct_floats, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return sum(map(count_distinct_floats, obj))
+    return isinstance(obj, float)
+
+
+def as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    return obj
+
+
+def per_element(items) -> str:
+    """The list form element by element, as before the int join."""
+    return "[" + ", ".join(_emit(v) for v in items) + "]"
+
+
+class TestIdLists:
+    @pytest.mark.parametrize("items,text", [
+        ([1, 22, 333], "[1, 22, 333]"),
+        ((4, 8, 12), "[4, 8, 12]"),
+        ([-3, 0, 10 ** 20], "[-3, 0, 100000000000000000000]"),
+        ([True, 1], "[true, 1]"),
+        ([np.int64(3)], "[3]"),
+        ([np.int64(3), 4], "[3, 4]"),
+        ((), "[]"),
+        ([], "[]"),
+        ([[1, 2], [3]], "[[1, 2], [3]]"),
+        ([1, 2.5], "[1, 2.5]"),
+        ([1, None], "[1, null]"),
+    ])
+    def test_same_text_as_element_by_element(self, items, text):
+        assert _emit(items) == text == per_element(items)
