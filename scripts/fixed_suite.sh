@@ -60,3 +60,7 @@ run centrality-bo3000 centrality --graph bo3000/graph.edges --out bo3000
 run nash-bo3000 nash --graph bo3000/graph.edges --out bo3000/nash
 run epsilon-bo3000 epsilon --graph bo3000/graph.edges --sets 1,2,3 --out bo3000/epsilon
 run sparsify-bo3000 sparsify --graph bo3000/graph.edges --epsilon-target 0.2 --out bo3000
+
+# an inadmissible graph under --force: the refusal's validation.json,
+# stderr and exit code
+run refuse-force centrality --generate "core-periphery:chi=3,m=4,g=1.5" --force --out refuse

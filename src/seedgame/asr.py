@@ -69,8 +69,7 @@ def analytic_core_periphery(params: CorePeripheryParams,
     if q_high >= 1.0:
         raise AssumptionError(
             f"delta * (1 + beta) * g = {q_high:.12g} is not below 1; "
-            f"the closed forms diverge", rho=params.g,
-            bound=1.0 / (market.delta * (1.0 + market.beta)))
+            f"the closed forms diverge", rho=params.g, bound=market.spectral_bound)
     a_role = (1.0 + (params.m - 1) * q_low) / (1.0 - q_low)
     b_role = (1.0 + (params.m - 1) * q_high) / (1.0 - q_high)
     c_role = 0.5 * (a_role + b_role)
@@ -156,8 +155,6 @@ class ASRScanResult:
 
 
 def _resolve_rule(rule, graph: WeightedDigraph, bundle: CentralityBundle) -> SeedSet:
-    if rule == "role_models":
-        raise ValueError("role_models rule needs the core-periphery layout")
     if callable(rule):
         return SeedSet.of(tuple(int(i) for i in rule(graph, bundle)), graph.n)
     if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "top_k":
@@ -283,7 +280,7 @@ def check_necessary_condition(graph: WeightedDigraph, params: MarketParams,
         bundle = biproduct_centrality(graph, params, tol)
     d_out = graph.out_degrees
     d_max = float(d_out.max()) if graph.edge_count else 0.0
-    threshold = 1.0 / (params.delta * (1.0 + params.beta))
+    threshold = params.spectral_bound
     blocks = d_max < threshold
     slack = 1e-9
     lower = 1.0 + params.delta * params.beta * d_out

@@ -180,14 +180,16 @@ class _AttenuatedSystem:
 
 def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
                         tol: float) -> tuple[np.ndarray, float]:
-    rho = spectral_radius(graph, tol)
-    if attenuation * rho >= 1.0:
-        raise AssumptionError(
-            f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
-            f"is not below 1; the walk series diverges",
-            rho=rho, bound=(np.inf if rho == 0 else 1.0 / rho))
+    """The Katz solve and its residual.  A positive x bounds rho(G) by max_i
+    (G^T x)_i / x_i (Collatz-Wielandt); the graph keeps the lowest such bound."""
     system = _AttenuatedSystem(graph._transpose, attenuation, tol, prefactor=False)
     x, residual = system.solve(np.ones(graph.n))
+    if x.min() > 0.0:  # solve returns only finite x, whose residual met tol
+        # a row sum of fewer than n nonnegative terms and the division err by
+        # under (n + 1) / 2 epsilons, half the slack; nextafter covers the product
+        ratio = float(((graph._transpose @ x) / x).max())
+        upper = float(np.nextafter(ratio * (1.0 + (graph.n + 1) * np.finfo(float).eps), np.inf))
+        graph._rho_cache["upper"] = min(upper, graph._rho_cache.get("upper", np.inf))
     if float(x.min()) < 1.0 - 1e-8:
         raise SolverError(
             f"centrality solve produced an entry {x.min():.12g} below 1",
@@ -199,12 +201,20 @@ def katz_bonacich(graph: WeightedDigraph, attenuation: float,
                   tol: float = _DEFAULT_TOL) -> np.ndarray:
     """Katz-Bonacich centrality (I - attenuation * G^T)^{-1} 1.
 
-    Refuses when attenuation * spectral_radius(G) >= 1.  Every entry is at
-    least 1 (the empty walk).
+    Refuses when attenuation * spectral_radius(G) >= 1 (run only when the
+    solve does not certify admission).  Every entry is at least 1 (the empty walk).
     """
     if not (np.isfinite(attenuation) and attenuation >= 0):
         raise ValueError(f"attenuation must be a nonnegative real, got {attenuation}")
-    x, _ = _katz_with_residual(graph, attenuation, tol)
+    try:
+        x, _ = _katz_with_residual(graph, attenuation, tol)
+    finally:  # on a refusal the AssumptionError replaces any solve error
+        if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
+            rho = spectral_radius(graph, tol)
+            if attenuation * rho >= 1.0:
+                raise AssumptionError(  # rho > 0 here, as attenuation is finite
+                    f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
+                    f"is not below 1; the walk series diverges", rho=rho, bound=1.0 / rho)
     return _as_readonly(x)
 
 
@@ -212,19 +222,21 @@ def biproduct_centrality(graph: WeightedDigraph, params: MarketParams,
                          tol: float = _DEFAULT_TOL) -> CentralityBundle:
     """Both attenuated solves plus their average and half difference.
 
-    Validates the model assumptions first, at the same tolerance; the
-    AssumptionError it raises carries the validation report.  With beta = 0
-    the two attenuations coincide, one solve is reused, and c_cross is
-    exactly zero.
+    The solve at delta*(1+beta) comes first and admits the graph through
+    ensure_assumptions (at the same tolerance), whose AssumptionError
+    carries the validation report.  With beta = 0 the two attenuations
+    coincide, one solve is reused, and c_cross is exactly zero.
     """
-    ensure_assumptions(graph, params, tol)
     att_low = params.delta * (1.0 - params.beta)
     att_high = params.delta * (1.0 + params.beta)
-    a, res_a = _katz_with_residual(graph, att_low, tol)
-    if params.beta == 0.0:
-        b, res_b = a, res_a
-    else:
+    try:
         b, res_b = _katz_with_residual(graph, att_high, tol)
+    finally:  # on a refusal the AssumptionError replaces any solve error
+        ensure_assumptions(graph, params, tol)
+    if params.beta == 0.0:
+        a, res_a = b, res_b
+    else:
+        a, res_a = _katz_with_residual(graph, att_low, tol)
     c_new = 0.5 * (a + b)
     c_cross = 0.5 * (b - a)
     return CentralityBundle(

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_csv
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
-                         certified_neumann_series, katz_bonacich)
+                         certified_neumann_series)
 from .dynamics import SeedingPair, TailCertificationError, simulate, write_trajectory_csv
 from .game import (_BLOCK_COLUMNS, DiscountedSolver, SeedSet, check_epsilon_target,
                    epsilon_for_sets, firm_utility, nash_deviation_check, nash_seeding,
@@ -313,10 +313,6 @@ def cmd_nash(config: RunConfig, sets: bool = False) -> int:
     return 0
 
 
-def cmd_epsilon(config: RunConfig) -> int:
-    return cmd_nash(config, sets=True)
-
-
 def cmd_sparsify(config: RunConfig) -> int:
     if config.epsilon_target is None:
         raise UsageError("sparsify needs --epsilon-target")
@@ -477,11 +473,10 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
            f"best sampled gain {worst_gain:.3e} over {config.samples} deviations")
 
     worst_oracle = 0.0
-    for att in bundle.attenuations:
+    for att, katz in zip(bundle.attenuations, (bundle.a, bundle.b)):
         series = certified_neumann_series(graph, att)
         if series is None:
             raise VerificationFailure("walk-series tail bound will not certify")
-        katz = katz_bonacich(graph, att, config.tol)
         worst_oracle = max(worst_oracle, float(np.abs(series - katz).max()))
     _check(checks, name, "centrality_matches_walk_series", worst_oracle <= 1e-8,
            f"max gap {worst_oracle:.3e}")
@@ -625,7 +620,7 @@ _COMMANDS = {
     "generate": cmd_generate,
     "centrality": cmd_centrality,
     "nash": cmd_nash,
-    "epsilon": cmd_epsilon,
+    "epsilon": functools.partial(cmd_nash, sets=True),
     "sparsify": cmd_sparsify,
     "simulate": cmd_simulate,
     "asr-scan": cmd_asr_scan,

@@ -70,9 +70,11 @@ class AssumptionError(RuntimeError):
 class PowerIterationError(RuntimeError):
     """Spectral-radius iteration did not converge within the budget."""
 
-    def __init__(self, message: str, *, estimate: float, cap: float, iterations: int):
+    def __init__(self, message: str, *, estimate: float, lower: float, cap: float,
+                 iterations: int):
         super().__init__(message)
         self.estimate = estimate
+        self.lower = lower  # low end of the last bracket: a lower bound on the radius
         self.cap = cap
         self.iterations = iterations
 
@@ -281,12 +283,6 @@ def _check_id(i, n: int) -> int:
     return int(i)
 
 
-def row_sum_cap(graph: WeightedDigraph) -> float:
-    """Certified upper bound on the spectral radius: min of the largest
-    weighted in-degree and the largest weighted out-degree."""
-    return float(min(graph.in_degrees.max(), graph.out_degrees.max()))
-
-
 def _power_iteration(sub: sp.csr_matrix, tol: float, max_iter: int, cap: float) -> float:
     # Shifted iteration keeps the chain aperiodic so the Collatz-Wielandt
     # bracket [min_i (Ax)_i / x_i, max_i (Ax)_i / x_i] closes on the Perron
@@ -304,7 +300,7 @@ def _power_iteration(sub: sp.csr_matrix, tol: float, max_iter: int, cap: float) 
     raise PowerIterationError(
         f"power iteration did not converge in {max_iter} steps "
         f"(bracket [{lo - shift:.6g}, {hi - shift:.6g}], cap {cap:.6g})",
-        estimate=0.5 * (hi + lo) - shift, cap=cap, iterations=max_iter)
+        estimate=0.5 * (hi + lo) - shift, lower=lo - shift, cap=cap, iterations=max_iter)
 
 
 def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
@@ -318,13 +314,8 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    cached = graph._rho_cache.get("rho")
-    if cached is not None and cached[0] <= tol:
-        return cached[1]
-    cap = row_sum_cap(graph)
-    if cap == 0.0:
-        graph._rho_cache["rho"] = (tol, 0.0)
-        return 0.0
+    # certified upper bound: the largest weighted in- or out-degree, whichever is less
+    cap = float(min(graph.in_degrees.max(), graph.out_degrees.max()))
     matrix = graph.matrix
     _, labels = connected_components(matrix, directed=True, connection="strong")
     best = 0.0
@@ -336,9 +327,7 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
         members = order[start:end]
         sub = matrix[members][:, members]
         best = max(best, _power_iteration(sub.tocsr(), tol, max_iter, cap))
-    result = float(min(best, cap))
-    graph._rho_cache["rho"] = (tol, result)
-    return result
+    return float(min(best, cap))
 
 
 @dataclass(frozen=True)
@@ -375,8 +364,13 @@ def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
     (i) alpha >= price, (ii) spectral radius below 1 / (delta * (1 + beta))
     with an explicit margin, (iii) nonnegative finite weights.
     """
-    rho = spectral_radius(graph, tol)
     bound = params.spectral_bound
+    try:
+        rho = spectral_radius(graph, tol)
+    except PowerIterationError as exc:  # a bracket above the bound still fails (ii)
+        if exc.lower < bound:
+            raise
+        rho = exc.estimate
     margin = bound - rho
     weights_ok = bool(np.isfinite(graph.matrix.data).all() and (graph.matrix.data >= 0).all())
     checks = (
@@ -393,15 +387,17 @@ def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
 
 
 def ensure_assumptions(graph: WeightedDigraph, params: MarketParams,
-                       tol: float = _DEFAULT_TOL) -> ValidationReport:
-    """validate_assumptions, raising AssumptionError when any check fails."""
+                       tol: float = _DEFAULT_TOL) -> None:
+    """validate_assumptions, raising AssumptionError when any check fails.  A Katz
+    solve's certified bound below the model's admits at once (the rest hold by construction)."""
+    if graph._rho_cache.get("upper", np.inf) < params.spectral_bound:
+        return
     report = validate_assumptions(graph, params, tol)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
         raise AssumptionError(
             f"model assumptions violated ({names}):\n{report.summary()}",
             rho=report.rho, bound=report.bound, report=report)
-    return report
 
 
 def generate_core_periphery(params: CorePeripheryParams) -> WeightedDigraph:

@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from seedgame import (AssumptionError, MarketParams, WeightedDigraph,
+from seedgame import (AssumptionError, MarketParams, SolverError, WeightedDigraph,
                       biproduct_centrality, katz_bonacich, neumann_oracle,
                       neumann_tail_bound)
 import seedgame.centrality as centrality_mod
+import seedgame.graph as graph_mod
 from seedgame.centrality import certified_neumann_series
 
 from conftest import random_validated_graph
@@ -115,6 +118,9 @@ class TestSolverPolicy:
         assert system.method == "lu"
         assert residual <= tol
         assert np.abs(1.0 - (x - coeff * (graph.matrix.T @ x))).max() <= tol
+        # the LU solution certifies the graph too, with no spectral radius
+        katz_bonacich(graph, coeff, tol)
+        assert rho <= graph._rho_cache["upper"] < 1.0 / coeff
 
 
 class TestBiProduct:
@@ -169,6 +175,71 @@ class TestBiProduct:
         bundle = biproduct_centrality(two_node, market)
         with pytest.raises(ValueError):
             bundle.c_new[0] = 7.0
+
+
+def _scaled_digraph(n: int, density: float, seed: int, c_rho: float,
+                    att: float) -> tuple[np.ndarray, float]:
+    """A random nonnegative n x n matrix scaled to att * rho = c_rho, and its
+    rho from dense eigenvalues; rho is 0 for an acyclic draw (unscaled)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random((n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(weights, 0.0)
+    rho = float(np.abs(np.linalg.eigvals(weights)).max())
+    if rho > 1e-6:
+        weights *= c_rho / (att * rho)
+        rho = float(np.abs(np.linalg.eigvals(weights)).max())
+    return weights, rho
+
+
+class TestAdmissionCertificate:
+    """biproduct_centrality admits a graph from the Collatz-Wielandt bound
+    of its delta*(1+beta) solve and refuses the rest through validation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 25), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.999))
+    def test_admitted_with_a_certified_bound(self, n, density, seed, c_rho):
+        weights, rho = _scaled_digraph(n, density, seed, c_rho, 0.75)
+        assume(rho > 1e-6)
+        graph = WeightedDigraph.from_matrix(weights)
+        with mock.patch.object(graph_mod, "_power_iteration",
+                               side_effect=AssertionError("a spectral radius ran")):
+            bundle = biproduct_centrality(graph, MarketParams(2.0, 1.0, 0.5, 0.5))
+        upper = graph._rho_cache["upper"]
+        assert rho - 1e-12 <= upper < 1.0 / 0.75
+        for att, x in zip(bundle.attenuations, (bundle.a, bundle.b)):
+            direct = np.linalg.solve(np.eye(n) - att * weights.T, np.ones(n))
+            assert np.allclose(x, direct, rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 25), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.999))
+    def test_networkx_katz_agrees(self, n, density, seed, c_rho):
+        nx = pytest.importorskip("networkx")
+        weights, rho = _scaled_digraph(n, density, seed, c_rho, 0.75)
+        graph = WeightedDigraph.from_matrix(weights)
+        # networkx sums x_j over the edges j -> i into i: our G^T
+        oracle = nx.katz_centrality_numpy(nx.from_numpy_array(weights, create_using=nx.DiGraph),
+                                          alpha=0.75, beta=1.0, normalized=False,
+                                          weight="weight")
+        assert np.allclose(katz_bonacich(graph, 0.75), [oracle[i] for i in range(n)],
+                           rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 25), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
+           st.floats(1.001, 2.0))
+    def test_inadmissible_refused_with_a_report(self, n, density, seed, c_rho):
+        weights, rho = _scaled_digraph(n, density, seed, c_rho, 0.75)
+        assume(rho > 1e-6)
+        graph = WeightedDigraph.from_matrix(weights)
+        try:
+            biproduct_centrality(graph, MarketParams(2.0, 1.0, 0.5, 0.5))
+        except SolverError as exc:
+            pytest.fail(f"inadmissible graph ended in SolverError: {exc}")
+        except AssumptionError as exc:
+            assert exc.report is not None and not exc.report.passed
+        else:
+            pytest.fail("inadmissible graph admitted")
 
 
 class TestNeumann:

@@ -313,9 +313,44 @@ def write_cycle(path, weights):
     return path
 
 
+def weighted_cycle(n, low, high, seed):
+    return low + (high - low) * np.random.default_rng(seed).random(n)
+
+
+class TestWeightedCycles:
+    """Admissible weighted cycles, on which the power iteration does not
+    converge in its budget, answer: the Katz solve certifies them."""
+
+    CYCLES = {"cycle200": (200, 0.5, 1.1, 0),     # rho ~ 0.80
+              "cycle3000": (3000, 0.3, 0.9, 200)}  # rho ~ 0.57
+
+    @pytest.fixture(params=sorted(CYCLES))
+    def cycle(self, request, tmp_path):
+        return write_cycle(tmp_path / "cycle.edges", weighted_cycle(*self.CYCLES[request.param]))
+
+    def test_centrality_matches_spsolve(self, cycle, tmp_path):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        code, _, err = run("centrality", "--graph", str(cycle), "--out", str(tmp_path))
+        assert code == 0, err
+        report = read_json(tmp_path / "centrality.json")
+        transpose = load_edge_list(cycle).matrix.T.tocsc()
+        for key, att in zip("ab", report["attenuations"]):
+            system = sp.identity(transpose.shape[0], format="csc") - att * transpose
+            direct = spla.spsolve(system, np.ones(transpose.shape[0]))
+            assert np.allclose(report[key], direct, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ("nash",), ("epsilon", "--sets", "1,2"), ("sparsify", "--epsilon-target", "0.5"),
+    ])
+    def test_commands_answer(self, cycle, tmp_path, argv):
+        code, _, err = run(*argv, "--graph", str(cycle), "--out", str(tmp_path))
+        assert code == 0, err
+
+
 class TestRefusals:
-    """Admissible graphs the program cannot answer yet get a typed refusal
-    (exit 2, one error line), not a traceback."""
+    """Inadmissible graphs, and admissible graphs the program cannot answer
+    yet, get a typed refusal (exit 2, one error line), not a traceback."""
 
     def test_uncertified_tail_exits_two(self, tmp_path):
         dag = tmp_path / "dag.edges"  # rho = 0
@@ -324,12 +359,20 @@ class TestRefusals:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_unconverged_spectral_radius_exits_two(self, tmp_path):
-        weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)  # rho ~ 0.80
+    @pytest.mark.parametrize("name", sorted(TestWeightedCycles.CYCLES))
+    def test_inadmissible_cycle_is_an_assumption_failure(self, tmp_path, name):
+        # the cycles above scaled to delta * (1 + beta) * rho = 1.2: the power
+        # iteration runs out of steps, but its bracket lies above the bound
+        weights = weighted_cycle(*TestWeightedCycles.CYCLES[name])
+        weights *= 1.2 / (0.75 * np.exp(np.log(weights).mean()))
         cycle = write_cycle(tmp_path / "cycle.edges", weights)
-        code, _, err = run("centrality", "--graph", str(cycle), "--out", str(tmp_path))
+        code, _, err = run("centrality", "--graph", str(cycle), "--force",
+                           "--out", str(tmp_path))
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert any(line.startswith("assumption failure: ") for line in err.splitlines())
+        report = read_json(tmp_path / "validation.json")
+        assert report["passed"] is False
+        assert report["rho"] == pytest.approx(1.6, rel=1e-2)
 
 
 class TestNearCritical:
@@ -363,8 +406,9 @@ class TestNearCritical:
 
 
 class TestCallCounts:
-    """Each graph command validates once, inside its one centrality bundle,
-    and prices payoffs without the full-solve oracle."""
+    """Each graph command validates once, by the certificate of its one
+    centrality bundle (no spectral radius), and prices payoffs without the
+    full-solve oracle."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -380,6 +424,7 @@ class TestCallCounts:
 
         modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "seedgame"]
         for name, func in (("validate", graph_mod.validate_assumptions),
+                           ("spectral_radius", graph_mod.spectral_radius),
                            ("bundle", biproduct_centrality)):
             wrapper = counting(name, func)
             for module in modules:
@@ -397,7 +442,15 @@ class TestCallCounts:
     def test_one_validation_one_bundle_no_solver(self, counts, tmp_path, argv):
         code, _, _ = run(*argv, "--generate", CP_SPEC, "--out", str(tmp_path))
         assert code == 0
-        assert (counts["validate"], counts["bundle"], counts["solver"]) == (1, 1, 0)
+        assert (counts["spectral_radius"], counts["bundle"], counts["solver"]) == (0, 1, 0)
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--seeding", "nash"), ("verify", "--samples", "200"),
+    ])
+    def test_no_spectral_radius(self, counts, tmp_path, argv):
+        code, _, _ = run(*argv, "--generate", CP_SPEC, "--out", str(tmp_path))
+        assert code == 0
+        assert counts["spectral_radius"] == 0
 
     def test_simulate_validates_at_most_twice(self, counts, tmp_path):
         code, _, _ = run("simulate", "--generate", CP_SPEC, "--seeding", "nash",

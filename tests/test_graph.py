@@ -1,3 +1,4 @@
+import functools
 import os
 import threading
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from seedgame import (AssumptionError, CorePeripheryParams, DuplicateEdgeError,
                       EdgeListError, GraphError, MalformedLineError,
-                      MarketParams, NegativeWeightError, SelfLoopError,
+                      MarketParams, NegativeWeightError, PowerIterationError, SelfLoopError,
                       WeightedDigraph, generate_bounded_outdegree_family,
                       generate_core_periphery, load_edge_list, save_edge_list,
                       spectral_radius, validate_assumptions)
@@ -183,6 +184,24 @@ class TestValidation:
         for token in ("alpha_ge_price", "spectral_radius_below_bound",
                       "nonnegative_weights"):
             assert token in text
+
+    @pytest.mark.parametrize("c_rho", [0.6, 1.2])
+    def test_unconverged_power_iteration(self, monkeypatch, c_rho):
+        # a weighted 200-cycle, whose power iteration is far from converged
+        # after 1000 steps; its bracket still refuses c * rho = 1.2
+        weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)
+        weights *= c_rho / (0.75 * np.exp(np.log(weights).mean()))
+        g = WeightedDigraph(200, [(i + 1, (i + 1) % 200 + 1, float(w))
+                                  for i, w in enumerate(weights)])
+        monkeypatch.setattr(graph_mod, "spectral_radius",
+                            functools.partial(spectral_radius, max_iter=1000))
+        if c_rho < 1.0:
+            with pytest.raises(PowerIterationError):
+                validate_assumptions(g, MARKET)
+        else:
+            report = validate_assumptions(g, MARKET)
+            assert not report.passed
+            assert report.rho == pytest.approx(c_rho / 0.75, rel=0.05)
 
 
 class TestCorePeriphery:
