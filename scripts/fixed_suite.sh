@@ -64,3 +64,13 @@ run sparsify-bo3000 sparsify --graph bo3000/graph.edges --epsilon-target 0.2 --o
 # an inadmissible graph under --force: the refusal's validation.json,
 # stderr and exit code
 run refuse-force centrality --generate "core-periphery:chi=3,m=4,g=1.5" --force --out refuse
+
+# above 8,192 agents, where each BLAS product over a length-n vector runs on
+# slices of at most 8,192 entries: the 30,000-agent scan graph, and a 20,000-agent
+# bounded-out-degree graph with its Katz vectors and payoffs
+run asr-scan-cp30000 asr-scan --family "core-periphery:chi=10,g=0.5" \
+    --schedule 100,1000,3000 --out cpscan
+run generate-bo20000 generate --generate "bounded-outdegree:n=20000,d=10,weight=0.1" \
+    --seed 7 --out bo20000
+run centrality-bo20000 centrality --graph bo20000/graph.edges --out bo20000
+run epsilon-bo20000 epsilon --graph bo20000/graph.edges --sets 1,2,3 --out bo20000/epsilon

@@ -13,7 +13,6 @@ from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .graph import (AssumptionError, MarketParams, WeightedDigraph,
                     _as_readonly, ensure_assumptions, spectral_radius)
@@ -22,9 +21,19 @@ _DEFAULT_TOL = 1e-10
 DIRECT_SOLVE_MAX_N = 2000  # largest system factored up front (prefactor)
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
-_STACK_SIZE = 1 << 16  # entries per stacked group of right-hand-side columns
+_STACK_SIZE = 1 << 16  # entries per stacked group or oracle block of columns
+_DOT_CHUNK = 8192  # most entries per BLAS reduction (see _dot)
 _SERIES_TAIL_TOL = 1e-8  # tail bound below which a walk series is certified
 _MAX_SERIES_TERMS = 1_000_000  # longest walk series tried for certification
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b for a 1-D b in BLAS calls of at most _DOT_CHUNK entries, added in order,
+    so none runs threaded (README, solver policy); one call up to _DOT_CHUNK."""
+    total = a[..., :_DOT_CHUNK] @ b[:_DOT_CHUNK]
+    for start in range(_DOT_CHUNK, b.shape[0], _DOT_CHUNK):
+        total = total + a[..., start:start + _DOT_CHUNK] @ b[start:start + _DOT_CHUNK]
+    return total
 
 
 class SolverError(RuntimeError):
@@ -91,6 +100,7 @@ class _AttenuatedSystem:
             self._factor()
 
     def _factor(self) -> None:
+        import scipy.sparse.linalg as spla  # only the LU path needs it
         n = self.matrix.shape[0]
         self._lu = spla.splu((sp.identity(n, format="csr") - self.coeff * self.matrix).tocsc())
 
@@ -167,8 +177,8 @@ class _AttenuatedSystem:
                 slot, filled = (it - 1) % depth, min(it, depth)
                 np.subtract(f, f_prev, out=d_f[slot])
                 np.subtract(g, g_prev, out=d_g[slot])
-                gram[slot, :filled] = gram[:filled, slot] = d_f[:filled] @ d_f[slot]
-                projections = d_f[:filled] @ f
+                gram[slot, :filled] = gram[:filled, slot] = _dot(d_f[:filled], d_f[slot])
+                projections = _dot(d_f[:filled], f)
                 try:
                     gamma = np.linalg.solve(gram[:filled, :filled], projections)
                 except np.linalg.LinAlgError:  # exactly singular: least squares

@@ -22,7 +22,7 @@ from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_cs
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          certified_neumann_series)
 from .dynamics import SeedingPair, TailCertificationError, simulate, write_trajectory_csv
-from .game import (_BLOCK_COLUMNS, DiscountedSolver, SeedSet, check_epsilon_target,
+from .game import (DiscountedSolver, SeedSet, check_epsilon_target,
                    epsilon_for_sets, firm_utility, nash_deviation_check, nash_seeding,
                    restricted_nash_seeding, sparsify, utility_gradient)
 from .graph import (AssumptionError, CorePeripheryParams, EdgeListError,
@@ -453,8 +453,8 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
     h = 1e-4
     grad = utility_gradient(graph, params, seeding, firm="a", bundle=bundle)
     worst_rel = 0.0
-    for start in range(0, graph.n, _BLOCK_COLUMNS // 2):
-        idx = np.arange(start, min(start + _BLOCK_COLUMNS // 2, graph.n))
+    for start in range(0, graph.n, solver.block_columns // 2):
+        idx = np.arange(start, min(start + solver.block_columns // 2, graph.n))
         cols = np.arange(idx.size)
         block = np.repeat(seeding.s_bar[:, None], 2 * idx.size, axis=1)
         block[idx, cols] += h

@@ -20,12 +20,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .centrality import CentralityBundle, _AttenuatedSystem, biproduct_centrality
+from . import centrality
+from .centrality import CentralityBundle, _AttenuatedSystem, _dot, biproduct_centrality
 from .dynamics import SeedingPair
 from .graph import MarketParams, WeightedDigraph, _check_id, ensure_assumptions
 
 _DEFAULT_TOL = 1e-10
-_BLOCK_COLUMNS = 512  # seedings per blocked oracle solve
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,7 @@ class DiscountedSolver:
         self._q_plus = params.delta * (1.0 + params.beta)
         self._q_minus = params.delta * (1.0 - params.beta)
         self._r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
+        self.block_columns = max(2, centrality._STACK_SIZE // graph.n)  # seedings per block
         self._plus = _AttenuatedSystem(graph.matrix, self._q_plus, tol)
         if params.beta == 0.0:
             self._minus = self._plus
@@ -172,7 +173,7 @@ class DiscountedSolver:
         seeds = np.ascontiguousarray(s_bar.T)
         gross = self.params.price * (seeds.sum(axis=1)
                                      + np.ascontiguousarray(y_bar.T).sum(axis=1))
-        return gross - np.array([0.5 * float(s @ s) for s in seeds])
+        return gross - np.array([0.5 * float(_dot(s, s)) for s in seeds])
 
     def gross_revenues(self, seeding: SeedingPair) -> tuple[float, float]:
         """price * (seeded period + discounted consumption), per firm."""
@@ -220,10 +221,10 @@ def firm_utility(graph: WeightedDigraph, params: MarketParams, seeding: SeedingP
     base = _baseline(params, bundle)
 
     def breakdown(own: np.ndarray, rival: np.ndarray) -> UtilityBreakdown:
-        own_term = p * float(bundle.c_new @ own)
-        cross_term = p * float(bundle.c_cross @ rival)
+        own_term = p * float(_dot(bundle.c_new, own))
+        cross_term = p * float(_dot(bundle.c_cross, rival))
         gross = base + own_term + cross_term
-        cost = 0.5 * float(own @ own)
+        cost = 0.5 * float(_dot(own, own))
         return UtilityBreakdown(gross=gross, seeding_cost=cost, net=gross - cost,
                                 baseline=base, own_term=own_term, cross_term=cross_term)
 
@@ -413,8 +414,8 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
         sparse = 2.0 * scale * rng.random((n, samples - 2 * thirds))
         sparse *= rng.random(sparse.shape) < 0.3
         candidates = np.hstack([local, uniform, sparse])
-        for start in range(0, candidates.shape[1], _BLOCK_COLUMNS):
-            block = candidates[:, start:start + _BLOCK_COLUMNS]
+        for start in range(0, candidates.shape[1], solver.block_columns):
+            block = candidates[:, start:start + solver.block_columns]
             y_dev, _ = solver._consumption(block, star[:, None])
             net_dev = (p * (block.sum(axis=0) + y_dev.sum(axis=0))
                        - 0.5 * (block ** 2).sum(axis=0))
@@ -425,5 +426,5 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
 def _net_pair(solver: DiscountedSolver, params: MarketParams,
               seeding: SeedingPair) -> tuple[float, float]:
     gross_a, gross_b = solver.gross_revenues(seeding)
-    return (gross_a - 0.5 * float(seeding.s_bar @ seeding.s_bar),
-            gross_b - 0.5 * float(seeding.s_under @ seeding.s_under))
+    return (gross_a - 0.5 * float(_dot(seeding.s_bar, seeding.s_bar)),
+            gross_b - 0.5 * float(_dot(seeding.s_under, seeding.s_under)))

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 Edge = tuple[int, int, float]
 
@@ -316,6 +315,7 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
         raise ValueError(f"tol must be positive, got {tol}")
     # certified upper bound: the largest weighted in- or out-degree, whichever is less
     cap = float(min(graph.in_degrees.max(), graph.out_degrees.max()))
+    from scipy.sparse.csgraph import connected_components  # off the success path
     matrix = graph.matrix
     _, labels = connected_components(matrix, directed=True, connection="strong")
     best = 0.0

@@ -62,23 +62,26 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _indent(obj, level: int) -> str:
+def _indent(obj, level: int, memo: dict) -> str:
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(obj, dict) and obj:
-        parts = [f"{inner}{json.dumps(k, ensure_ascii=False)}: {_indent(v, level + 1)}"
+        parts = [f"{inner}{json.dumps(k, ensure_ascii=False)}: {_indent(v, level + 1, memo)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)) and len(obj) and any(isinstance(v, dict) for v in obj):
-        parts = [f"{inner}{_indent(v, level + 1)}" for v in obj]
+        parts = [f"{inner}{_indent(v, level + 1, memo)}" for v in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    if isinstance(obj, np.ndarray):  # an array repeated in one report is formatted once
+        key = (obj.dtype.str, obj.shape, obj.tobytes())
+        return memo[key] if key in memo else memo.setdefault(key, _emit(obj))
     return _emit(obj)
 
 
 def dumps_report(obj: dict) -> str:
     """Serialize a report dict; top-level and nested dicts are indented,
     numeric vectors stay on one line."""
-    return _indent(obj, 0) + "\n"
+    return _indent(obj, 0, {}) + "\n"
 
 
 def write_report(obj: dict, path: str | Path) -> None:

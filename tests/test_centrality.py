@@ -1,3 +1,6 @@
+import functools
+import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from seedgame import (AssumptionError, MarketParams, SolverError, WeightedDigrap
                       neumann_tail_bound)
 import seedgame.centrality as centrality_mod
 import seedgame.graph as graph_mod
-from seedgame.centrality import certified_neumann_series
+from seedgame.centrality import _DOT_CHUNK, _dot, certified_neumann_series
 
 from conftest import random_validated_graph
 
@@ -304,3 +307,55 @@ class TestNeumann:
             return
         gap = np.abs(katz_bonacich(graph, q) - neumann_oracle(graph, q, terms)).max()
         assert gap <= bound + 1e-9
+
+
+class TestChunkedDot:
+    @staticmethod
+    def operands(n: int, rows: int | None, seed: int = 30):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n if rows is None else (rows, n))
+        return a, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("rows", [None, 1, 3, 10])
+    @pytest.mark.parametrize("n", [1, _DOT_CHUNK - 1, _DOT_CHUNK])
+    def test_one_plain_product_up_to_a_chunk(self, n, rows):
+        a, b = self.operands(n, rows)
+        assert np.asarray(_dot(a, b)).tobytes() == np.asarray(a @ b).tobytes()
+        if rows is not None:  # a view of the first rows, as the Anderson history is
+            assert _dot(a[:2], b).tobytes() == (a[:2] @ b).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 1, 3, 10])
+    @pytest.mark.parametrize("n", [_DOT_CHUNK + 1, 20_000, 30_000, 65_536])
+    def test_chunks_added_in_order_above_a_chunk(self, n, rows):
+        a, b = self.operands(n, rows)
+        chunks = [a[..., i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK]
+                  for i in range(0, n, _DOT_CHUNK)]
+        expected = functools.reduce(operator.add, chunks)
+        assert np.asarray(_dot(a, b)).tobytes() == np.asarray(expected).tobytes()
+        eps = np.finfo(float).eps
+        for row in np.atleast_2d(a):
+            exact = math.fsum((row * b).tolist())
+            bound = 4 * n * eps * math.fsum(np.abs(row * b).tolist())
+            assert abs(float(_dot(row, b)) - exact) <= bound
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1 << 20])
+    def test_anderson_solve_with_small_chunks_matches_direct(self, monkeypatch, chunk):
+        # n = 301: chunks of 7 leave a 1-entry tail; the Gram row and the
+        # projections of two stacked columns run chunked
+        graph = _in_degree_graph(301, 5, 0.15, seed=11)
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
+        system = centrality_mod._AttenuatedSystem(graph._transpose, 0.9, 1e-12,
+                                                  prefactor=False)
+        rhs = np.random.default_rng(3).random((301, 2))
+        x, residual = system.solve(rhs)
+        assert system.method == "anderson" and system.iterations > 2
+        direct = np.linalg.solve(np.eye(301) - 0.9 * graph._transpose.toarray(), rhs)
+        assert residual <= 1e-12
+        assert np.abs(x - direct).max() <= 1e-10
+
+    def test_katz_solve_of_a_long_vector_answers(self):
+        # n = 20,000 > _DOT_CHUNK: the Anderson update runs on chunked products
+        graph = _in_degree_graph(20_000, 10, 0.1, seed=7)
+        x, residual = centrality_mod._katz_with_residual(graph, 0.75, 1e-10)
+        assert residual <= 1e-10
+        assert np.abs(x - 0.75 * (graph._transpose @ x) - 1.0).max() <= 1e-9

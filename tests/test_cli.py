@@ -2,7 +2,10 @@ import collections
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,3 +615,16 @@ class TestParser:
         assert code == 0
         config = read_json(tmp_path / "eps2" / "equilibrium.json")["config"]
         assert (config["sets"], config["sets_bar"], config["sets_under"]) == (None, "4", "8")
+
+
+class TestImports:
+    def test_cli_import_leaves_out_the_lu_and_component_modules(self):
+        # scipy.sparse.linalg (the LU fallback) and scipy.sparse.csgraph (a
+        # refusal's spectral radius) load when a command first needs them
+        import seedgame
+        probe = ("import sys, seedgame.cli; print(sorted(m for m in "
+                 "('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(seedgame.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"

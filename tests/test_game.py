@@ -230,6 +230,33 @@ class TestDiscountedSolver:
         with pytest.raises(ValueError, match="shape"):
             solver.net_payoffs_a(np.ones((11, 3)), np.ones(12))
 
+    @pytest.mark.parametrize("stack_size", [600, 4096, 65536])
+    def test_block_width_changes_no_bits(self, monkeypatch, stack_size):
+        # the LU path: the oracle block width sets speed only
+        import seedgame.centrality as centrality_mod
+        graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
+        rng = np.random.default_rng(22)
+        s_bar, s_under = 0.25 + rng.random(graph.n), 0.25 + rng.random(graph.n)
+        cols = np.arange(graph.n)
+        bumps = np.repeat(s_bar[:, None], 2 * graph.n, axis=1)
+        bumps[cols, cols] += 1e-4
+        bumps[cols, cols + graph.n] -= 1e-4
+
+        def priced():
+            solver = DiscountedSolver(graph, MARKET)
+            width = solver.block_columns
+            net = np.concatenate([solver.net_payoffs_a(bumps[:, i:i + width], s_under)
+                                  for i in range(0, bumps.shape[1], width)])
+            gain = nash_deviation_check(graph, MARKET, samples=700, seed=6, solver=solver)
+            return width, net, gain
+
+        width, net, gain = priced()
+        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", stack_size)
+        patched_width, patched_net, patched_gain = priced()
+        assert patched_width == max(2, stack_size // graph.n)
+        assert patched_net.tobytes() == net.tobytes()
+        assert patched_gain == gain
+
     def test_deviation_check_wants_a_sample(self, cp_graph):
         for samples in (0, -5):
             with pytest.raises(ValueError, match="samples must be at least 1"):

@@ -100,16 +100,41 @@ class TestFormatDistinct:
             dumps_report(as_lists(report))
 
 
-def count_distinct_floats(obj) -> int:
+def count_distinct_floats(obj, seen=None) -> int:
     """Formatter calls a report needs: one per distinct value of each float
-    vector, one per float scalar."""
+    vector whose contents did not appear earlier in the report, one per
+    float scalar."""
+    seen = set() if seen is None else seen
     if isinstance(obj, np.ndarray):
+        if obj.tobytes() in seen:
+            return 0
+        seen.add(obj.tobytes())
         return np.unique(obj.view(np.int64)).size
     if isinstance(obj, dict):
-        return sum(map(count_distinct_floats, obj.values()))
+        return sum(count_distinct_floats(v, seen) for v in obj.values())
     if isinstance(obj, (list, tuple)):
-        return sum(map(count_distinct_floats, obj))
+        return sum(count_distinct_floats(v, seen) for v in obj)
     return isinstance(obj, float)
+
+
+class TestRepeatedVectors:
+    def test_a_repeated_vector_is_formatted_once(self, monkeypatch):
+        v = np.array([0.1, 0.2, 0.1, 1.0 / 3.0])
+        report = {"a": v, "b": {"c": v.copy(), "d": -v}, "e": [v.copy(), 2.5],
+                  "f": np.array([0.0, -0.0]), "g": np.array([-0.0, 0.0])}
+        text = dumps_report(as_lists(report))
+        formatted = []
+        monkeypatch.setattr(reportio, "_format_real",
+                            lambda x: formatted.append(x) or "{:.17g}".format(x))
+        assert dumps_report(report) == text
+        # v once, -v once, the list's v again (it is not a report field), the
+        # scalar, and the two zero vectors, whose bits differ
+        assert len(formatted) == 3 + 3 + 3 + 1 + 2 + 2
+
+    def test_equal_bytes_of_another_dtype_or_shape_are_not_shared(self):
+        v = np.arange(4.0)
+        report = {"v": v, "i": v.view(np.int64), "m": v.reshape(2, 2)}
+        assert dumps_report(report) == dumps_report(as_lists(report))
 
 
 def as_lists(obj):
@@ -117,6 +142,8 @@ def as_lists(obj):
         return obj.tolist()
     if isinstance(obj, dict):
         return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(value) for value in obj]
     return obj
 
 
