@@ -74,3 +74,17 @@ run generate-bo20000 generate --generate "bounded-outdegree:n=20000,d=10,weight=
     --seed 7 --out bo20000
 run centrality-bo20000 centrality --graph bo20000/graph.edges --out bo20000
 run epsilon-bo20000 epsilon --graph bo20000/graph.edges --sets 1,2,3 --out bo20000/epsilon
+
+# the edge-list loader's routes: a regular file is parsed from its path, a
+# pipe and a name numpy would decompress by suffix from the body read once
+# (process substitution, not a pipeline: `run` must not run in a subshell)
+run centrality-bo3000-pipe centrality --graph <(cat bo3000/graph.edges) --out bo3000/pipe
+mkdir -p copies
+cp bo3000/graph.edges copies/graph.edges.gz
+run centrality-bo3000-gz centrality --graph copies/graph.edges.gz --out copies/gz
+# CRLF line ends after a comment preamble, and a repeated pair on the last line
+{ printf '# a copy with CRLF line ends\r\n\r\n'; sed 's/$/\r/' bo3000/graph.edges; } \
+    > copies/crlf.edges
+run centrality-bo3000-crlf centrality --graph copies/crlf.edges --out copies/crlf
+{ cat bo3000/graph.edges; sed -n 3p bo3000/graph.edges; } > copies/duplicate.edges
+run centrality-bo3000-duplicate centrality --graph copies/duplicate.edges --out copies/duplicate

@@ -254,7 +254,8 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("k,node,x_bar,x_under\n")
         for state in trajectory.states:
-            texts = format_distinct(np.concatenate((state.x_bar, state.x_under)), repr)
+            texts = format_distinct(np.concatenate((state.x_bar, state.x_under)),
+                                    lambda xs: list(map(repr, xs)))
             cells[0::6] = [str(state.k)] * n
             cells[2::6] = texts[:n]
             cells[4::6] = texts[n:]

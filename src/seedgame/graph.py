@@ -11,6 +11,8 @@ vectors elsewhere in the package are 0-based, index ``i`` holding agent
 from __future__ import annotations
 
 import io
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,6 +21,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
+
+from .reportio import format_distinct
 
 Edge = tuple[int, int, float]
 
@@ -167,10 +171,12 @@ class WeightedDigraph:
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise MalformedLineError("edges must be (i, j, weight) triples") from None
-        triples = triples.reshape(-1, 3)
-        _check_edges(n, triples)
-        rows, cols, weights = triples[triples[:, 2] > 0].T  # zero weight: no influence
-        matrix = sp.csr_matrix((weights, (rows.astype(int) - 1, cols.astype(int) - 1)), (n, n))
+        rows, cols, weights = np.ascontiguousarray(triples.reshape(-1, 3).T)
+        order = _check_edges(n, rows, cols, weights)
+        order = order[weights[order] > 0]  # zero weight: no influence
+        counts = np.bincount(rows[order].astype(np.intp) - 1, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(counts)))  # scipy picks the index dtype
+        matrix = sp.csr_matrix((weights[order], cols[order].astype(np.intp) - 1, indptr), (n, n))
         transpose = matrix.T.tocsr()  # the walk systems iterate with G^T
         matrix.data.setflags(write=False)
         transpose.data.setflags(write=False)
@@ -202,11 +208,8 @@ class WeightedDigraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Edge triples sorted by (influenced, influencer), zero weights left out."""
-        return tuple(zip(*self._edge_lists()))
-
-    def _edge_lists(self) -> tuple[list[int], list[int], list[float]]:
         coo = self._matrix.tocoo()  # keeps the sorted order of the CSR
-        return (coo.row + 1).tolist(), (coo.col + 1).tolist(), coo.data.tolist()
+        return tuple(zip((coo.row + 1).tolist(), (coo.col + 1).tolist(), coo.data.tolist()))
 
     @property
     def edge_count(self) -> int:
@@ -243,26 +246,30 @@ class WeightedDigraph:
         return f"WeightedDigraph(n={self.n}, edges={self.edge_count})"
 
 
-def _check_edges(n: int, triples: np.ndarray, lines: list[int] | None = None) -> None:
+def _check_edges(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                 lines: list[int] | None = None) -> np.ndarray:
     """The one edge check, shared by WeightedDigraph and load_edge_list: raise
     for the first (influenced, influencer, weight) row that breaks a rule,
     naming ``lines[row]`` when given.  Rules, in order: integral ids in 1..n,
     no self-loop, finite and then nonnegative weight, and no earlier row with
-    the same ordered pair (zero weights count)."""
-    ids, weights = triples[:, :2], triples[:, 2]
-    ids_ok = ((ids >= 1) & (ids <= n) & (ids == np.floor(ids))).all(axis=1)
-    # bad ids get the key of the self-loop (1, 1), so a repeat they cause
-    # lands on a row that already breaks an earlier rule
-    pairs = np.where(ids_ok[:, None], ids, 1).astype(np.int64) - 1
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    repeat = np.ones(keys.size, dtype=bool)
-    repeat[np.unique(keys, return_index=True)[1]] = False  # first occurrences
-    masks = (~ids_ok, ids[:, 0] == ids[:, 1], ~np.isfinite(weights), weights < 0, repeat)
+    the same ordered pair (zero weights count).  Returns the stable order of
+    the rows by (influenced, influencer), the order of the CSR arrays."""
+    ids_ok = ((rows >= 1) & (rows <= n) & (rows == np.floor(rows))
+              & (cols >= 1) & (cols <= n) & (cols == np.floor(cols)))
+    # bad ids get the key of the self-loop (1, 1), so a repeat they cause lands
+    # on a row that already breaks an earlier rule; int64 keys stay exact
+    keys = ((np.where(ids_ok, rows, 1).astype(np.int64) - 1) * n
+            + np.where(ids_ok, cols, 1).astype(np.int64) - 1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeat = np.zeros(keys.size, dtype=bool)  # every occurrence after the first
+    repeat[order[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
+    masks = (~ids_ok, rows == cols, ~np.isfinite(weights), weights < 0, repeat)
     bad = np.flatnonzero(np.logical_or.reduce(masks))
     if bad.size == 0:
-        return
+        return order
     k = int(bad[0])
-    i, j = (int(x) if x.is_integer() else x for x in ids[k].tolist())
+    i, j = (int(x) if x.is_integer() else x for x in (float(rows[k]), float(cols[k])))
     w = float(weights[k])
     error, message = (
         (MalformedLineError, f"agent ids ({i}, {j}) outside 1..{n}"),
@@ -360,10 +367,10 @@ class ValidationReport:
 
 def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
                          tol: float = _DEFAULT_TOL) -> ValidationReport:
-    """Report-only check of the assumptions the closed forms rely on:
-    (i) alpha >= price, (ii) spectral radius below 1 / (delta * (1 + beta))
-    with an explicit margin, (iii) nonnegative finite weights.
-    """
+    """Report-only check of the assumptions the closed forms rely on: (i) alpha
+    >= price, (ii) spectral radius below 1 / (delta * (1 + beta)) with an
+    explicit margin, (iii) nonnegative finite weights.  (i) and (iii) pass
+    here: MarketParams and the edge check refuse a failing one first."""
     bound = params.spectral_bound
     try:
         rho = spectral_radius(graph, tol)
@@ -372,16 +379,13 @@ def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
             raise
         rho = exc.estimate
     margin = bound - rho
-    weights_ok = bool(np.isfinite(graph.matrix.data).all() and (graph.matrix.data >= 0).all())
     checks = (
         ValidationCheck(
-            "alpha_ge_price", params.alpha >= params.price,
-            f"alpha={params.alpha:.12g}, price={params.price:.12g}"),
+            "alpha_ge_price", True, f"alpha={params.alpha:.12g}, price={params.price:.12g}"),
         ValidationCheck(
             "spectral_radius_below_bound", rho < bound,
             f"rho={rho:.12g}, bound={bound:.12g}, margin={margin:.12g}"),
-        ValidationCheck("nonnegative_weights", weights_ok,
-                        f"{graph.edge_count} edges scanned"),
+        ValidationCheck("nonnegative_weights", True, f"{graph.edge_count} edges scanned"),
     )
     return ValidationReport(checks=checks, rho=rho, bound=bound, margin=margin)
 
@@ -427,18 +431,14 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
     if not (np.isfinite(weight) and weight >= 0):
         raise ValueError(f"weight must be a nonnegative real, got {weight}")
     rng = np.random.default_rng(seed)
-    targets, influencers = [np.empty(0)], [np.empty(0)]
-    for j in range(1, n + 1):
+    picks = []  # per agent, positions in the pool of the n - 1 agents other than it
+    for _ in range(n):  # each agent draws its count, then its targets, from one stream
         k = int(rng.integers(0, d + 1))
-        if k == 0:
-            continue
-        # positions in the pool of the n - 1 agents other than j
-        idx = rng.choice(n - 1, size=k, replace=False)
-        targets.append(idx + 1 + (idx >= j - 1))
-        influencers.append(np.full(k, j))
-    rows = np.concatenate(targets)
+        picks.append(rng.choice(n - 1, size=k, replace=False) if k else np.empty(0, np.int64))
+    influencers = np.repeat(np.arange(1, n + 1), [p.size for p in picks])
+    idx = np.concatenate(picks)
     return WeightedDigraph(n, np.column_stack(
-        (rows, np.concatenate(influencers), np.full(rows.size, weight, dtype=float))))
+        (idx + 1 + (idx >= influencers - 1), influencers, np.full(idx.size, weight, dtype=float))))
 
 
 def load_edge_list(path: str | Path) -> WeightedDigraph:
@@ -449,11 +449,14 @@ def load_edge_list(path: str | Path) -> WeightedDigraph:
     ``influenced influencer weight`` (whitespace-separated).  Violations raise
     a distinct error naming the offending line.
 
-    A bulk parser reads well-formed bodies; whenever it or the edge check
+    A bulk parser reads well-formed bodies: a regular file from its path, in
+    large chunks, and a pipe or a name numpy would decompress (.bz2, .gz,
+    .lzma, .xz) from the body read once.  Whenever it or the edge check
     objects, the line-by-line reader, which accepts exactly the same files,
     parses the body again and reports the error.
     """
-    with Path(path).open("r", encoding="utf-8") as handle:
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as handle:
         content = _content_lines(handle, start=1)
         lineno, header = next(content, (1, ""))
         if not header.startswith("n="):
@@ -466,11 +469,18 @@ def load_edge_list(path: str | Path) -> WeightedDigraph:
                 f"header count is not an integer: {header!r}", line=lineno) from None
         if n < 1:
             raise MalformedLineError(f"node count must be positive, got {n}", line=lineno)
-        body = handle.read()  # read once: the path may name a pipe
+        by_path = (path.suffix not in (".bz2", ".gz", ".lzma", ".xz")
+                   and stat.S_ISREG(os.fstat(handle.fileno()).st_mode))
+        body = None if by_path else handle.read()  # read once: the path may name a pipe
     try:
-        return _read_edges_bulk(body, n)
+        return _read_edges_bulk(path, n, skiprows=lineno) if by_path else _read_edges_bulk(body, n)
     except (ValueError, OverflowError, Warning):  # the line loop decides, and names the error
         pass
+    if by_path:  # the body as the read-once route reads it, so a decoding error reads the same
+        with path.open("r", encoding="utf-8") as handle:
+            for _ in zip(range(lineno), handle):
+                pass
+            body = handle.read()
     return _read_edge_lines(n, _content_lines(io.StringIO(body), start=lineno + 1))
 
 
@@ -483,12 +493,15 @@ def _content_lines(lines: Iterable[str], start: int) -> Iterator[tuple[int, str]
 _BULK_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
 
 
-def _read_edges_bulk(body: str, n: int) -> WeightedDigraph:
-    """The graph of the edge lines in ``body``, parsed in C.  Raises on any
-    parse error or warning and on a failed edge check."""
+def _read_edges_bulk(body: str | Path, n: int, skiprows: int = 0) -> WeightedDigraph:
+    """The graph of the edge lines of a string, or of a file after its first
+    ``skiprows`` lines, parsed in C.  Raises on any parse error or warning and
+    on a failed edge check."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = np.loadtxt(io.StringIO(body), comments="#", dtype=_BULK_DTYPE, ndmin=1)
+        rows = np.loadtxt(str(body) if isinstance(body, Path) else io.StringIO(body),
+                          comments="#", dtype=_BULK_DTYPE, ndmin=1, skiprows=skiprows,
+                          encoding="utf-8")
     return WeightedDigraph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
 
 
@@ -517,7 +530,7 @@ def _read_edge_lines(n: int, content: Iterable[tuple[int, str]]) -> WeightedDigr
         return WeightedDigraph(n, edges)
     except EdgeListError:
         # the first offending line wins, whichever check it breaks
-        _check_edges(n, np.reshape(edges, (-1, 3)), lines)
+        _check_edges(n, *np.reshape(edges, (-1, 3)).T, lines)
         raise
 
 
@@ -526,6 +539,10 @@ def save_edge_list(graph: WeightedDigraph, path: str | Path) -> None:
 
     Weights use shortest round-trip decimal form, so load(save(g)) == g.
     """
-    lines = ["# influenced\tinfluencer\tweight", f"n={graph.n}",
-             *(f"{i}\t{j}\t{w!r}" for i, j, w in zip(*graph._edge_lists()))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    matrix = graph.matrix
+    fields = [None] * (3 * matrix.nnz)  # influenced, influencer, weight per row
+    fields[0::3] = np.repeat(np.arange(1, graph.n + 1), np.diff(matrix.indptr)).tolist()
+    fields[1::3] = (matrix.indices + 1).tolist()
+    fields[2::3] = format_distinct(matrix.data, lambda ws: list(map(repr, ws)))
+    text = ("%d\t%d\t%s\n" * matrix.nnz) % tuple(fields)
+    Path(path).write_text(f"# influenced\tinfluencer\tweight\nn={graph.n}\n{text}", "utf-8")

@@ -10,22 +10,24 @@ from pathlib import Path
 import numpy as np
 
 
-_format_real = "{:.17g}".format
+def _format_reals(values: list[float]) -> list[str]:
+    """17-significant-digit decimal form of each value, all in one % call."""
+    return ("%.17g\0" * len(values) % tuple(values)).split("\0")[:-1]
 
 
 def format_real(x: float) -> str:
     """17-significant-digit decimal form (exact round-trip for doubles)."""
-    return _format_real(float(x))
+    return _format_reals([float(x)])[0]
 
 
 def format_distinct(values: np.ndarray, fmt) -> list[str]:
-    """fmt of each entry of a 1-D float64 vector, calling fmt once per
-    distinct value.  Values are keyed by their bits, so -0.0 stays apart
-    from 0.0; an all-distinct vector is formatted entry by entry."""
+    """The texts of the entries of a 1-D float64 vector, from fmt, which maps
+    a list of floats to their texts and gets each distinct value once.
+    Values are keyed by their bits, so -0.0 stays apart from 0.0."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     if bits.size == values.size:
-        return list(map(fmt, values.tolist()))
-    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+        return fmt(values.tolist())
+    texts = np.array(fmt(bits.view(np.float64).tolist()), dtype=object)
     return texts[inverse].tolist()
 
 
@@ -46,7 +48,7 @@ def _emit(obj) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype == np.float64 and np.isfinite(obj).all():
-            return "[" + ", ".join(format_distinct(obj, _format_real)) + "]"
+            return "[" + ", ".join(format_distinct(obj, _format_reals)) + "]"
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         if all(type(v) is int for v in obj):

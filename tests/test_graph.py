@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from seedgame import (AssumptionError, CorePeripheryParams, DuplicateEdgeError,
@@ -269,6 +270,29 @@ class TestBoundedOutDegree:
         assert fast == reference
         assert fast.edges == reference.edges
 
+    @staticmethod
+    def per_agent_family(n, d, weight, seed):
+        """Reference draw: the per-agent loop, with its arrays built inside it."""
+        rng = np.random.default_rng(seed)
+        targets, influencers = [np.empty(0)], [np.empty(0)]
+        for j in range(1, n + 1):
+            k = int(rng.integers(0, d + 1))
+            if k == 0:
+                continue
+            # positions in the pool of the n - 1 agents other than j
+            idx = rng.choice(n - 1, size=k, replace=False)
+            targets.append(idx + 1 + (idx >= j - 1))
+            influencers.append(np.full(k, j))
+        rows = np.concatenate(targets)
+        return WeightedDigraph(n, np.column_stack(
+            (rows, np.concatenate(influencers), np.full(rows.size, weight, dtype=float))))
+
+    @pytest.mark.parametrize("n,d,seed", [(1, 0, 0), (2, 1, 3), (30, 2, 1), (300, 4, 11),
+                                          (3000, 10, 7), (40, 39, 2)])
+    def test_same_edges_as_the_per_agent_loop(self, n, d, seed):
+        assert (generate_bounded_outdegree_family(n, d, 0.1, seed=seed).edges
+                == self.per_agent_family(n, d, 0.1, seed).edges)
+
 
 class TestEdgeListIO:
     def test_load_basic(self, tmp_path):
@@ -403,6 +427,9 @@ class TestEdgeListIO:
         path = tmp_path_factory.mktemp("rt") / "g.edges"
         save_edge_list(graph, path)
         assert load_edge_list(path) == graph
+        assert path.read_text() == "".join(  # the text of writing edge by edge
+            [f"# influenced\tinfluencer\tweight\nn={n}\n",
+             *(f"{i}\t{j}\t{w!r}\n" for i, j, w in graph.edges)])
 
 
 def _outcome(read):
@@ -465,13 +492,14 @@ class TestBulkLoader:
     edges; everything else falls back to the loop, which names the error."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_bodies, st.integers(0, 2), st.sampled_from(("\n", "\r\n", "\r")))
+    @given(_bodies, st.lists(st.sampled_from(("# preamble", "", "# \x1c\x85\u2028")), max_size=2),
+           st.sampled_from(("\n", "\r\n", "\r")))
     def test_fast_path_and_line_loop_agree(self, tmp_path_factory, body, preamble, newline):
         n, lines = body
         path = tmp_path_factory.mktemp("bulk") / "g.edges"
-        text = newline.join(["# preamble"] * preamble + [f"n={n}"] + lines) + newline
+        text = newline.join(preamble + [f"n={n}"] + lines) + newline
         path.write_bytes(text.encode("utf-8"))
-        loaded, looped, bulk = _three_reads(path, n, preamble + 1)
+        loaded, looped, bulk = _three_reads(path, n, len(preamble) + 1)
         assert loaded == looped
         if bulk[0] == n:  # a graph, not an error
             assert bulk == looped
@@ -564,6 +592,61 @@ class TestBulkLoader:
         assert loaded[:2] == (outcome or (graph.n, graph.edges))
 
 
+class TestLoaderRoutes:
+    """A regular file is parsed from its path; a pipe, and a name numpy would
+    decompress by suffix, from the body read once."""
+
+    def test_a_regular_file_reaches_loadtxt_as_a_path(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# preamble\nn=3\n1 2 0.5\n2 3 0.25\n", encoding="utf-8")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            assert load_edge_list(path).edges == ((1, 2, 0.5), (2, 3, 0.25))
+        (call,) = spy.call_args_list
+        assert call.args[0] == str(path) and call.kwargs["skiprows"] == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_reaches_loadtxt_as_its_body(self):
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as sink:  # fits in the pipe's buffer
+            sink.write(b"n=3\n1 2 0.5\n2 3 0.25\n")
+        try:
+            with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+                assert load_edge_list(f"/dev/fd/{read_fd}").edges == ((1, 2, 0.5), (2, 3, 0.25))
+        finally:
+            os.close(read_fd)
+        (call,) = spy.call_args_list
+        assert not isinstance(call.args[0], str)
+
+    def test_plain_text_named_as_compressed_loads(self, tmp_path, cp_graph):
+        from numpy.lib import _datasource  # the suffixes numpy's loadtxt decompresses by
+        suffixes = [suffix for suffix in _datasource._file_openers.keys() if suffix]
+        assert suffixes
+        save_edge_list(cp_graph, tmp_path / "g.edges")
+        (tmp_path / "bad.edges").write_text("n=3\n1 2 0.5\n1 2 0.25\n", encoding="utf-8")
+        for suffix in suffixes:
+            for name in ("g.edges", "bad.edges"):
+                copy = tmp_path / f"{name}{suffix}"
+                copy.write_bytes((tmp_path / name).read_bytes())
+                assert (_outcome(lambda: load_edge_list(copy))
+                        == _outcome(lambda: load_edge_list(tmp_path / name)))
+
+    # the bad byte in the first 8 KB chunk a text handle decodes, and past the second
+    @pytest.mark.parametrize("lines", [0, 3000])
+    def test_an_undecodable_body_reads_as_the_body_read_once(self, tmp_path, capsys, lines):
+        from seedgame import cli
+        path = tmp_path / "g.edges"
+        path.write_bytes(f"# preamble\nn={lines + 2}\n".encode()
+                         + "".join(f"{i} {i + 1} 0.5\n" for i in range(1, lines + 1)).encode()
+                         + b"1 2 0.\xff5\n2 1 0.5\n")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            with open(path, encoding="utf-8") as handle:  # the header, then the rest at once
+                for _ in zip(range(2), handle):
+                    pass
+                handle.read()
+        assert cli.main(["centrality", "--graph", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+
 class TestRepresentation:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 12), st.data())
@@ -582,6 +665,27 @@ class TestRepresentation:
         assert graph.edge_count == sum(1 for e in drawn if e[2] > 0)
         rebuilt = WeightedDigraph.from_matrix(graph.to_dense())
         assert graph == rebuilt and hash(graph) == hash(rebuilt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_csr_arrays_match_scipy_from_coo(self, n, data):
+        """Shuffled rows, zero weights and isolated agents (all of them for
+        the empty graph): the CSR arrays and their dtypes, for the matrix and
+        its transpose, are those scipy builds from the positive-weight triples."""
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+        chosen = data.draw(st.lists(pairs, unique=True, max_size=30))
+        weights = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 10.0)),
+                                     min_size=len(chosen), max_size=len(chosen)))
+        triples = data.draw(st.permutations([(i, j, w) for (i, j), w in zip(chosen, weights)]))
+        graph = WeightedDigraph(n, triples)
+        r, c, w = np.reshape([t for t in triples if t[2] > 0], (-1, 3)).T
+        reference = sp.csr_matrix((w, (r.astype(int) - 1, c.astype(int) - 1)), (n, n))
+        for built, expected in ((graph.matrix, reference),
+                                (graph._transpose, reference.T.tocsr())):
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(built, name), getattr(expected, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert hash(graph) == hash((n, reference.indices.tobytes(), reference.data.tobytes()))
 
     def test_transpose_is_read_only_and_matches(self, cp_graph):
         transpose = cp_graph._transpose

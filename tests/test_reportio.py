@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from seedgame import WeightedDigraph, cli, dumps_report, format_real, reportio, save_edge_list
-from seedgame.reportio import _emit, _format_real, format_distinct
+from seedgame.reportio import _emit, format_distinct
 
 
 def per_value(values) -> str:
@@ -71,8 +71,9 @@ class TestFormatDistinct:
     @given(st.lists(st.sampled_from(DISTINCT_POOL), max_size=40))
     def test_same_strings_as_formatting_each_entry(self, values):
         vector = np.array(values, dtype=np.float64)
-        for fmt in (_format_real, repr):
-            assert format_distinct(vector, fmt) == list(map(fmt, vector.tolist()))
+        for batch, fmt in ((reportio._format_reals, "{:.17g}".format),
+                           (lambda xs: list(map(repr, xs)), repr)):
+            assert format_distinct(vector, batch) == list(map(fmt, vector.tolist()))
 
     def test_out_regular_nash_report_formats_each_distinct_value_once(
             self, tmp_path, monkeypatch):
@@ -81,8 +82,7 @@ class TestFormatDistinct:
                                     for i in range(1, n + 1) for k in range(3)])
         save_edge_list(graph, tmp_path / "ring.edges")
         formatted, reports = [], []
-        monkeypatch.setattr(reportio, "_format_real",
-                            lambda x: formatted.append(x) or "{:.17g}".format(x))
+        count_formats(monkeypatch, formatted)
         write_report = cli.write_report
         monkeypatch.setattr(cli, "write_report",
                             lambda obj, path: reports.append(obj) or write_report(obj, path))
@@ -100,9 +100,16 @@ class TestFormatDistinct:
             dumps_report(as_lists(report))
 
 
+def count_formats(monkeypatch, formatted: list) -> None:
+    """Record in ``formatted`` every value the report formatter formats."""
+    batch = reportio._format_reals
+    monkeypatch.setattr(reportio, "_format_reals",
+                        lambda values: formatted.extend(values) or batch(values))
+
+
 def count_distinct_floats(obj, seen=None) -> int:
-    """Formatter calls a report needs: one per distinct value of each float
-    vector whose contents did not appear earlier in the report, one per
+    """Values the report formatter gets: each distinct value of each float
+    vector whose contents did not appear earlier in the report, and each
     float scalar."""
     seen = set() if seen is None else seen
     if isinstance(obj, np.ndarray):
@@ -124,8 +131,7 @@ class TestRepeatedVectors:
                   "f": np.array([0.0, -0.0]), "g": np.array([-0.0, 0.0])}
         text = dumps_report(as_lists(report))
         formatted = []
-        monkeypatch.setattr(reportio, "_format_real",
-                            lambda x: formatted.append(x) or "{:.17g}".format(x))
+        count_formats(monkeypatch, formatted)
         assert dumps_report(report) == text
         # v once, -v once, the list's v again (it is not a report field), the
         # scalar, and the two zero vectors, whose bits differ
