@@ -65,6 +65,14 @@ run sparsify-bo3000 sparsify --graph bo3000/graph.edges --epsilon-target 0.2 --o
 # stderr and exit code
 run refuse-force centrality --generate "core-periphery:chi=3,m=4,g=1.5" --force --out refuse
 
+# report vectors in the exponent form, with zeros and mixed exponents: on
+# weak edges most of c_cross is below 1e-4 and the agents that influence
+# nobody have 0; with --beta 0 all of c_cross is 0
+run centrality-bo3000-weak centrality --generate "bounded-outdegree:n=3000,d=10,weight=1e-5" \
+    --seed 7 --out weak
+run centrality-bo3000-weak-beta0 centrality --generate "bounded-outdegree:n=3000,d=10,weight=1e-5" \
+    --seed 7 --beta 0 --out weak/beta0
+
 # above 8,192 agents, where each BLAS product over a length-n vector runs on
 # slices of at most 8,192 entries: the 30,000-agent scan graph, and a 20,000-agent
 # bounded-out-degree graph with its Katz vectors and payoffs

@@ -229,7 +229,13 @@ def _load_bundle(config: RunConfig) -> tuple[WeightedDigraph, MarketParams, Path
 
 def _seeding_summary(graph: WeightedDigraph, c_new: np.ndarray,
                      seeding: SeedingPair | None) -> str:
-    order = np.lexsort((np.arange(graph.n), -c_new))[:10]
+    # the top 10 by c_new, ties by ascending id: only the agents not behind
+    # the 10th value are sorted (a NaN stays one, as in a full sort)
+    keys = -c_new
+    candidates = np.arange(graph.n)
+    if graph.n > 10:
+        candidates = np.flatnonzero(~(keys > np.partition(keys, 9)[9]))
+    order = candidates[np.lexsort((candidates, keys[candidates]))[:10]]
     lines = ["top agents by bi-product centrality:"]
     for idx in order:
         line = f"  agent {idx + 1}: c_new={c_new[idx]:.6g}"

@@ -161,17 +161,23 @@ class WeightedDigraph:
     rejected.  The CSR matrix is the only store of the edges (zero weights
     dropped)."""
 
-    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray = ()):
+    def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray = (), *,
+                 _columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+        # _columns: the influenced, influencer and weight columns as 1-D
+        # arrays, ids integer or float, in place of edges (the bulk loader)
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise GraphError(f"node count must be a positive integer, got {n!r}")
-        try:
-            triples = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                                 dtype=float)
-            if triples.shape[1:] != (3,) and triples.shape != (0,):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedLineError("edges must be (i, j, weight) triples") from None
-        rows, cols, weights = np.ascontiguousarray(triples.reshape(-1, 3).T)
+        if _columns is not None:
+            rows, cols, weights = map(np.ascontiguousarray, _columns)
+        else:
+            try:
+                triples = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                                     dtype=float)
+                if triples.shape[1:] != (3,) and triples.shape != (0,):
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                raise MalformedLineError("edges must be (i, j, weight) triples") from None
+            rows, cols, weights = np.ascontiguousarray(triples.reshape(-1, 3).T)
         order = _check_edges(n, rows, cols, weights)
         order = order[weights[order] > 0]  # zero weight: no influence
         counts = np.bincount(rows[order].astype(np.intp) - 1, minlength=n)
@@ -254,8 +260,10 @@ def _check_edges(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
     no self-loop, finite and then nonnegative weight, and no earlier row with
     the same ordered pair (zero weights count).  Returns the stable order of
     the rows by (influenced, influencer), the order of the CSR arrays."""
-    ids_ok = ((rows >= 1) & (rows <= n) & (rows == np.floor(rows))
-              & (cols >= 1) & (cols <= n) & (cols == np.floor(cols)))
+    ids_ok = (rows >= 1) & (rows <= n) & (cols >= 1) & (cols <= n)
+    for ids in (rows, cols):
+        if ids.dtype.kind == "f":  # integer columns (the bulk loader's) are integral
+            ids_ok &= ids == np.floor(ids)
     # bad ids get the key of the self-loop (1, 1), so a repeat they cause lands
     # on a row that already breaks an earlier rule; int64 keys stay exact
     keys = ((np.where(ids_ok, rows, 1).astype(np.int64) - 1) * n
@@ -502,7 +510,7 @@ def _read_edges_bulk(body: str | Path, n: int, skiprows: int = 0) -> WeightedDig
         rows = np.loadtxt(str(body) if isinstance(body, Path) else io.StringIO(body),
                           comments="#", dtype=_BULK_DTYPE, ndmin=1, skiprows=skiprows,
                           encoding="utf-8")
-    return WeightedDigraph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
+    return WeightedDigraph(n, _columns=(rows["i"], rows["j"], rows["w"]))
 
 
 def _read_edge_lines(n: int, content: Iterable[tuple[int, str]]) -> WeightedDigraph:

@@ -3,6 +3,8 @@ digits, preserving dict insertion order.  Repeated runs over identical inputs
 produce byte-identical files."""
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -31,6 +33,145 @@ def format_distinct(values: np.ndarray, fmt) -> list[str]:
     return texts[inverse].tolist()
 
 
+# A report vector is laid out as a uint8 matrix, one row per entry: each row
+# holds every byte any "%.17g" text can have, in _SLOTS order, and a mask row
+# keeps the ones the entry's text has, so one compress of the whole matrix is
+# the text.  Slots: the sign, "0." and three zeros of the fixed form below 1,
+# 17 (digit, point) pairs, "e", the exponent's sign and three digits, ", ".
+_SLOTS = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000, ", dtype=np.uint8)
+_DIGITS, _EXPONENT = 6, 40  # first digit slot, the "e" slot
+# the fast path's range: 10^(16-E) and its low part stay normal doubles
+_FAST_MIN, _FAST_MAX, _E_MAX = 1e-280, 1e280, 281
+_TIE_MARGIN = 1e-9  # the scaled value's error is below 1e-14
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+# fewer distinct values are faster through one % call than through the kernel
+_KERNEL_MIN = 160
+_BLOCK = 16384  # entries per byte matrix
+
+
+@functools.cache
+def _pow10() -> tuple[np.ndarray, np.ndarray]:
+    """10^k for k = 16 - E, E from _E_MAX down to -_E_MAX, as double-double
+    pairs (hi, lo) rounded from the exact rationals 10^k."""
+    hi, lo = [], []
+    for k in range(16 - _E_MAX, 17 + _E_MAX):
+        if k >= 0:
+            power = 10 ** k
+            hi.append(float(power))
+            lo.append(float(power - int(hi[-1])))
+        else:  # int / int rounds correctly
+            power = 10 ** -k
+            hi.append(1 / power)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * power) / (den * power))
+    hi, lo = np.array(hi), np.array(lo)
+    hi.flags.writeable = lo.flags.writeable = False  # shared by every call
+    return hi, lo
+
+
+@functools.cache
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask rows of every text layout and, by E (at _E_MAX - E, as in
+    _pow10), the first row of its layout and the exponent's sign and three
+    digits.  A layout's 34 rows are at 2 * (s - 1) + negative for s
+    significant digits; layout E + 4 is the fixed form (-4 <= E <= 16), 21
+    the exponent form with two exponent digits and 22 with three."""
+    rows = np.zeros((23, 17, 2, _SLOTS.size), dtype=bool)
+    rows[..., -2:] = True  # the separator
+    rows[:, :, 1, 0] = True  # the sign
+    for form in range(23):
+        for s in range(1, 18):
+            row, e, shown = rows[form, s - 1], form - 4, s
+            if form < 4:  # 0.000ddd
+                row[:, 1:2 - e] = True
+            elif form < 21:  # the E + 1 digits before the point, and a point if more follow
+                shown = max(s, e + 1)
+                row[:, _DIGITS + 2 * e + 1] = s > e + 1
+            else:  # d.ddde+XX
+                row[:, _DIGITS + 1] = s > 1
+                row[:, _EXPONENT:_EXPONENT + 5] = True
+                row[:, _EXPONENT + 2] = form == 22
+            row[:, _DIGITS:_DIGITS + 2 * shown:2] = True
+    exponents = range(_E_MAX, -_E_MAX - 1, -1)
+    forms = [e + 4 if -4 <= e <= 16 else 21 if abs(e) < 100 else 22 for e in exponents]
+    signed = b"".join(b"%+04d" % e for e in exponents)
+    rows, first_rows = rows.reshape(-1, _SLOTS.size), 34 * np.array(forms)
+    rows.flags.writeable = first_rows.flags.writeable = False  # shared by every call
+    return rows, first_rows, np.frombuffer(signed, dtype=np.uint8).reshape(-1, 4)
+
+
+def _real_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The "%.17g" text of each entry of a finite float64 vector, followed by
+    ", ", as the rows of a byte matrix and of the mask of the bytes each row
+    keeps.  |x| * 10^(16-E), E = floor(log10|x|), is found in double-double
+    arithmetic and rounded to 17 digits; an entry whose scaled value lies
+    within _TIE_MARGIN of a rounding tie or has not 17 digits before rounding
+    (E was off by one), and a zero, a subnormal or an entry outside
+    [_FAST_MIN, _FAST_MAX], gets Python's own "%.17g"."""
+    size = values.size
+    a = np.abs(values)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    at_e = _E_MAX - np.floor(np.log10(a)).astype(np.intp)  # E's row in the tables
+    hi_table, lo_table = _pow10()
+    hi = hi_table[at_e]
+    # a * (hi + lo) = p + r: p = fl(a * hi), its rounding error exactly (Dekker)
+    p = a * hi
+    big = _SPLIT * a
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    big = _SPLIT * hi
+    b_hi = big - (big - hi)
+    b_lo = hi - b_hi
+    r = (((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+         + a * lo_table[at_e])
+    whole = np.floor(r)
+    frac = r - whole
+    top = p.astype(np.int64) + whole.astype(np.int64)  # p >= 2^53 is integral
+    fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (top >= 10 ** 16) & (top < 10 ** 17 - 1)
+    digits17 = np.where(fast, top + (frac > 0.5), 10 ** 16)
+    halves = np.empty((size, 2), dtype=np.int32)  # 8 and 9 digits
+    halves[:, 0] = digits17 // 10 ** 9
+    halves[:, 1] = digits17 - halves[:, 0].astype(np.int64) * 10 ** 9
+    digits = np.empty((size, 2, 9), dtype=np.uint8)
+    for place in range(8, -1, -1):
+        rest = halves // 10
+        digits[:, :, place] = halves - rest * 10
+        halves = rest
+    digits = digits.reshape(size, 18)[:, 1:]
+    s = 17 - np.argmax(digits[:, ::-1] != 0, axis=1)
+    masks, first_row, exponents = _layouts()
+    keep = masks.take(first_row[at_e] + 2 * s - 2 + (values < 0), axis=0)
+    chars = np.tile(_SLOTS, (size, 1))
+    chars[:, _DIGITS:_EXPONENT:2] = digits + 48
+    chars[:, _EXPONENT + 1:_EXPONENT + 5] = exponents[at_e]
+    for row in np.flatnonzero(~fast).tolist():
+        text = np.frombuffer(b"%.17g" % values[row], dtype=np.uint8)
+        chars[row, :text.size] = text
+        keep[row, :-2] = np.arange(_SLOTS.size - 2) < text.size
+    return chars, keep
+
+
+def _vector_text(values: np.ndarray) -> str:
+    """The report form of a finite 1-D float64 vector, each distinct value
+    (by bits, so -0.0 stays apart from 0.0) formatted once."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if bits.size < _KERNEL_MIN:  # one % call, as for a scalar
+        texts = np.array(_format_reals(bits.view(np.float64).tolist()), dtype=object)
+        return "[" + ", ".join(texts[inverse].tolist()) + "]"
+    if bits.size < values.size:
+        rows = _real_rows(bits.view(np.float64))
+    parts = [b"["]
+    for start in range(0, values.size, _BLOCK):  # the byte matrices stay small
+        if bits.size == values.size:
+            chars, keep = _real_rows(values[start:start + _BLOCK])
+        else:
+            chars, keep = (m.take(inverse[start:start + _BLOCK], axis=0) for m in rows)
+        parts.append(np.compress(keep.ravel(), chars.ravel()).tobytes())
+    parts[-1] = parts[-1][:-2] + b"]"  # no separator after the last entry
+    return b"".join(parts).decode("ascii")
+
+
 def _emit(obj) -> str:
     if obj is None:
         return "null"
@@ -48,10 +189,10 @@ def _emit(obj) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype == np.float64 and np.isfinite(obj).all():
-            return "[" + ", ".join(format_distinct(obj, _format_reals)) + "]"
+            return _vector_text(obj)
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is int for v in obj):
+        if set(map(type, obj)) <= {int}:
             return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -71,7 +212,7 @@ def _indent(obj, level: int, memo: dict) -> str:
         parts = [f"{inner}{json.dumps(k, ensure_ascii=False)}: {_indent(v, level + 1, memo)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)) and len(obj) and any(isinstance(v, dict) for v in obj):
+    if isinstance(obj, (list, tuple)) and any(map(isinstance, obj, itertools.repeat(dict))):
         parts = [f"{inner}{_indent(v, level + 1, memo)}" for v in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     if isinstance(obj, np.ndarray):  # an array repeated in one report is formatted once

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seedgame import load_edge_list
+from seedgame import SeedingPair, WeightedDigraph, load_edge_list
 from seedgame import cli
 from seedgame.cli import build_parser, main
 
@@ -94,6 +94,41 @@ class TestCentrality:
         bad.write_text("n=2\n1 2\n")
         code, _, err = run("centrality", "--graph", str(bad), "--out", str(tmp_path))
         assert code == 1 and "line 2" in err
+
+
+def full_sort_summary(graph, c_new, seeding):
+    """The top-10 summary from a lexsort of every agent."""
+    lines = ["top agents by bi-product centrality:"]
+    for idx in np.lexsort((np.arange(graph.n), -c_new))[:10]:
+        line = f"  agent {idx + 1}: c_new={c_new[idx]:.6g}"
+        if seeding is not None:
+            line += f"  seed_bar={seeding.s_bar[idx]:.6g}  seed_under={seeding.s_under[idx]:.6g}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestSeedingSummary:
+    @pytest.mark.parametrize("values", [
+        # ties straddling the 10th place: six agents share places 8-13
+        [5.0] * 3 + [4.0] * 4 + [3.0] * 6 + [2.0] * 7,
+        # the tied block spread over the ids, after a larger value with a high id
+        [1.0, 2.0] * 10 + [7.0],
+        [0.0] * 25 + [1.0] * 2,
+        [-0.0, 0.0] * 8,
+        [1.0] * 10 + [0.5] * 3,
+        [3.0] * 10,
+        [2.0, 1.0, 3.0],
+        [1.0, np.nan, 2.0, np.nan] * 4,
+        [np.nan] * 12 + [1.0],
+    ])
+    def test_same_text_as_the_full_sort(self, values):
+        rng = np.random.default_rng(len(values))
+        for c_new in (np.array(values), rng.permutation(values)):
+            graph = WeightedDigraph.empty(c_new.size)
+            seeding = SeedingPair(rng.random(c_new.size), rng.random(c_new.size))
+            for pair in (None, seeding):
+                assert cli._seeding_summary(graph, c_new, pair) == \
+                    full_sort_summary(graph, c_new, pair)
 
 
 class TestNash:
@@ -620,11 +655,14 @@ class TestParser:
 class TestImports:
     def test_cli_import_leaves_out_the_lu_and_component_modules(self):
         # scipy.sparse.linalg (the LU fallback) and scipy.sparse.csgraph (a
-        # refusal's spectral radius) load when a command first needs them
+        # refusal's spectral radius) load when a command first needs them;
+        # the report writer's tables of powers of ten are built on first use
         import seedgame
         probe = ("import sys, seedgame.cli; print(sorted(m for m in "
-                 "('scipy.sparse.linalg', 'scipy.sparse.csgraph') if m in sys.modules))")
+                 "('scipy.sparse.linalg', 'scipy.sparse.csgraph', 'fractions') "
+                 "if m in sys.modules), [f.cache_info().currsize for f in "
+                 "(seedgame.reportio._pow10, seedgame.reportio._layouts)])")
         env = {**os.environ, "PYTHONPATH": str(Path(seedgame.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.strip() == "[] [0, 0]"

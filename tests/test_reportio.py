@@ -1,4 +1,5 @@
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,9 +101,14 @@ class TestFormatDistinct:
             dumps_report(as_lists(report))
 
 
-def count_formats(monkeypatch, formatted: list) -> None:
-    """Record in ``formatted`` every value the report formatter formats."""
-    batch = reportio._format_reals
+def count_formats(monkeypatch, formatted: list, kernel_min: int = 1) -> None:
+    """Record in ``formatted`` every value the report formatter formats: the
+    vectors' values the kernel gets, and the values of the one-call batch
+    (scalars, and vectors with fewer than kernel_min distinct values)."""
+    kernel, batch = reportio._real_rows, reportio._format_reals
+    monkeypatch.setattr(reportio, "_KERNEL_MIN", kernel_min)
+    monkeypatch.setattr(reportio, "_real_rows",
+                        lambda values: formatted.extend(values.tolist()) or kernel(values))
     monkeypatch.setattr(reportio, "_format_reals",
                         lambda values: formatted.extend(values) or batch(values))
 
@@ -136,6 +142,17 @@ class TestRepeatedVectors:
         # v once, -v once, the list's v again (it is not a report field), the
         # scalar, and the two zero vectors, whose bits differ
         assert len(formatted) == 3 + 3 + 3 + 1 + 2 + 2
+
+    @pytest.mark.parametrize("kernel_min", [1, 3, 4, 1000])
+    def test_each_distinct_value_once_on_either_path(self, monkeypatch, kernel_min):
+        # v has 3 distinct values: kernel_min 3 or less sends it to the kernel
+        v = np.array([0.1, 0.2, 0.1, 1.0 / 3.0] * 50)
+        report = {"a": v, "b": -v, "c": np.array([0.0, -0.0] * 9)}
+        text = dumps_report(as_lists(report))
+        formatted = []
+        count_formats(monkeypatch, formatted, kernel_min)
+        assert dumps_report(report) == text
+        assert len(formatted) == 3 + 3 + 2
 
     def test_equal_bytes_of_another_dtype_or_shape_are_not_shared(self):
         v = np.arange(4.0)
@@ -174,3 +191,117 @@ class TestIdLists:
     ])
     def test_same_text_as_element_by_element(self, items, text):
         assert _emit(items) == text == per_element(items)
+
+
+def kernel_text(values) -> str:
+    """The kernel's text of a float64 vector, each entry formatted."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return ""
+    chars, keep = reportio._real_rows(values)
+    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode("ascii")[:-2]
+
+
+def percent_text(values) -> str:
+    return ", ".join("%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def with_neighbours(values) -> np.ndarray:
+    """The values, both signs, and the doubles one ulp either side."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate((values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)))
+    values = values[np.isfinite(values)]
+    return np.concatenate((values, -values))
+
+
+def exact_ties() -> list[tuple[float, int]]:
+    """Pairs (x, d) with x = (2N + 1) / (2 * 10^d) a double and N of 17
+    digits, so %.17g must round x * 10^d = N + 1/2 half to even: x = q /
+    2^(d + 1) with q = (2N + 1) / 5^d odd and below 2^53."""
+    ties = []
+    for d in range(1, 25):
+        low, high = -(-2 * 10 ** 16 // 5 ** d), min(2 * 10 ** 17 // 5 ** d, 2 ** 53)
+        rng = np.random.default_rng(d)
+        for q in {low, high - 1, *rng.integers(low, high, 20).tolist()}:
+            if low <= q | 1 < high:
+                ties.append(((q | 1) / 2 ** (d + 1), d))
+    return ties
+
+
+class TestRealKernel:
+    """The vector kernel gives exactly the bytes of "%.17g" % v per entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 60),
+                  elements=st.floats(allow_nan=False, allow_infinity=False,
+                                     allow_subnormal=True)))
+    def test_hypothesis_arrays(self, values):
+        assert kernel_text(values) == percent_text(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(1912)
+        values = rng.integers(-2 ** 63, 2 ** 63, 200_000, dtype=np.int64,
+                              endpoint=False).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert kernel_text(values) == percent_text(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        values = with_neighbours([float(f"1e{k}") for k in range(-323, 309)])
+        assert kernel_text(values) == percent_text(values)
+
+    def test_ties(self):
+        ties = exact_ties()
+        assert len(ties) > 300
+        for x, d in ties:  # each one is a tie at 17 digits
+            scaled = Fraction(x) * 10 ** d
+            assert scaled.denominator == 2 and 10 ** 16 <= scaled < 10 ** 17
+        # half to even rounds both down and up
+        assert {(Fraction(x) * 10 ** d).numerator // 2 % 2 for x, d in ties} == {0, 1}
+        values = with_neighbours([x for x, _ in ties])
+        assert kernel_text(values) == percent_text(values)
+
+    def test_short_decimals(self):
+        values = with_neighbours([m * 10.0 ** k for m in (5, 15, 25, 125)
+                                  for k in range(-320, 306)]
+                                 + [float(f"{m}e{k}") for m in (5, 15, 25, 125)
+                                    for k in range(-326, 306)])
+        assert kernel_text(values) == percent_text(values)
+
+    def test_mixed_exponents_and_signs(self):
+        rng = np.random.default_rng(7)
+        size = 50_000
+        values = (rng.random(size) * 10.0 ** rng.integers(-320, 308, size)
+                  * rng.choice([-1.0, 1.0], size))
+        values[rng.integers(0, size, 500)] = 0.0
+        values[rng.integers(0, size, 500)] = -0.0
+        values[rng.integers(0, size, 500)] = rng.random(500) * 10.0 ** rng.integers(-8, 20, 500)
+        assert kernel_text(values) == percent_text(values)
+
+    @pytest.mark.parametrize("value,text", [
+        (1e-280, "9.9999999999999996e-281"),
+        (1.0000000000000001e-280, "1.0000000000000001e-280"),
+        (1e16, "10000000000000000"), (1e17, "1e+17"), (0.0001, "0.0001"),
+        (0.00001, "1.0000000000000001e-05"), (123456789.125, "123456789.125"),
+        (-2.5, "-2.5"), (1e100, "1e+100"), (-1.5e-100, "-1.5e-100"),
+        (-1.1e-100, "-1.0999999999999999e-100"),
+    ])
+    def test_layouts(self, value, text):
+        assert kernel_text([value]) == "%.17g" % value == text
+
+    @pytest.mark.parametrize("size", [1, -1, 0, 1000])
+    @pytest.mark.parametrize("distinct", [1, 2, -1, 0, 1000])
+    def test_report_vectors_either_side_of_the_cutoff(self, size, distinct):
+        # -1 and 0 stand for one below the cutoff and the cutoff itself
+        size, distinct = (reportio._KERNEL_MIN + k if k < 1 else k for k in (size, distinct))
+        rng = np.random.default_rng(size + distinct)
+        values = rng.random(distinct) * 10.0 ** rng.integers(-30, 30, distinct)
+        vector = rng.permutation(np.resize(values, size))
+        assert _emit(vector) == per_value(vector.tolist()) == "[" + percent_text(vector) + "]"
+
+    @pytest.mark.parametrize("block", [1, 7, 300, 16384])
+    def test_report_vectors_in_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(reportio, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        values = rng.random(300) * 10.0 ** rng.integers(-30, 30, 300)
+        for vector in (values, values[rng.integers(0, 300, 1001)]):
+            assert _emit(vector) == "[" + percent_text(vector) + "]"
