@@ -96,3 +96,20 @@ run centrality-bo3000-gz centrality --graph copies/graph.edges.gz --out copies/g
 run centrality-bo3000-crlf centrality --graph copies/crlf.edges --out copies/crlf
 { cat bo3000/graph.edges; sed -n 3p bo3000/graph.edges; } > copies/duplicate.edges
 run centrality-bo3000-duplicate centrality --graph copies/duplicate.edges --out copies/duplicate
+
+# a weighted 200-cycle (agent i listens to agent i % 200 + 1, weights in
+# [0.5, 1.1], rho ~ 0.80), which its own centrality solve admits, and the
+# same cycle scaled to delta * (1 + beta) * rho = 1.2 under --force
+mkdir -p cycle
+"${PYTHON:-python3}" - <<'PY'
+import numpy as np
+weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)
+scaled = weights * (1.2 / (0.75 * np.exp(np.log(weights).mean())))
+for name, ws in (("cycle/cycle.edges", weights), ("cycle/scaled.edges", scaled)):
+    with open(name, "w") as handle:
+        handle.write("n=200\n" + "".join(f"{i} {i % 200 + 1} {float(w)!r}\n"
+                                          for i, w in enumerate(ws, start=1)))
+PY
+run centrality-cycle200 centrality --graph cycle/cycle.edges --out cycle
+run nash-cycle200 nash --graph cycle/cycle.edges --out cycle
+run refuse-cycle200 centrality --graph cycle/scaled.edges --force --out cycle/refuse

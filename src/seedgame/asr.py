@@ -16,11 +16,9 @@ import numpy as np
 
 from .centrality import CentralityBundle, biproduct_centrality
 from .game import SeedSet, epsilon_for_sets
-from .graph import (AssumptionError, CorePeripheryParams, MarketParams,
+from .graph import (_DEFAULT_TOL, AssumptionError, CorePeripheryParams, MarketParams,
                     WeightedDigraph, generate_bounded_outdegree_family,
                     generate_core_periphery)
-
-_DEFAULT_TOL = 1e-10
 
 # Verdict heuristics for finite schedules (no asymptotic claim implied).
 DECAY_SLOPE_THRESHOLD = -0.5

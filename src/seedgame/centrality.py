@@ -7,6 +7,7 @@ difference is the cross-product (spillover) component.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -14,10 +15,9 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (AssumptionError, MarketParams, WeightedDigraph,
-                    _as_readonly, ensure_assumptions, spectral_radius)
+from .graph import (_DEFAULT_TOL, AssumptionError, MarketParams, WeightedDigraph,
+                    _as_readonly, _radius_against, validate_assumptions)
 
-_DEFAULT_TOL = 1e-10
 DIRECT_SOLVE_MAX_N = 2000  # largest system factored up front (prefactor)
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
@@ -207,24 +207,43 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
     return x, residual
 
 
+def _admit(graph: WeightedDigraph, attenuation: float, tol: float,
+           params: MarketParams | None = None) -> tuple[np.ndarray, float] | None:
+    """Admit the graph at attenuation or raise AssumptionError: on the lowest
+    Collatz-Wielandt bound an earlier Katz solve left on it, else on that of
+    the Katz solve at attenuation, run here and returned (None when it did not
+    run or failed), else on the spectral radius: validate_assumptions for a
+    market, and the same bracket rule against 1 / attenuation without one."""
+    solved = None
+    if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
+        with contextlib.suppress(RuntimeError):  # a SolverError or a singular LU
+            solved = _katz_with_residual(graph, attenuation, tol)
+    if attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
+        return solved
+    if params is not None:
+        report = validate_assumptions(graph, params, tol)
+        if not report.passed:
+            names = ", ".join(c.name for c in report.failures())
+            raise AssumptionError(
+                f"model assumptions violated ({names}):\n{report.summary()}",
+                rho=report.rho, bound=report.bound, report=report)
+    elif attenuation * (rho := _radius_against(graph, 1.0 / attenuation, tol)) >= 1.0:
+        raise AssumptionError(  # rho > 0 here, as attenuation is finite
+            f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
+            f"is not below 1; the walk series diverges", rho=rho, bound=1.0 / rho)
+    return solved
+
+
 def katz_bonacich(graph: WeightedDigraph, attenuation: float,
                   tol: float = _DEFAULT_TOL) -> np.ndarray:
     """Katz-Bonacich centrality (I - attenuation * G^T)^{-1} 1.
 
-    Refuses when attenuation * spectral_radius(G) >= 1 (run only when the
-    solve does not certify admission).  Every entry is at least 1 (the empty walk).
+    Refuses when attenuation * spectral_radius(G) >= 1 (decided by _admit).
+    Every entry is at least 1 (the empty walk).
     """
     if not (np.isfinite(attenuation) and attenuation >= 0):
         raise ValueError(f"attenuation must be a nonnegative real, got {attenuation}")
-    try:
-        x, _ = _katz_with_residual(graph, attenuation, tol)
-    finally:  # on a refusal the AssumptionError replaces any solve error
-        if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
-            rho = spectral_radius(graph, tol)
-            if attenuation * rho >= 1.0:
-                raise AssumptionError(  # rho > 0 here, as attenuation is finite
-                    f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
-                    f"is not below 1; the walk series diverges", rho=rho, bound=1.0 / rho)
+    x, _ = _admit(graph, attenuation, tol) or _katz_with_residual(graph, attenuation, tol)
     return _as_readonly(x)
 
 
@@ -232,17 +251,15 @@ def biproduct_centrality(graph: WeightedDigraph, params: MarketParams,
                          tol: float = _DEFAULT_TOL) -> CentralityBundle:
     """Both attenuated solves plus their average and half difference.
 
-    The solve at delta*(1+beta) comes first and admits the graph through
-    ensure_assumptions (at the same tolerance), whose AssumptionError
-    carries the validation report.  With beta = 0 the two attenuations
-    coincide, one solve is reused, and c_cross is exactly zero.
+    The solve at delta*(1+beta) comes first and admits the graph (_admit, at
+    the same tolerance); a refusal's AssumptionError carries the validation
+    report.  With beta = 0 the two attenuations coincide, one solve is
+    reused, and c_cross is exactly zero.
     """
     att_low = params.delta * (1.0 - params.beta)
     att_high = params.delta * (1.0 + params.beta)
-    try:
-        b, res_b = _katz_with_residual(graph, att_high, tol)
-    finally:  # on a refusal the AssumptionError replaces any solve error
-        ensure_assumptions(graph, params, tol)
+    b, res_b = (_admit(graph, att_high, tol, params)
+                or _katz_with_residual(graph, att_high, tol))
     if params.beta == 0.0:
         a, res_a = b, res_b
     else:

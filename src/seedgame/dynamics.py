@@ -11,17 +11,17 @@ a certified bound on the omitted mass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import (MarketParams, WeightedDigraph, _as_readonly, _check_id,
-                    ensure_assumptions)
+from .centrality import _admit
+from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _as_readonly, _check_id
 from .reportio import format_distinct
 
 _DEFAULT_TAIL_TOL = 1e-10
-_DEFAULT_TOL = 1e-10
 _MAX_AUTO_HORIZON = 10_000_000
 
 
@@ -149,30 +149,27 @@ def _tail_certificate(graph: WeightedDigraph, params: MarketParams,
     """Certified bound on sum_{k > T} delta^k ||x(k)||_inf.
 
     Per-entry growth is controlled by mu = (1 + beta) * max weighted
-    in-degree: ||x(k+1)||_inf <= (alpha - price) + mu ||x(k)||_inf.  When
-    mu < 1 the trajectory is capped by a steady-state bound; when only
-    delta * mu < 1 the geometric growth is absorbed into the discounting.
+    in-degree: ||x(k)||_inf <= mu^k x0 + (alpha - price) sum_{j<k} mu^j.  While
+    delta * mu < 1 this sums over k > T to x0 g + (alpha - price) (d + delta g)
+    / (1 - delta), g = (delta mu)^(T+1) / (1 - delta mu) and d = delta^(T+1)
+    sum_{j<=T} mu^j = (delta^(T+1) - (delta mu)^(T+1)) / (1 - mu).
     """
     delta = params.delta
     base = params.alpha - params.price
     mu = (1.0 + params.beta) * (float(graph.in_degrees.max()) if graph.edge_count else 0.0)
     x0 = max(float(seeding.s_bar.max()), float(seeding.s_under.max()))
     t1 = horizon + 1
-    if mu < 1.0:
-        cap = max(x0, base / (1.0 - mu)) if mu > 0 else max(x0, base)
-        return delta ** t1 / (1.0 - delta) * cap
     gamma = delta * mu
     if gamma >= 1.0:
         raise TailCertificationError(
             f"cannot certify the truncation: delta * (1 + beta) * max in-degree "
             f"= {gamma:.6g} >= 1")
-    geo_gamma = gamma ** t1 / (1.0 - gamma)
-    if mu == 1.0:
-        # ||x(k)||_inf <= x0 + k * base
-        k_tail = delta ** t1 * (t1 * (1.0 - delta) + delta) / (1.0 - delta) ** 2
-        return x0 * delta ** t1 / (1.0 - delta) + base * k_tail
-    # ||x(k)||_inf <= mu^k x0 + base (mu^k - 1) / (mu - 1)
-    return x0 * geo_gamma + base / (mu - 1.0) * (geo_gamma - delta ** t1 / (1.0 - delta))
+    g = gamma ** t1 / (1.0 - gamma)
+    # d from its larger end, max(delta, delta mu)^(T+1) (1 - r^(T+1)) / |1 - mu|
+    # for r = min(mu, 1 / mu): no cancellation near mu = 1, no overflow
+    log_r = -abs(math.log(mu)) if mu > 0.0 else -math.inf
+    d = max(delta, gamma) ** t1 * (t1 if mu == 1.0 else -math.expm1(t1 * log_r) / abs(1.0 - mu))
+    return x0 * g + base * (d + delta * g) / (1.0 - delta)
 
 
 def auto_horizon(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
@@ -204,12 +201,12 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
              store_states: bool = True, tol: float = _DEFAULT_TOL) -> Trajectory:
     """Run the best-response dynamics from the given seedings.
 
-    The model assumptions are validated at tol first.  With horizon=None the
+    The graph is admitted at tol first (centrality._admit).  With horizon=None the
     horizon is chosen so the certified tail bound drops to tail_tol.  States
     are stored unless store_states=False (sums-only streaming for large
     runs); discounted sums always cover k = 1..horizon.
     """
-    ensure_assumptions(graph, params, tol)
+    _admit(graph, params.delta * (1.0 + params.beta), tol, params)
     if seeding.n != graph.n:
         raise ValueError(f"seeding has {seeding.n} agents, graph has {graph.n}")
     if horizon is None:

@@ -21,11 +21,10 @@ from typing import Iterable
 import numpy as np
 
 from . import centrality
-from .centrality import CentralityBundle, _AttenuatedSystem, _dot, biproduct_centrality
+from .centrality import (CentralityBundle, _admit, _AttenuatedSystem, _dot,
+                         biproduct_centrality)
 from .dynamics import SeedingPair
-from .graph import MarketParams, WeightedDigraph, _check_id, ensure_assumptions
-
-_DEFAULT_TOL = 1e-10
+from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _check_id
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class DiscountedSolver:
 
     def __init__(self, graph: WeightedDigraph, params: MarketParams,
                  tol: float = _DEFAULT_TOL):
-        ensure_assumptions(graph, params, tol)
+        _admit(graph, params.delta * (1.0 + params.beta), tol, params)
         self.graph = graph
         self.params = params
         self.tol = tol
@@ -279,15 +278,10 @@ def restricted_nash_seeding(params: MarketParams, bundle: CentralityBundle,
                        s_under=params.price * c * set_under.indicator())
 
 
-def _tau(params: MarketParams, bundle: CentralityBundle, own_mask: np.ndarray) -> float:
-    c2 = bundle.c_new ** 2
-    numerator = float(c2[~own_mask].sum())
-    kappa = (params.delta * (params.alpha - params.price)
-             / (2.0 * params.price * (1.0 - params.delta)))
-    denominator = kappa * float(bundle.b.sum()) + float(c2[own_mask].sum())
-    if denominator == 0.0:
-        return float("inf") if numerator > 0.0 else 0.0
-    return numerator / denominator
+def _kappa(params: MarketParams) -> float:
+    """The weight of 1'b in tau's denominator."""
+    return (params.delta * (params.alpha - params.price)
+            / (2.0 * params.price * (1.0 - params.delta)))
 
 
 def epsilon_for_sets(graph: WeightedDigraph, params: MarketParams,
@@ -306,27 +300,26 @@ def epsilon_for_sets(graph: WeightedDigraph, params: MarketParams,
         if s.n != graph.n:
             raise ValueError(f"{label} is over {s.n} agents, graph has {graph.n}")
     bundle = _require_bundle(graph, params, bundle, tol)
-    mask_bar = set_bar.mask()
-    mask_under = set_under.mask()
-    tau_bar = _tau(params, bundle, mask_bar)
-    tau_under = _tau(params, bundle, mask_under)
-
-    candidate = restricted_nash_seeding(params, bundle, set_bar, set_under)
-    payoff_a, payoff_b = firm_utility(graph, params, candidate, bundle=bundle, tol=tol)
-    gain_a = best_response_gain(graph, params, set_bar, bundle=bundle, tol=tol)
-    gain_b = best_response_gain(graph, params, set_under, bundle=bundle, tol=tol)
-    exact_a = gain_a / payoff_a.net if payoff_a.net > 0.0 else None
-    exact_b = gain_b / payoff_b.net if payoff_b.net > 0.0 else None
-
     c2 = bundle.c_new ** 2
     total = float(c2.sum())
+    base = _kappa(params) * float(bundle.b.sum())
+    candidate = restricted_nash_seeding(params, bundle, set_bar, set_under)
+    payoffs = firm_utility(graph, params, candidate, bundle=bundle, tol=tol)
+    taus, exacts, residuals = [], [], []
+    for own_set, payoff in zip((set_bar, set_under), payoffs):
+        mask = own_set.mask()
+        outside = float(c2[~mask].sum())
+        denominator = base + float(c2[mask].sum())
+        taus.append(outside / denominator if denominator != 0.0
+                    else float("inf") if outside > 0.0 else 0.0)
+        gain = 0.5 * params.price ** 2 * outside  # best_response_gain
+        exacts.append(gain / payoff.net if payoff.net > 0.0 else None)
+        residuals.append(outside / total)
     return EpsilonReport(
         set_bar=set_bar, set_under=set_under,
-        tau_bar=tau_bar, tau_under=tau_under,
-        epsilon_paper=max(tau_bar, tau_under),
-        epsilon_exact_a=exact_a, epsilon_exact_b=exact_b,
-        residual_bar=float(c2[~mask_bar].sum()) / total,
-        residual_under=float(c2[~mask_under].sum()) / total)
+        tau_bar=taus[0], tau_under=taus[1], epsilon_paper=max(taus),
+        epsilon_exact_a=exacts[0], epsilon_exact_b=exacts[1],
+        residual_bar=residuals[0], residual_under=residuals[1])
 
 
 def check_epsilon_target(epsilon_target: float) -> None:
@@ -364,9 +357,7 @@ def sparsify(graph: WeightedDigraph, params: MarketParams, epsilon_target: float
     """
     check_epsilon_target(epsilon_target)
     bundle = _require_bundle(graph, params, bundle, tol)
-    kappa = (params.delta * (params.alpha - params.price)
-             / (2.0 * params.price * (1.0 - params.delta)))
-    chosen = _greedy_prefix(bundle.c_new ** 2, kappa * float(bundle.b.sum()),
+    chosen = _greedy_prefix(bundle.c_new ** 2, _kappa(params) * float(bundle.b.sum()),
                             epsilon_target)
     seed_set = SeedSet.of((chosen + 1).tolist(), graph.n)
     report = epsilon_for_sets(graph, params, seed_set, seed_set, bundle=bundle, tol=tol)

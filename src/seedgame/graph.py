@@ -345,6 +345,17 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
     return float(min(best, cap))
 
 
+def _radius_against(graph: WeightedDigraph, bound: float, tol: float) -> float:
+    """spectral_radius, or the estimate of a power iteration that ran out of
+    steps with its bracket at or above bound; a straddling bracket re-raises."""
+    try:
+        return spectral_radius(graph, tol)
+    except PowerIterationError as exc:
+        if exc.lower < bound:
+            raise
+        return exc.estimate
+
+
 @dataclass(frozen=True)
 class ValidationCheck:
     name: str
@@ -380,12 +391,7 @@ def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
     explicit margin, (iii) nonnegative finite weights.  (i) and (iii) pass
     here: MarketParams and the edge check refuse a failing one first."""
     bound = params.spectral_bound
-    try:
-        rho = spectral_radius(graph, tol)
-    except PowerIterationError as exc:  # a bracket above the bound still fails (ii)
-        if exc.lower < bound:
-            raise
-        rho = exc.estimate
+    rho = _radius_against(graph, bound, tol)
     margin = bound - rho
     checks = (
         ValidationCheck(
@@ -396,20 +402,6 @@ def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
         ValidationCheck("nonnegative_weights", True, f"{graph.edge_count} edges scanned"),
     )
     return ValidationReport(checks=checks, rho=rho, bound=bound, margin=margin)
-
-
-def ensure_assumptions(graph: WeightedDigraph, params: MarketParams,
-                       tol: float = _DEFAULT_TOL) -> None:
-    """validate_assumptions, raising AssumptionError when any check fails.  A Katz
-    solve's certified bound below the model's admits at once (the rest hold by construction)."""
-    if graph._rho_cache.get("upper", np.inf) < params.spectral_bound:
-        return
-    report = validate_assumptions(graph, params, tol)
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failures())
-        raise AssumptionError(
-            f"model assumptions violated ({names}):\n{report.summary()}",
-            rho=report.rho, bound=report.bound, report=report)
 
 
 def generate_core_periphery(params: CorePeripheryParams) -> WeightedDigraph:

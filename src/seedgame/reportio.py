@@ -215,10 +215,13 @@ def _indent(obj, level: int, memo: dict) -> str:
     if isinstance(obj, (list, tuple)) and any(map(isinstance, obj, itertools.repeat(dict))):
         parts = [f"{inner}{_indent(v, level + 1, memo)}" for v in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, np.ndarray):  # an array repeated in one report is formatted once
+    if isinstance(obj, np.ndarray):  # an array or id list repeated in a report is formatted once
         key = (obj.dtype.str, obj.shape, obj.tobytes())
-        return memo[key] if key in memo else memo.setdefault(key, _emit(obj))
-    return _emit(obj)
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) <= {int}:
+        key = tuple(obj)  # exact ints only: True would hash as 1
+    else:
+        return _emit(obj)
+    return memo[key] if key in memo else memo.setdefault(key, _emit(obj))
 
 
 def dumps_report(obj: dict) -> str:

@@ -9,9 +9,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
-from seedgame import (AssumptionError, MarketParams, SolverError, WeightedDigraph,
-                      biproduct_centrality, katz_bonacich, neumann_oracle,
-                      neumann_tail_bound)
+from seedgame import (AssumptionError, DiscountedSolver, MarketParams, SeedingPair,
+                      SolverError, TailCertificationError, WeightedDigraph,
+                      biproduct_centrality, discounted_consumption, katz_bonacich,
+                      neumann_oracle, neumann_tail_bound, simulate)
 import seedgame.centrality as centrality_mod
 import seedgame.graph as graph_mod
 from seedgame.centrality import _DOT_CHUNK, _dot, certified_neumann_series
@@ -194,9 +195,18 @@ def _scaled_digraph(n: int, density: float, seed: int, c_rho: float,
     return weights, rho
 
 
+# every entry point that admits a graph, as a call on a graph and a market
+ENTRY_POINTS = {
+    "katz_bonacich": lambda g, m: katz_bonacich(g, m.delta * (1.0 + m.beta)),
+    "simulate": lambda g, m: simulate(g, m, SeedingPair.zeros(g.n), horizon=5),
+    "DiscountedSolver": DiscountedSolver,
+    "discounted_consumption": lambda g, m: discounted_consumption(g, m, SeedingPair.zeros(g.n)),
+}
+
+
 class TestAdmissionCertificate:
-    """biproduct_centrality admits a graph from the Collatz-Wielandt bound
-    of its delta*(1+beta) solve and refuses the rest through validation."""
+    """Every entry point admits a graph from the Collatz-Wielandt bound of a
+    delta*(1+beta) solve and refuses the rest through validation."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 25), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
@@ -243,6 +253,35 @@ class TestAdmissionCertificate:
             assert exc.report is not None and not exc.report.passed
         else:
             pytest.fail("inadmissible graph admitted")
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 25), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.999))
+    def test_every_entry_point_admits_with_a_certified_bound(self, entry, n, density,
+                                                             seed, c_rho):
+        weights, rho = _scaled_digraph(n, density, seed, c_rho, 0.75)
+        assume(rho > 1e-6)
+        graph = WeightedDigraph.from_matrix(weights)
+        with mock.patch.object(graph_mod, "_power_iteration",
+                               side_effect=AssertionError("a spectral radius ran")):
+            try:
+                ENTRY_POINTS[entry](graph, MarketParams(2.0, 1.0, 0.5, 0.5))
+            except TailCertificationError:  # raised past admission, by the tail bound
+                assert entry == "simulate"
+        assert rho - 1e-12 <= graph._rho_cache["upper"] < 1.0 / 0.75
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 25), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1),
+           st.floats(1.001, 2.0))
+    def test_every_entry_point_refuses_an_inadmissible_graph(self, entry, n, density,
+                                                             seed, c_rho):
+        weights, rho = _scaled_digraph(n, density, seed, c_rho, 0.75)
+        assume(rho > 1e-6)
+        graph = WeightedDigraph.from_matrix(weights)
+        with pytest.raises(AssumptionError):
+            ENTRY_POINTS[entry](graph, MarketParams(2.0, 1.0, 0.5, 0.5))
 
 
 class TestNeumann:

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seedgame import SeedingPair, WeightedDigraph, load_edge_list
+from seedgame import (AssumptionError, DiscountedSolver, SeedingPair, WeightedDigraph,
+                      discounted_consumption, katz_bonacich, load_edge_list, simulate)
 from seedgame import cli
 from seedgame.cli import build_parser, main
+
+from conftest import MARKET
 
 CP_SPEC = "core-periphery:chi=3,m=4,g=0.5"
 
@@ -355,6 +358,21 @@ def weighted_cycle(n, low, high, seed):
     return low + (high - low) * np.random.default_rng(seed).random(n)
 
 
+def consumption_by_spsolve(graph, params, seeding):
+    """Discounted sums (y_bar, y_under) from one sparse solve of the 2n system
+    (I - delta M) y = r 1 + delta M s, M = [[G, beta G], [beta G, G]],
+    r = delta (alpha - price) / (1 - delta)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    m = sp.kron(np.array([[1.0, params.beta], [params.beta, 1.0]]), graph.matrix,
+                format="csc")
+    r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
+    s = np.concatenate([seeding.s_bar, seeding.s_under])
+    y = spla.spsolve(sp.identity(2 * graph.n, format="csc") - params.delta * m,
+                     r + params.delta * (m @ s))
+    return y[:graph.n], y[graph.n:]
+
+
 class TestWeightedCycles:
     """Admissible weighted cycles, on which the power iteration does not
     converge in its budget, answer: the Katz solve certifies them."""
@@ -385,6 +403,22 @@ class TestWeightedCycles:
         code, _, err = run(*argv, "--graph", str(cycle), "--out", str(tmp_path))
         assert code == 0, err
 
+    @pytest.mark.parametrize("entry", ["simulate", "DiscountedSolver",
+                                       "discounted_consumption"])
+    def test_library_calls_answer_on_a_fresh_graph(self, cycle, entry):
+        graph = load_edge_list(cycle)  # no centrality solve has run on it
+        seeding = SeedingPair(np.linspace(0.0, 1.0, graph.n), np.full(graph.n, 0.5))
+        slack = 0.0
+        if entry == "simulate":
+            trajectory = simulate(graph, MARKET, seeding)
+            sums, slack = trajectory.discounted_sums, trajectory.tail_bound
+        elif entry == "DiscountedSolver":
+            sums = DiscountedSolver(graph, MARKET).consumption(seeding)
+        else:
+            sums = discounted_consumption(graph, MARKET, seeding)
+        for got, want in zip(sums, consumption_by_spsolve(graph, MARKET, seeding)):
+            assert np.allclose(got, want, rtol=1e-8, atol=slack)
+
 
 class TestRefusals:
     """Inadmissible graphs, and admissible graphs the program cannot answer
@@ -411,6 +445,16 @@ class TestRefusals:
         report = read_json(tmp_path / "validation.json")
         assert report["passed"] is False
         assert report["rho"] == pytest.approx(1.6, rel=1e-2)
+
+    def test_katz_on_an_inadmissible_cycle_is_an_assumption_failure(self):
+        # the power iteration runs out of steps with its bracket above 1 / 0.75
+        weights = weighted_cycle(*TestWeightedCycles.CYCLES["cycle200"])
+        weights *= 1.2 / (0.75 * np.exp(np.log(weights).mean()))
+        graph = WeightedDigraph(200, [(i + 1, (i + 1) % 200 + 1, float(w))
+                                      for i, w in enumerate(weights)])
+        with pytest.raises(AssumptionError, match="is not below 1") as info:
+            katz_bonacich(graph, 0.75)
+        assert info.value.rho == pytest.approx(1.6, rel=1e-2)
 
 
 class TestNearCritical:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seedgame import (ConsumptionState, CorePeripheryParams, DiscountedSolver,
-                      SeedingPair, TailCertificationError, Trajectory,
+                      MarketParams, SeedingPair, TailCertificationError, Trajectory,
                       WeightedDigraph, agent_utility, auto_horizon,
                       best_response_step, generate_bounded_outdegree_family,
                       generate_core_periphery, nash_seeding, simulate,
                       write_trajectory_csv)
+from seedgame.dynamics import _tail_certificate
 
 from conftest import MARKET
 
@@ -189,6 +190,77 @@ class TestTailCertification:
         g = WeightedDigraph(2, [(1, 2, 1.7), (2, 1, 0.9)])
         with pytest.raises(TailCertificationError):
             simulate(g, MARKET, SeedingPair.zeros(2))
+
+
+def _tail_case(delta: float, mu: float, x0: float, base: float):
+    """A graph, market and seeding on which _tail_certificate sees exactly
+    these delta, mu, x0 and alpha - price: beta = 0 and one edge of weight mu."""
+    graph = WeightedDigraph(2, [(1, 2, mu)]) if mu > 0.0 else WeightedDigraph.empty(2)
+    params = MarketParams(alpha=1.0 + base, price=1.0, beta=0.0, delta=delta)
+    return graph, params, SeedingPair(np.array([x0, 0.0]), np.zeros(2))
+
+
+def _bound_partial_sum(delta: float, mu: float, x0: float, base: float,
+                       horizon: int, terms: int) -> float:
+    """sum_{T < k <= T + terms} delta^k (mu^k x0 + base sum_{j<k} mu^j), one
+    term at a time in extended precision: c_k = delta^k sum_{j<k} mu^j
+    follows c_{k+1} = delta^(k+1) + delta mu c_k."""
+    d, m = np.longdouble(delta), np.longdouble(mu)
+    gamma = d * m
+    delta_k, gamma_k, c_k = np.longdouble(1.0), np.longdouble(1.0), np.longdouble(0.0)
+    total = np.longdouble(0.0)
+    for k in range(1, horizon + terms + 1):
+        c_k = d * delta_k + gamma * c_k
+        delta_k *= d
+        gamma_k *= gamma
+        if k > horizon:
+            total += gamma_k * np.longdouble(x0) + np.longdouble(base) * c_k
+    return float(total)
+
+
+@st.composite
+def tail_cases(draw):
+    """delta, mu in [0, 1 / delta) with delta * mu <= 0.99 (mu exactly 0
+    and exactly 1 among them), x0, alpha - price and a horizon."""
+    delta = draw(st.floats(0.05, 0.95))
+    mu = draw(st.one_of(st.just(0.0), st.just(1.0),
+                        st.floats(0.0, 0.99 / delta, exclude_max=True)))
+    level = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    return delta, mu, draw(level), draw(level), draw(st.integers(1, 300))
+
+
+class TestTailFormula:
+    """_tail_certificate is the closed form of sum_{k > T} delta^k
+    (mu^k x0 + (alpha - price) sum_{j<k} mu^j) on either side of mu = 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tail_cases())
+    @example((0.5, 1.0 - 1e-9, 0.0, 1.0, 1))  # 1 - mu^(T+1) cancels here
+    @example((0.5, 1.0 + 1e-9, 0.0, 1.0, 1))
+    def test_matches_the_partial_sums(self, case):
+        delta, mu, x0, base, horizon = case
+        # the terms fall at least as fast as k max(delta, delta mu)^k; the
+        # first must be a normal float for a relative error to mean anything
+        ratio = max(delta, delta * mu)
+        assume(ratio ** (horizon + 1) > 1e-290)
+        graph, params, seeding = _tail_case(delta, mu, x0, base)
+        base = params.alpha - params.price  # as rounded in the market
+        bound = _tail_certificate(graph, params, seeding, horizon)
+        terms = int(np.ceil(np.log(1e-22) / np.log(ratio))) + 2 * horizon + 100
+        exact = _bound_partial_sum(delta, mu, x0, base, horizon, terms)
+        assert bound == pytest.approx(exact, rel=1e-12, abs=0.0)
+        if mu < 1.0:  # no looser than the steady-state cap it replaces
+            cap = max(x0, base / (1.0 - mu)) if mu > 0 else max(x0, base)
+            assert bound <= delta ** (horizon + 1) / (1.0 - delta) * cap * (1.0 + 1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.05, 0.95), st.floats(1.0, 3.0), st.integers(1, 300))
+    def test_refuses_without_contraction(self, delta, excess, horizon):
+        mu = excess / delta
+        assume(delta * mu >= 1.0)
+        graph, params, seeding = _tail_case(delta, mu, 1.0, 1.0)
+        with pytest.raises(TailCertificationError, match="cannot certify the truncation"):
+            _tail_certificate(graph, params, seeding, horizon)
 
 
 class TestTrajectoryCsv:

@@ -159,6 +159,30 @@ class TestRepeatedVectors:
         report = {"v": v, "i": v.view(np.int64), "m": v.reshape(2, 2)}
         assert dumps_report(report) == dumps_report(as_lists(report))
 
+    def test_a_repeated_id_list_is_formatted_once(self, monkeypatch):
+        ids = list(range(1, 3873))
+        # sparsify's layout: one set under "sets" and again under "epsilon"
+        report = {"sets": {"bar": ids, "under": list(ids)},
+                  "epsilon": {"sets": {"bar": tuple(ids), "under": ids}, "tau": 0.25},
+                  "flags": [True, 1], "ones": [1, 1], "again": (1, 1)}
+        unshared = reportio._indent(report, 0, NoMemo()) + "\n"
+        emitted = []
+        emit = reportio._emit
+        monkeypatch.setattr(reportio, "_emit", lambda obj: emitted.append(obj) or emit(obj))
+        assert dumps_report(report) == unshared
+        # the ids once, [True, 1] (True is no int id), and [1, 1] once
+        assert [len(obj) for obj in emitted if isinstance(obj, (list, tuple))] == [3872, 2, 2]
+
+
+class NoMemo(dict):
+    """A memo that never holds anything: every value is formatted again."""
+
+    def __contains__(self, key):
+        return False
+
+    def setdefault(self, key, value):
+        return value
+
 
 def as_lists(obj):
     if isinstance(obj, np.ndarray):
