@@ -132,8 +132,14 @@ class _AttenuatedSystem:
     def _direct(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         x = self._lu.solve(rhs)
         for step in range(3):
-            residual_vec = rhs - (x - self.coeff * (self.matrix @ x))
-            residual = float(np.abs(residual_vec).max())
+            # rhs - (x - coeff * (matrix @ x)) in place, on one C-ordered copy
+            # of SuperLU's Fortran-ordered x (a matvec would copy it again)
+            x_c = np.array(x, order="C")
+            residual_vec = self.matrix @ x_c
+            residual_vec *= self.coeff
+            np.subtract(x_c, residual_vec, out=residual_vec)
+            np.subtract(rhs, residual_vec, out=residual_vec)
+            residual = float(np.abs(residual_vec, out=x_c).max())
             if residual <= self.tol:
                 self.method, self.iterations = "lu", step
                 return x, residual

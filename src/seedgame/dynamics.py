@@ -86,6 +86,14 @@ class ConsumptionState:
         if self.k < 0:
             raise ValueError(f"period index must be nonnegative, got {self.k}")
 
+    @classmethod
+    def _unchecked(cls, x_bar: np.ndarray, x_under: np.ndarray, k: int) -> "ConsumptionState":
+        """A state from two finite, nonnegative vectors of one length, made
+        read-only without the checks."""
+        state = object.__new__(cls)
+        state.__dict__.update(x_bar=_as_readonly(x_bar), x_under=_as_readonly(x_under), k=k)
+        return state
+
     @property
     def n(self) -> int:
         return self.x_bar.shape[0]
@@ -130,17 +138,21 @@ def agent_utility(i: int, x: float, state: ConsumptionState,
     return (params.alpha - params.price) * x - 0.5 * x * x + x * social
 
 
+def _step(x_bar: np.ndarray, x_under: np.ndarray, graph: WeightedDigraph,
+          params: MarketParams) -> tuple[np.ndarray, np.ndarray]:
+    base = params.alpha - params.price
+    matrix = graph.matrix
+    g_bar = matrix @ x_bar
+    g_under = matrix @ x_under
+    return base + g_bar + params.beta * g_under, base + g_under + params.beta * g_bar
+
+
 def best_response_step(state: ConsumptionState, graph: WeightedDigraph,
                        params: MarketParams) -> ConsumptionState:
     """One simultaneous best-response update of both consumption profiles."""
     if state.n != graph.n:
         raise ValueError(f"state has {state.n} agents, graph has {graph.n}")
-    base = params.alpha - params.price
-    matrix = graph.matrix
-    g_bar = matrix @ state.x_bar
-    g_under = matrix @ state.x_under
-    x_bar = base + g_bar + params.beta * g_under
-    x_under = base + g_under + params.beta * g_bar
+    x_bar, x_under = _step(state.x_bar, state.x_under, graph, params)
     return ConsumptionState(x_bar=x_bar, x_under=x_under, k=state.k + 1)
 
 
@@ -213,18 +225,23 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
         horizon = auto_horizon(graph, params, seeding, tail_tol)
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    state = ConsumptionState(x_bar=seeding.s_bar, x_under=seeding.s_under, k=0)
-    states = [state] if store_states else []
+    # the states stay nonnegative, as the seeds, weights and alpha - price
+    # are, so they are built without ConsumptionState's checks; an overflow
+    # shows in the sums
+    x_bar, x_under = seeding.s_bar, seeding.s_under
+    states = [ConsumptionState(x_bar=x_bar, x_under=x_under, k=0)] if store_states else []
     acc_bar = np.zeros(graph.n)
     acc_under = np.zeros(graph.n)
     discount = 1.0
-    for _ in range(horizon):
-        state = best_response_step(state, graph, params)
+    for k in range(1, horizon + 1):
+        x_bar, x_under = _step(x_bar, x_under, graph, params)
         discount *= params.delta
-        acc_bar += discount * state.x_bar
-        acc_under += discount * state.x_under
+        acc_bar += discount * x_bar
+        acc_under += discount * x_under
         if store_states:
-            states.append(state)
+            states.append(ConsumptionState._unchecked(x_bar, x_under, k))
+    if not (np.isfinite(acc_bar).all() and np.isfinite(acc_under).all()):
+        raise ValueError(f"consumption overflows within horizon {horizon}")
     tail = _tail_certificate(graph, params, seeding, horizon)
     return Trajectory(states=tuple(states),
                       discounted_bar=_as_readonly(acc_bar),

@@ -16,7 +16,7 @@ full discounted-consumption solve as an independent oracle for the checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -115,7 +115,9 @@ class DiscountedSolver:
     materialized.  Both systems serve any number of right-hand sides; up to
     DIRECT_SOLVE_MAX_N agents each is factored once with a sparse LU, so the
     oracle checks the centralities' Anderson iteration with a direct solve.
-    net_payoffs_a prices a block of seedings with one solve per system.
+    net_payoffs_a prices a block of seedings with one solve per system;
+    nash_deviation_check shares one matvec between the systems' right-hand
+    sides and keeps only the column sums of the solutions.
     """
 
     def __init__(self, graph: WeightedDigraph, params: MarketParams,
@@ -374,8 +376,15 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
 
     Candidates mix local perturbations of the optimum, global uniform draws,
     and sparse profiles; they are generated by a seeded generator and
-    evaluated through the full linear solve in batches, so the check is
-    deterministic in (graph, params, samples, seed).  A caller holding a
+    evaluated through the full linear solve in blocks of
+    solver.block_columns, so the check is deterministic in (graph, params,
+    samples, seed).  Each block takes one G @ block matvec, shared by the
+    right-hand sides 2 r + q_plus (G s + G star) and q_minus (G s - G star)
+    of the two systems (G star is formed once), and each system's solve
+    certifies every candidate's full right-hand side to tol.  A candidate s
+    is priced from column sums only, price * (1's + 1'(u + v) / 2) - s's / 2;
+    on the LU path each sum runs over its own column in one order, so its
+    payoff does not depend on the block width.  A caller holding a
     DiscountedSolver for the same graph, market and tol passes it as solver.
     """
     if samples < 1:
@@ -389,29 +398,67 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     seeding_star = SeedingPair(s_bar=star.copy(), s_under=star.copy())
     net_star = _net_pair(solver, params, seeding_star)
 
-    rng = np.random.default_rng(seed)
-    n = graph.n
-    scale = params.price * float(bundle.c_new.max())
     p = params.price
-
-    # Whichever firm deviates, its own discounted consumption is the first
-    # firm's against the Nash seeding, so one evaluation loop serves both.
+    g_star = (graph.matrix @ star)[:, None]
+    width = solver.block_columns
+    block_buffer = np.empty(graph.n * width)
     worst = -np.inf
-    for firm_net_star in net_star:
-        thirds = samples // 3
-        local = np.clip(star[:, None] + 0.25 * scale * rng.standard_normal((n, thirds)),
-                        0.0, None)
-        uniform = 2.0 * scale * rng.random((n, thirds))
-        sparse = 2.0 * scale * rng.random((n, samples - 2 * thirds))
-        sparse *= rng.random(sparse.shape) < 0.3
-        candidates = np.hstack([local, uniform, sparse])
-        for start in range(0, candidates.shape[1], solver.block_columns):
-            block = candidates[:, start:start + solver.block_columns]
-            y_dev, _ = solver._consumption(block, star[:, None])
-            net_dev = (p * (block.sum(axis=0) + y_dev.sum(axis=0))
-                       - 0.5 * (block ** 2).sum(axis=0))
-            worst = max(worst, float((net_dev - firm_net_star).max()))
+    # Whichever firm deviates, its own discounted consumption is the first
+    # firm's against the Nash seeding, so one evaluation serves both.
+    for firm, part in _deviation_candidates(np.random.default_rng(seed), star,
+                                            p * float(bundle.c_new.max()), samples):
+        # seeded period minus seeding cost, each summed over a whole column
+        payoffs = p * part.sum(axis=0) - 0.5 * np.einsum("ij,ij->j", part, part)
+        for start in range(0, part.shape[1], width):
+            columns = part[:, start:start + width]
+            block = block_buffer[:columns.size].reshape(columns.shape)
+            np.copyto(block, columns)
+            # the block's buffer takes the plus system's right-hand side
+            g_block = graph.matrix @ block
+            rhs = np.add(g_block, g_star, out=block)
+            rhs *= solver._q_plus
+            rhs += 2.0 * solver._r
+            u, _ = solver._plus.solve(rhs)
+            g_block -= g_star
+            g_block *= solver._q_minus
+            v, _ = solver._minus.solve(g_block)
+            u += v  # y_bar = (u + v) / 2
+            # the LU path's solutions are Fortran-ordered, so each column sum
+            # runs over that column alone, in one order at any width
+            payoffs[start:start + width] += 0.5 * p * u.sum(axis=0)
+        worst = max(worst, float(np.max(payoffs - net_star[firm], initial=-np.inf)))
     return worst
+
+
+def _deviation_candidates(rng: np.random.Generator, star: np.ndarray, scale: float,
+                          samples: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Each firm's sampled deviations in turn, as (firm, part) for an (n, k)
+    part drawn in place into one array that the next part overwrites:
+    samples // 3 local perturbations of star, as many uniform draws on
+    [0, 2 scale), and the rest sparse draws that keep each entry with
+    probability 0.3."""
+    n, thirds = star.shape[0], samples // 3
+    store = np.empty(n * (samples - 2 * thirds))  # the largest part
+    sparse = store.reshape(n, samples - 2 * thirds)
+    mask = np.empty((max(1, centrality._STACK_SIZE // sparse.shape[1]), sparse.shape[1]))
+    for firm in (0, 1):
+        local = store[:n * thirds].reshape(n, thirds)
+        rng.standard_normal(out=local)
+        local *= 0.25 * scale
+        local += star[:, None]
+        yield firm, np.maximum(local, 0.0, out=local)
+        uniform = store[:n * thirds].reshape(n, thirds)
+        rng.random(out=uniform)
+        uniform *= 2.0 * scale
+        yield firm, uniform
+        rng.random(out=sparse)
+        sparse *= 2.0 * scale
+        # the mask continues the stream row by row, so drawing it a few rows
+        # at a time gives the numbers one draw of sparse's shape gives
+        for row in range(0, n, mask.shape[0]):
+            rows = sparse[row:row + mask.shape[0]]
+            rows *= rng.random(out=mask[:rows.shape[0]]) < 0.3
+        yield firm, sparse
 
 
 def _net_pair(solver: DiscountedSolver, params: MarketParams,

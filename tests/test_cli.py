@@ -627,6 +627,24 @@ class TestVerify:
         assert len(checks) == 6
         assert checks["analytic_core_periphery_matches_solve"] is True
 
+    def test_benchmark_spec_prints_its_pinned_lines(self, tmp_path):
+        # the fixed suite's verify-cp30 entry, byte for byte
+        code, out, err = run("verify", "--generate", "core-periphery:chi=10,m=30,g=0.5",
+                             "--samples", "2000", "--seed", "101", "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out == (
+            "PASS  input: simulation_matches_closed_form "
+            "(max gap 5.821e-11, tail bound 5.821e-11)\n"
+            "PASS  input: gradient_matches_finite_differences "
+            "(worst relative gap 2.785e-09 at h=0.0001)\n"
+            "PASS  input: nash_deviations_never_gain "
+            "(best sampled gain -5.345e+02 over 2000 deviations)\n"
+            "PASS  input: centrality_matches_walk_series (max gap 1.126e-12)\n"
+            "PASS  input: edge_list_round_trip (300 edges)\n"
+            "PASS  input: analytic_core_periphery_matches_solve "
+            "(worst relative gap 0.000e+00)\n"
+            "all checks passed (6/6)\n")
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_needs_at_least_one_sample(self, tmp_path, samples):
         code, out, err = run("verify", "--samples", samples, "--out", str(tmp_path))

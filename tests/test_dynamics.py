@@ -148,6 +148,41 @@ class TestSimulate:
                 assert state.x_bar.min() >= 0, name
                 assert state.x_under.min() >= 0, name
 
+    @pytest.mark.parametrize("graph", [
+        generate_core_periphery(CorePeripheryParams(chi=3, m=4, g=0.5)),
+        generate_bounded_outdegree_family(200, 4, 0.1, seed=5),
+    ], ids=["core-periphery-3x4", "bounded-outdegree-200"])
+    def test_same_bits_as_a_loop_of_best_response_steps(self, graph):
+        seeding = nash_like_pair(graph.n, np.random.default_rng(13))
+        traj = simulate(graph, MARKET, seeding)
+        state = ConsumptionState(seeding.s_bar, seeding.s_under, k=0)
+        states = [state]
+        acc_bar, acc_under = np.zeros(graph.n), np.zeros(graph.n)
+        discount = 1.0
+        for _ in range(traj.horizon):
+            state = best_response_step(state, graph, MARKET)
+            discount *= MARKET.delta
+            acc_bar += discount * state.x_bar
+            acc_under += discount * state.x_under
+            states.append(state)
+        assert [s.k for s in traj.states] == [s.k for s in states]
+        for got, want in zip(traj.states, states):
+            assert got.x_bar.tobytes() == want.x_bar.tobytes()
+            assert got.x_under.tobytes() == want.x_under.tobytes()
+            assert not (got.x_bar.flags.writeable or got.x_under.flags.writeable)
+        assert traj.discounted_bar.tobytes() == acc_bar.tobytes()
+        assert traj.discounted_under.tobytes() == acc_under.tobytes()
+
+    def test_overflowing_states_are_refused(self):
+        # the 2-cycle of weight 1.3 is admitted (delta * (1 + beta) * rho =
+        # 0.975) but its states grow as 1.95^k and overflow near k = 1060
+        g = WeightedDigraph(2, [(1, 2, 1.3), (2, 1, 1.3)])
+        assert np.isfinite(simulate(g, MARKET, SeedingPair.zeros(2), horizon=1000)
+                           .discounted_bar).all()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflows within horizon 1100"):
+            simulate(g, MARKET, SeedingPair.zeros(2), horizon=1100)
+
 
 class TestTailCertification:
     def test_auto_horizon_meets_target(self, test_suite):

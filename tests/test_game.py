@@ -257,6 +257,80 @@ class TestDiscountedSolver:
         assert patched_net.tobytes() == net.tobytes()
         assert patched_gain == gain
 
+    @staticmethod
+    def reference_deviation_gain(graph, samples, seed):
+        """The check's candidates drawn as whole arrays and priced one
+        seeding at a time through DiscountedSolver.consumption."""
+        bundle = biproduct_centrality(graph, MARKET)
+        solver = DiscountedSolver(graph, MARKET)
+        p, n = MARKET.price, graph.n
+        star = p * bundle.c_new
+        net_star = solver.gross_revenues(SeedingPair(star, star))[0] - 0.5 * float(star @ star)
+        scale = p * float(bundle.c_new.max())
+        rng = np.random.default_rng(seed)
+        worst = -np.inf
+        for _ in range(2):
+            thirds = samples // 3
+            local = np.clip(star[:, None] + 0.25 * scale * rng.standard_normal((n, thirds)),
+                            0.0, None)
+            uniform = 2.0 * scale * rng.random((n, thirds))
+            sparse = 2.0 * scale * rng.random((n, samples - 2 * thirds))
+            sparse *= rng.random(sparse.shape) < 0.3
+            for column in np.hstack([local, uniform, sparse]).T:
+                s = column.copy()
+                y_bar, _ = solver.consumption(SeedingPair(s, star))
+                net = p * (s.sum() + y_bar.sum()) - 0.5 * float(s @ s)
+                worst = max(worst, net - net_star)
+        return worst
+
+    @pytest.mark.parametrize("graph", [
+        WeightedDigraph(2, [(1, 2, 0.5)]),
+        generate_core_periphery(CorePeripheryParams(chi=3, m=4, g=0.5)),
+    ], ids=["two-agent-chain", "core-periphery-3x4"])
+    @pytest.mark.parametrize("samples", [1, 2, 7, 61])
+    def test_deviation_gain_matches_single_seeding_pricing(self, graph, samples):
+        gain = nash_deviation_check(graph, MARKET, samples=samples, seed=9)
+        assert abs(gain - self.reference_deviation_gain(graph, samples, 9)) <= 1e-9
+
+    def test_width_one_remainders_change_no_bits(self, monkeypatch):
+        # 9 samples make three parts of 3 candidates: one block each at the
+        # default width, blocks of 2 and 1 at width 2
+        import seedgame.centrality as centrality_mod
+        graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
+        bundle = biproduct_centrality(graph, MARKET)
+        wide = DiscountedSolver(graph, MARKET)
+        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", 2 * graph.n)
+        narrow = DiscountedSolver(graph, MARKET)
+        assert (wide.block_columns, narrow.block_columns) == (218, 2)
+        for seed in range(8):
+            gains = [nash_deviation_check(graph, MARKET, samples=9, seed=seed,
+                                          bundle=bundle, solver=solver)
+                     for solver in (wide, narrow)]
+            assert gains[0] == gains[1], seed
+
+    def test_every_candidate_goes_through_the_solve(self, monkeypatch, cp_graph):
+        # blocks of 5 columns: each part of 83 or 84 candidates ends in a
+        # shorter block
+        import seedgame.centrality as centrality_mod
+        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", 60)
+        bundle = biproduct_centrality(cp_graph, MARKET)
+        solver = DiscountedSolver(cp_graph, MARKET)
+        assert solver.block_columns == 5
+        columns = {id(solver._plus): 0, id(solver._minus): 0}
+        solve = centrality_mod._AttenuatedSystem.solve
+
+        def counted(self, rhs):
+            columns[id(self)] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
+            return solve(self, rhs)
+
+        monkeypatch.setattr(centrality_mod._AttenuatedSystem, "solve", counted)
+        samples = 250
+        nash_deviation_check(cp_graph, MARKET, samples=samples, seed=2, bundle=bundle,
+                             solver=solver)
+        # the Nash reference is symmetric, so it skips the difference system
+        assert columns == {id(solver._plus): 2 * samples + 1,
+                           id(solver._minus): 2 * samples}
+
     def test_deviation_check_wants_a_sample(self, cp_graph):
         for samples in (0, -5):
             with pytest.raises(ValueError, match="samples must be at least 1"):
