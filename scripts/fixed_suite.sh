@@ -82,6 +82,10 @@ run generate-bo20000 generate --generate "bounded-outdegree:n=20000,d=10,weight=
     --seed 7 --out bo20000
 run centrality-bo20000 centrality --graph bo20000/graph.edges --out bo20000
 run epsilon-bo20000 epsilon --graph bo20000/graph.edges --sets 1,2,3 --out bo20000/epsilon
+# seed 4 draws a word that numpy's Lemire sampler rejects inside one agent's
+# targets, so the generator's bulk draw hands that agent to numpy
+run generate-bo20000-seed4 generate --generate "bounded-outdegree:n=20000,d=10,weight=0.1" \
+    --seed 4 --out bo20000s4
 
 # the edge-list loader's routes: a regular file is parsed from its path, a
 # pipe and a name numpy would decompress by suffix from the body read once

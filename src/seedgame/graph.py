@@ -420,7 +420,23 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
                                       seed: int) -> WeightedDigraph:
     """Random graph in which every agent influences at most d others, each
     with the same weight, so weighted out-degrees never exceed d * weight.
-    Deterministic in (n, d, weight, seed).
+
+    Determinism: the graph depends only on (n, d, weight, seed) and on the
+    raw output of numpy's PCG64 bit generator seeded with ``seed``.  It is
+    the graph of the per-agent loop
+
+        rng = np.random.default_rng(seed)
+        for agent in 1..n:
+            k = rng.integers(0, d + 1)
+            picks = rng.choice(n - 1, size=k, replace=False)
+
+    in which agent ``a`` influences the agents at positions ``picks`` of the
+    ascending list of the n - 1 agents other than ``a``.  The draws are made
+    in bulk from PCG64's 32-bit words, so the graph rests on how numpy turns
+    those words into ``integers`` and ``choice`` draws.  The tests compare it
+    with the loop on the installed numpy; numpy 1.24, the oldest release the
+    package allows, is left to the minimum-versions CI job and is unverified
+    until that job runs.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -430,15 +446,192 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
         raise ValueError(f"d={d} exceeds the {n - 1} available targets")
     if not (np.isfinite(weight) and weight >= 0):
         raise ValueError(f"weight must be a nonnegative real, got {weight}")
-    rng = np.random.default_rng(seed)
-    picks = []  # per agent, positions in the pool of the n - 1 agents other than it
-    for _ in range(n):  # each agent draws its count, then its targets, from one stream
-        k = int(rng.integers(0, d + 1))
-        picks.append(rng.choice(n - 1, size=k, replace=False) if k else np.empty(0, np.int64))
-    influencers = np.repeat(np.arange(1, n + 1), [p.size for p in picks])
-    idx = np.concatenate(picks)
-    return WeightedDigraph(n, np.column_stack(
-        (idx + 1 + (idx >= influencers - 1), influencers, np.full(idx.size, weight, dtype=float))))
+    agents, idx = _outdegree_draws(n, d, seed)
+    return WeightedDigraph(n, _columns=(idx + 1 + (idx >= agents), agents + 1,
+                                        np.full(idx.size, weight, dtype=float)))
+
+
+# numpy's Generator.choice(pool, k, replace=False) shuffles the tail of the
+# whole pool, instead of running Floyd's algorithm, for pools above this size
+# when k > pool // 50
+_TAIL_SHUFFLE_POOL = 10_000
+# Agents with more picks than this are drawn by numpy in sequence: the bulk
+# draw's per-agent cost grows with its matrix width, numpy's barely with k.
+# Below 201, the fewest picks that take the tail-shuffle branch.
+_BULK_K = 64
+_WINDOW = 4096  # agents in a window at most
+
+
+def _lemire(words: np.ndarray, bound: np.ndarray,
+            threshold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's draws on [0, bound) from 32-bit words, as numpy makes them:
+    the value ``(w * bound) >> 32``, and whether numpy rejects the word (the
+    low half of ``w * bound`` below ``threshold`` = 2**32 mod bound) and
+    draws again from the next one.  int64 holds the product while
+    bound < 2**31."""
+    product = words * bound
+    return product >> 32, (product & 0xFFFFFFFF) < threshold
+
+
+def _floyd(values: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Floyd's picks from draws ``values[:, t]`` on [0, low + t]: draw t keeps
+    its value unless an earlier pick holds it, and then picks low + t.
+
+    An earlier pick holds the value when an earlier draw had it, or when the
+    value is low + s for an earlier draw s that was itself displaced.  So
+    draw t is displaced if a draw on its chain t -> value - low -> ... had a
+    value that an earlier draw had; in the rows with a repeated value the
+    chains are followed by pointer doubling, in about log2(k) steps."""
+    width = values.shape[1]
+    cols = np.arange(width)
+    ranked = np.sort(values * width + cols, axis=1)  # by value, then by draw
+    repeat = ranked[:, 1:] // width == ranked[:, :-1] // width
+    hit = np.flatnonzero(repeat.any(axis=1))
+    if hit.size == 0:
+        return values
+    offset = np.arange(0, hit.size * width, width)[:, None]
+    displaced = np.zeros(hit.size * width, dtype=bool)
+    displaced[(ranked[hit, 1:] % width + offset).ravel()] = repeat[hit].ravel()
+    back = values[hit] - low[hit, None]
+    back = (np.where((back >= 0) & (back < cols), back, cols) + offset).ravel()  # a chain ends on itself
+    while True:
+        displaced |= displaced[back]
+        jumped = back[back]
+        if np.array_equal(jumped, back):
+            break
+        back = jumped
+    values = values.copy()
+    values[hit] = np.where(displaced.reshape(hit.size, width), low[hit, None] + cols, values[hit])
+    return values
+
+
+def _place(bitgen: np.random.PCG64, state: dict, words: np.ndarray, p: int) -> None:
+    """Put ``bitgen`` at word ``p`` of ``words``, the 32-bit stream read from
+    ``state``: numpy's buffered high half first, if it holds one, then each
+    64-bit output low half first, as its next_uint32 hands them out."""
+    fresh = p - state["has_uint32"]  # words taken from outputs after state
+    bitgen.state = state
+    bitgen.advance((fresh + 1) // 2)
+    if fresh % 2:  # word p is the high half of the last output taken
+        placed = bitgen.state
+        placed["has_uint32"], placed["uinteger"] = 1, int(words[p])
+        bitgen.state = placed
+
+
+def _numpy_draw(rng: np.random.Generator, pool: int, d: int) -> np.ndarray:
+    """One agent's picks as the loop draws them, by numpy's own calls."""
+    return rng.choice(pool, size=rng.integers(0, d + 1), replace=False)
+
+
+def _position(bitgen: np.random.PCG64) -> tuple[int, int, int]:
+    """Where ``bitgen`` is in its stream: its state and buffered half, if any."""
+    state = bitgen.state
+    return state["state"]["state"], state["has_uint32"], state["uinteger"] * state["has_uint32"]
+
+
+def _outdegree_draws(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``generate_bounded_outdegree_family``'s loop, made in bulk:
+    the 0-based agent and the pool position of every pick, in no set order.
+
+    From its first word an agent spends: one Lemire draw on [0, d] for its
+    count k; k Floyd draws on [0, j] for j = n-1-k .. n-2 (no word on
+    [0, 0]); then k - 1 shuffle draws on [0, i], i = k-1 .. 1, whose values
+    the sorted CSR does not see.  On choice's tail-shuffle branch it spends
+    k draws on [0, n-2] .. [0, n-1-k] instead.  A window of words is read
+    from one bit generator state; one pass over Python ints follows the
+    chain of agents' first words through it, and the draws of its agents
+    with at most _BULK_K picks are taken as one matrix.
+
+    A rejected word shifts the rest of the stream.  So a window ends at the
+    first agent whose count word, or a word in its matrix row, is rejected,
+    and at an agent whose words run past the window's.  numpy's own
+    ``integers`` and ``choice`` draw that agent from the bit generator
+    placed at its first word, and the next window starts from the state they
+    leave.  Runs of agents with more picks are drawn in sequence by numpy
+    from a second bit generator placed at the run's first word.  If it does
+    not end at the word the chain expects, a word in the run was rejected,
+    and the next window starts from its state.
+    """
+    agents, picks = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    if d == 0:  # integers(0, 1) spends no word and every count is 0
+        return agents[0], picks[0]
+    pool = n - 1
+    tail_k = pool // 50 if pool > _TAIL_SHUFFLE_POOL else d  # a larger k shuffles a tail
+    width = min(d, _BULK_K)
+    # Lemire thresholds 2**32 mod R: for the count (R = d + 1), for the Floyd
+    # draws (R = n-width .. n+width-1) and for the final shuffle's (R = 0 ..
+    # width, where R <= 1 never rejects)
+    count_threshold = (1 << 32) % (d + 1)
+    floyd_threshold = (1 << 32) % np.arange(n - width, n + width)
+    shuffle_threshold = (1 << 32) % np.maximum(np.arange(width + 1), 1)
+    # A rejection, about one in 2**34 / (d * n) agents, ends a window and
+    # wastes the rest of it, while each window costs a fixed numpy overhead:
+    # windows of a fraction of that run, within a fixed memory budget.
+    window = max(1, min(_WINDOW, (1 << 20) // width, (1 << 32) // (d * n)))
+    size = window * (d + 2)  # words read per window; an agent averages under d + 1
+    cols = np.arange(width)
+    bitgen, side = np.random.PCG64(seed), np.random.PCG64(seed)
+    rng, side_rng = np.random.Generator(bitgen), np.random.Generator(side)
+    done = 0
+    while done < n:
+        state = bitgen.state
+        # low half first on any byte order, as next_uint32 hands them out; the
+        # matrix rows of the window's last agents read up to 2 * d words on
+        words = bitgen.random_raw(size // 2 + d + 1).astype("<u8", copy=False).view(
+            "<u4").astype(np.uint32, copy=False)
+        if state["has_uint32"]:
+            words = np.concatenate(([np.uint32(state["uinteger"])], words))
+        limit = min(window, n - done)
+        starts, counts = [], []
+        p, stream, scale = 0, memoryview(words), d + 1
+        for _ in range(limit):
+            product = stream[p] * scale
+            k = product >> 32
+            end = p + 1 + k - (k == pool) + (k - 1 if 0 < k <= tail_k else 0)
+            if product & 0xFFFFFFFF < count_threshold or end > size:
+                break
+            starts.append(p)
+            counts.append(k)
+            p = end
+        starts.append(p)
+        ks = np.array(counts, dtype=np.intp)
+        rows = np.flatnonzero(ks <= _BULK_K)  # the agents drawn from the matrix
+        kr = ks[rows, None]
+        # draw col on [0, n-1-k+col]; the draw on [0, 0] (k = n - 1) spends no word
+        first = np.array(starts[:-1], dtype=np.intp)[rows, None] + 1 - (kr == pool)
+        bound = cols - kr + width  # R - (n - width)
+        values, rejected = _lemire(words[first + cols], bound + (n - width),
+                                   floyd_threshold[bound])
+        bad = (rejected & (cols < kr)).any(axis=1)
+        # the final shuffle's draws on [0, R), R = k .. 2
+        bound = np.maximum(kr - cols[:-1], 0)
+        bad |= _lemire(words[first + kr + cols[:-1]], bound, shuffle_threshold[bound])[1].any(axis=1)
+        b = int(rows[np.argmax(bad)]) if bad.any() else len(counts)
+        resume = None
+        edges = np.flatnonzero(np.diff(ks[:b] > _BULK_K, prepend=False, append=False)).tolist()
+        for lo, hi in zip(edges[::2], edges[1::2]):  # runs of agents with many picks
+            _place(side, state, words, starts[lo])
+            for row in range(lo, hi):
+                picks.append(_numpy_draw(side_rng, pool, d))
+                agents.append(np.full(picks[-1].size, done + row))
+            _place(bitgen, state, words, starts[hi])
+            if _position(bitgen) != _position(side):  # the run spent a rejected word
+                b, resume = hi, side.state
+                break
+        use = rows < b
+        kept = cols < kr[use]
+        picks.append(_floyd(values[use], pool - kr[use, 0])[kept])
+        agents.append(done + rows[use][np.nonzero(kept)[0]])
+        if resume is not None:
+            bitgen.state = resume
+        else:
+            _place(bitgen, state, words, starts[b])
+            if b < limit:  # numpy draws the agent the window stopped at
+                picks.append(_numpy_draw(rng, pool, d))
+                agents.append(np.full(picks[-1].size, done + b))
+                b += 1
+        done += b
+    return np.concatenate(agents), np.concatenate(picks)
 
 
 def load_edge_list(path: str | Path) -> WeightedDigraph:

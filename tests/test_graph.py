@@ -272,26 +272,51 @@ class TestBoundedOutDegree:
 
     @staticmethod
     def per_agent_family(n, d, weight, seed):
-        """Reference draw: the per-agent loop, with its arrays built inside it."""
+        """Reference draw: the per-agent loop the generator replaced, one
+        integers and one choice call per agent on one stream."""
         rng = np.random.default_rng(seed)
-        targets, influencers = [np.empty(0)], [np.empty(0)]
-        for j in range(1, n + 1):
+        picks = []  # per agent, positions in the pool of the n - 1 agents other than it
+        for _ in range(n):
             k = int(rng.integers(0, d + 1))
-            if k == 0:
-                continue
-            # positions in the pool of the n - 1 agents other than j
-            idx = rng.choice(n - 1, size=k, replace=False)
-            targets.append(idx + 1 + (idx >= j - 1))
-            influencers.append(np.full(k, j))
-        rows = np.concatenate(targets)
+            picks.append(rng.choice(n - 1, size=k, replace=False) if k else np.empty(0, np.int64))
+        influencers = np.repeat(np.arange(1, n + 1), [p.size for p in picks])
+        idx = np.concatenate(picks)
         return WeightedDigraph(n, np.column_stack(
-            (rows, np.concatenate(influencers), np.full(rows.size, weight, dtype=float))))
+            (idx + 1 + (idx >= influencers - 1), influencers,
+             np.full(idx.size, weight, dtype=float))))
 
+    # (20000, 10, 4): one Floyd word rejected, so numpy draws that agent and
+    # the window restarts from its state, and agents cross window boundaries;
+    # (50, 49, 3): one agent with k = n - 1, where the Floyd draw on [0, 0]
+    # spends no word; (10002, 210, 1): choice's tail-shuffle branch
+    # (pool > 10000, k > pool // 50), and agents above _BULK_K picks
     @pytest.mark.parametrize("n,d,seed", [(1, 0, 0), (2, 1, 3), (30, 2, 1), (300, 4, 11),
-                                          (3000, 10, 7), (40, 39, 2)])
+                                          (3000, 10, 7), (40, 39, 2), (1, 0, 4), (2, 1, 0),
+                                          (50, 49, 3), (20000, 10, 4), (10002, 210, 1)])
     def test_same_edges_as_the_per_agent_loop(self, n, d, seed):
-        assert (generate_bounded_outdegree_family(n, d, 0.1, seed=seed).edges
-                == self.per_agent_family(n, d, 0.1, seed).edges)
+        fast = generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
+        reference = self.per_agent_family(n, d, 0.1, seed)
+        assert fast == reference
+        assert fast.edges == reference.edges
+
+    @pytest.mark.parametrize("window,bulk_k", [(7, 64), (4096, 1), (3, 2)])
+    def test_same_edges_in_short_windows_and_long_runs(self, monkeypatch, window, bulk_k):
+        # short windows put many agents on window boundaries; a low _BULK_K
+        # sends most agents to numpy's sequential runs, including the agent
+        # with the rejected word, whose run then ends off the chain's word
+        monkeypatch.setattr(graph_mod, "_WINDOW", window)
+        monkeypatch.setattr(graph_mod, "_BULK_K", bulk_k)
+        for n, d, seed in ((20000, 10, 4), (50, 49, 3), (300, 4, 11)):
+            fast = generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
+            assert fast == self.per_agent_family(n, d, 0.1, seed), (n, d, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 120).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, 2**32))))
+    def test_same_graph_as_the_per_agent_loop_anywhere(self, case):
+        n, d, seed = case
+        assert (generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
+                == self.per_agent_family(n, d, 0.1, seed))
 
 
 class TestEdgeListIO:
