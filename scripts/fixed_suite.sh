@@ -103,17 +103,39 @@ run centrality-bo3000-duplicate centrality --graph copies/duplicate.edges --out 
 
 # a weighted 200-cycle (agent i listens to agent i % 200 + 1, weights in
 # [0.5, 1.1], rho ~ 0.80), which its own centrality solve admits, and the
-# same cycle scaled to delta * (1 + beta) * rho = 1.2 under --force
+# same cycle scaled to delta * (1 + beta) * rho = 1.2 under --force; the
+# same cycle at delta * (1 + beta) * rho = 1 - 1e-7 and the 2-cycle with
+# both weights 0.999 / 0.75 are written for the near-critical runs below
 mkdir -p cycle
 "${PYTHON:-python3}" - <<'PY'
 import numpy as np
 weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)
 scaled = weights * (1.2 / (0.75 * np.exp(np.log(weights).mean())))
-for name, ws in (("cycle/cycle.edges", weights), ("cycle/scaled.edges", scaled)):
+critical = weights * ((1 - 1e-7) / (0.75 * np.exp(np.log(weights).mean())))
+for name, ws in (("cycle/cycle.edges", weights), ("cycle/scaled.edges", scaled),
+                 ("cycle/critical.edges", critical)):
     with open(name, "w") as handle:
         handle.write("n=200\n" + "".join(f"{i} {i % 200 + 1} {float(w)!r}\n"
                                           for i, w in enumerate(ws, start=1)))
+with open("cycle/two-cycle.edges", "w") as handle:
+    handle.write(f"n=2\n1 2 {0.999 / 0.75!r}\n2 1 {0.999 / 0.75!r}\n")
 PY
 run centrality-cycle200 centrality --graph cycle/cycle.edges --out cycle
 run nash-cycle200 nash --graph cycle/cycle.edges --out cycle
 run refuse-cycle200 centrality --graph cycle/scaled.edges --force --out cycle/refuse
+
+# near-critical graphs (ROADMAP item 9), both refused at the time of
+# writing, so that a fix shows as a deliberate byte change: simulate on the
+# 2-cycle (c * rho = 0.999; exit 1, consumption overflows) and centrality
+# on the 200-cycle at c * rho = 1 - 1e-7 (exit 2, the radius bracket
+# straddles the bound); numpy's overflow warnings name the source file and
+# line, which differ between trees, so that run ignores warnings
+PYTHONWARNINGS=ignore run simulate-two-cycle simulate --graph cycle/two-cycle.edges --seeding nash --out near
+run centrality-cycle200-critical centrality --graph cycle/critical.edges --out near/cycle
+
+# above 50,000 entries, where a threaded BLAS product over a length-n
+# vector would make the Katz vectors' last bits depend on the thread count:
+# a 131,073-agent bounded-out-degree graph at delta * (1 + beta) = 0.99
+# (c * rho ~ 0.986)
+run centrality-bo131073 centrality --generate "bounded-outdegree:n=131073,d=10,weight=0.2" \
+    --seed 1 --delta 0.66 --out bo131073

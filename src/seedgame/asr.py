@@ -314,12 +314,8 @@ def check_linear_growth(graphs: Sequence[WeightedDigraph], params: MarketParams,
     """Fit the growth exponent of max_i c_new,i over the given instances."""
     if len(graphs) < 3:
         raise ValueError(f"need at least 3 instances, got {len(graphs)}")
-    sizes = []
-    peaks = []
-    for graph in graphs:
-        bundle = biproduct_centrality(graph, params, tol)
-        sizes.append(graph.n)
-        peaks.append(float(bundle.c_new.max()))
+    sizes = [graph.n for graph in graphs]
+    peaks = [float(biproduct_centrality(graph, params, tol).c_new.max()) for graph in graphs]
     exponent = _fit_loglog_slope(sizes, peaks)
     if np.isnan(exponent) and all(p == peaks[0] for p in peaks):
         exponent = 0.0

@@ -18,11 +18,9 @@ import scipy.sparse as sp
 from .graph import (_DEFAULT_TOL, AssumptionError, MarketParams, WeightedDigraph,
                     _as_readonly, _radius_against, validate_assumptions)
 
-DIRECT_SOLVE_MAX_N = 2000  # largest system factored up front (prefactor)
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
-_STACK_SIZE = 1 << 16  # entries per stacked group or oracle block of columns
-_DOT_CHUNK = 8192  # most entries per BLAS reduction (see _dot)
+_DOT_CHUNK = 8192  # most entries per BLAS call, stacked group or oracle block
 _SERIES_TAIL_TOL = 1e-8  # tail bound below which a walk series is certified
 _MAX_SERIES_TERMS = 1_000_000  # longest walk series tried for certification
 
@@ -74,30 +72,26 @@ class _AttenuatedSystem:
     2011) on the fixed point x <- g(x) = rhs + coeff * matrix @ x, which
     converges whenever coeff * spectral_radius(matrix) < 1.  The columns of a
     2-D right-hand side are stacked in groups of whole columns, at most
-    _STACK_SIZE entries each (one column when a column is longer), which
+    _DOT_CHUNK entries each (one column when a column is longer), which
     bounds the memory of the iteration's history.  The
     residual f = g(x) - x is the system's residual at x, so the stop test
     certifies the iterate it returns.  A solve whose residual falls less than
     tenfold over _ANDERSON_WINDOW iterations factors the system once with a
-    sparse LU and refines, and later solves reuse that factorization.  With
-    prefactor, for systems that serve many right-hand sides, systems up to
-    DIRECT_SOLVE_MAX_N are factored up front.
+    sparse LU (_factor, which a caller may also run up front) and refines,
+    and later solves reuse that factorization.
 
     method ("anderson", "lu" or "identity") and iterations (Anderson
     iterations, the most over the stacked groups, or LU refinement steps)
     describe the last solve.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, coeff: float, tol: float,
-                 prefactor: bool = True):
+    def __init__(self, matrix: sp.csr_matrix, coeff: float, tol: float):
         self.matrix = matrix
         self.coeff = coeff
         self.tol = tol
         self.method: str | None = None
         self.iterations = 0
         self._lu = None
-        if prefactor and coeff != 0.0 and matrix.shape[0] <= DIRECT_SOLVE_MAX_N:
-            self._factor()
 
     def _factor(self) -> None:
         import scipy.sparse.linalg as spla  # only the LU path needs it
@@ -111,11 +105,9 @@ class _AttenuatedSystem:
             self.method, self.iterations = "identity", 0
             return rhs.copy(), 0.0
         if self._lu is None:
-            if rhs.ndim == 1:
-                groups = [rhs]
-            else:
-                step = max(1, _STACK_SIZE // rhs.shape[0])
-                groups = [rhs[:, i:i + step] for i in range(0, rhs.shape[1], step)]
+            step = max(1, _DOT_CHUNK // rhs.shape[0])  # whole columns per group
+            groups = ([rhs] if rhs.ndim == 1
+                      else [rhs[:, i:i + step] for i in range(0, rhs.shape[1], step)])
             parts = []
             for group in groups:
                 part = self._anderson(group)
@@ -190,7 +182,10 @@ class _AttenuatedSystem:
                 except np.linalg.LinAlgError:  # exactly singular: least squares
                     gamma = np.linalg.lstsq(gram[:filled, :filled], projections,
                                             rcond=None)[0]
-                x = g - gamma @ d_g[:filled]
+                # g - gamma @ d_g on _DOT_CHUNK slices, so no call runs threaded (_dot)
+                x = g.copy()
+                for start in range(0, x.size, _DOT_CHUNK):
+                    x[start:start + _DOT_CHUNK] -= gamma @ d_g[:filled, start:start + _DOT_CHUNK]
             f_prev, g_prev = f, g
 
 
@@ -198,7 +193,7 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
                         tol: float) -> tuple[np.ndarray, float]:
     """The Katz solve and its residual.  A positive x bounds rho(G) by max_i
     (G^T x)_i / x_i (Collatz-Wielandt); the graph keeps the lowest such bound."""
-    system = _AttenuatedSystem(graph._transpose, attenuation, tol, prefactor=False)
+    system = _AttenuatedSystem(graph._transpose, attenuation, tol)
     x, residual = system.solve(np.ones(graph.n))
     if x.min() > 0.0:  # solve returns only finite x, whose residual met tol
         # a row sum of fewer than n nonnegative terms and the division err by

@@ -189,10 +189,7 @@ def auto_horizon(graph: WeightedDigraph, params: MarketParams, seeding: SeedingP
     """Smallest horizon whose certified tail bound is at most tail_tol."""
     if not tail_tol > 0:
         raise ValueError(f"tail_tol must be positive, got {tail_tol}")
-    lo = 1
-    if _tail_certificate(graph, params, seeding, lo) <= tail_tol:
-        return lo
-    hi = 2
+    hi = 1
     while _tail_certificate(graph, params, seeding, hi) > tail_tol:
         hi *= 2
         if hi > _MAX_AUTO_HORIZON:

@@ -15,6 +15,7 @@ full discounted-consumption solve as an independent oracle for the checks.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,6 +28,17 @@ from .dynamics import SeedingPair
 from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _check_id
 
 
+def _sorted_ids(ids, n: int) -> list[int] | None:
+    """The distinct ids in ascending order from one np.unique when all are
+    exact ints in 1..n, else None (the caller then checks id by id)."""
+    if set(map(type, ids)) <= {int}:
+        with contextlib.suppress(OverflowError):  # an id beyond int64
+            unique = np.unique(np.array(ids, dtype=np.int64)).tolist()
+            if not unique or 1 <= unique[0] and unique[-1] <= n:
+                return unique
+    return None
+
+
 @dataclass(frozen=True)
 class SeedSet:
     """A set of seeded agents (1-based ids) inside a graph of n agents."""
@@ -35,15 +47,18 @@ class SeedSet:
     n: int
 
     def __post_init__(self):
-        ids = sorted({_check_id(i, self.n) for i in self.members})
-        if len(ids) != len(self.members):
-            raise ValueError("seed set contains duplicate ids")
+        ids = _sorted_ids(self.members, self.n)
+        if ids is None or len(ids) != len(self.members):
+            ids = sorted({_check_id(i, self.n) for i in self.members})
+            if len(ids) != len(self.members):
+                raise ValueError("seed set contains duplicate ids")
         object.__setattr__(self, "members", tuple(ids))
 
     @classmethod
     def of(cls, ids: Iterable[int], n: int) -> "SeedSet":
         """Build from any id iterable, collapsing repeats."""
-        return cls(members=tuple(sorted({int(i) for i in ids})), n=n)
+        ids = list(ids)
+        return cls(members=tuple(_sorted_ids(ids, n) or sorted({int(i) for i in ids})), n=n)
 
     @classmethod
     def empty(cls, n: int) -> "SeedSet":
@@ -105,6 +120,9 @@ class EpsilonReport:
     residual_under: float
 
 
+DIRECT_SOLVE_MAX_N = 2000  # largest graph whose oracle systems are factored up front
+
+
 class DiscountedSolver:
     """Full-solve evaluator of discounted consumption, the independent oracle
     for the closed-form payoffs.
@@ -129,12 +147,13 @@ class DiscountedSolver:
         self._q_plus = params.delta * (1.0 + params.beta)
         self._q_minus = params.delta * (1.0 - params.beta)
         self._r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
-        self.block_columns = max(2, centrality._STACK_SIZE // graph.n)  # seedings per block
-        self._plus = _AttenuatedSystem(graph.matrix, self._q_plus, tol)
-        if params.beta == 0.0:
-            self._minus = self._plus
-        else:
-            self._minus = _AttenuatedSystem(graph.matrix, self._q_minus, tol)
+        self.block_columns = max(2, centrality._DOT_CHUNK // graph.n)  # seedings per block
+        systems = {q: _AttenuatedSystem(graph.matrix, q, tol)  # one when beta = 0
+                   for q in (self._q_plus, self._q_minus)}
+        self._plus, self._minus = systems[self._q_plus], systems[self._q_minus]
+        if graph.n <= DIRECT_SOLVE_MAX_N:
+            for system in systems.values():
+                system._factor()
 
     def consumption(self, seeding: SeedingPair) -> tuple[np.ndarray, np.ndarray]:
         """Discounted sums (y_bar, y_under) with y = sum_{k>=1} delta^k x(k)."""
@@ -395,18 +414,18 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     elif not (solver.graph is graph and solver.params == params and solver.tol == tol):
         raise ValueError("solver was built for a different graph, market or tol")
     star = params.price * bundle.c_new
-    seeding_star = SeedingPair(s_bar=star.copy(), s_under=star.copy())
-    net_star = _net_pair(solver, params, seeding_star)
+    gross_star, _ = solver.gross_revenues(SeedingPair(s_bar=star, s_under=star))
+    net_star = gross_star - 0.5 * float(_dot(star, star))
 
     p = params.price
     g_star = (graph.matrix @ star)[:, None]
     width = solver.block_columns
     block_buffer = np.empty(graph.n * width)
     worst = -np.inf
-    # Whichever firm deviates, its own discounted consumption is the first
-    # firm's against the Nash seeding, so one evaluation serves both.
-    for firm, part in _deviation_candidates(np.random.default_rng(seed), star,
-                                            p * float(bundle.c_new.max()), samples):
+    # Whichever firm deviates, its own discounted consumption and the Nash
+    # payoff it compares with are the first firm's, so one evaluation serves both.
+    for part in _deviation_candidates(np.random.default_rng(seed), star,
+                                      p * float(bundle.c_new.max()), samples):
         # seeded period minus seeding cost, each summed over a whole column
         payoffs = p * part.sum(axis=0) - 0.5 * np.einsum("ij,ij->j", part, part)
         for start in range(0, part.shape[1], width):
@@ -426,31 +445,31 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
             # the LU path's solutions are Fortran-ordered, so each column sum
             # runs over that column alone, in one order at any width
             payoffs[start:start + width] += 0.5 * p * u.sum(axis=0)
-        worst = max(worst, float(np.max(payoffs - net_star[firm], initial=-np.inf)))
+        worst = max(worst, float(np.max(payoffs - net_star, initial=-np.inf)))
     return worst
 
 
 def _deviation_candidates(rng: np.random.Generator, star: np.ndarray, scale: float,
-                          samples: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Each firm's sampled deviations in turn, as (firm, part) for an (n, k)
-    part drawn in place into one array that the next part overwrites:
+                          samples: int) -> Iterator[np.ndarray]:
+    """Each firm's sampled deviations in turn, as (n, k) parts, each drawn
+    in place into one array that the next part overwrites:
     samples // 3 local perturbations of star, as many uniform draws on
     [0, 2 scale), and the rest sparse draws that keep each entry with
     probability 0.3."""
     n, thirds = star.shape[0], samples // 3
     store = np.empty(n * (samples - 2 * thirds))  # the largest part
     sparse = store.reshape(n, samples - 2 * thirds)
-    mask = np.empty((max(1, centrality._STACK_SIZE // sparse.shape[1]), sparse.shape[1]))
-    for firm in (0, 1):
+    mask = np.empty((max(1, centrality._DOT_CHUNK // sparse.shape[1]), sparse.shape[1]))
+    for _ in range(2):  # one firm's deviations, then the other's
         local = store[:n * thirds].reshape(n, thirds)
         rng.standard_normal(out=local)
         local *= 0.25 * scale
         local += star[:, None]
-        yield firm, np.maximum(local, 0.0, out=local)
+        yield np.maximum(local, 0.0, out=local)
         uniform = store[:n * thirds].reshape(n, thirds)
         rng.random(out=uniform)
         uniform *= 2.0 * scale
-        yield firm, uniform
+        yield uniform
         rng.random(out=sparse)
         sparse *= 2.0 * scale
         # the mask continues the stream row by row, so drawing it a few rows
@@ -458,11 +477,4 @@ def _deviation_candidates(rng: np.random.Generator, star: np.ndarray, scale: flo
         for row in range(0, n, mask.shape[0]):
             rows = sparse[row:row + mask.shape[0]]
             rows *= rng.random(out=mask[:rows.shape[0]]) < 0.3
-        yield firm, sparse
-
-
-def _net_pair(solver: DiscountedSolver, params: MarketParams,
-              seeding: SeedingPair) -> tuple[float, float]:
-    gross_a, gross_b = solver.gross_revenues(seeding)
-    return (gross_a - 0.5 * float(_dot(seeding.s_bar, seeding.s_bar)),
-            gross_b - 0.5 * float(_dot(seeding.s_under, seeding.s_under)))
+        yield sparse

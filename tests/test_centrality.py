@@ -1,6 +1,10 @@
 import functools
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -115,8 +119,7 @@ class TestSolverPolicy:
         graph = WeightedDigraph(n, [(i + 1, (i + 1) % n + 1, float(w))
                                     for i, w in enumerate(weights)])
         coeff = 0.99 / rho
-        system = centrality_mod._AttenuatedSystem(graph.matrix.T.tocsr(), coeff, tol,
-                                                  prefactor=False)
+        system = centrality_mod._AttenuatedSystem(graph.matrix.T.tocsr(), coeff, tol)
         assert system._lu is None
         x, residual = system.solve(np.ones(n))
         assert system.method == "lu"
@@ -383,8 +386,7 @@ class TestChunkedDot:
         # projections of two stacked columns run chunked
         graph = _in_degree_graph(301, 5, 0.15, seed=11)
         monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
-        system = centrality_mod._AttenuatedSystem(graph._transpose, 0.9, 1e-12,
-                                                  prefactor=False)
+        system = centrality_mod._AttenuatedSystem(graph._transpose, 0.9, 1e-12)
         rhs = np.random.default_rng(3).random((301, 2))
         x, residual = system.solve(rhs)
         assert system.method == "anderson" and system.iterations > 2
@@ -398,3 +400,22 @@ class TestChunkedDot:
         x, residual = centrality_mod._katz_with_residual(graph, 0.75, 1e-10)
         assert residual <= 1e-10
         assert np.abs(x - 0.75 * (graph._transpose @ x) - 1.0).max() <= 1e-9
+
+    def test_katz_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # 131,073 agents at c * rho ~ 0.986: on odd lengths above 50,000
+        # entries a two-thread OpenBLAS gemv rounds the entries at its split
+        # differently, and on these two graphs an unsliced Anderson update
+        # product carries that into x
+        import seedgame
+        probe = ("import hashlib; from seedgame import generate_bounded_outdegree_family "
+                 "as family, katz_bonacich; print([hashlib.sha256(katz_bonacich("
+                 "family(131_073, 10, 0.2, seed=seed), 0.99).tobytes()).hexdigest() "
+                 "for seed in (1, 2)])")
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(seedgame.__file__).parents[1])}
+            digests.append(subprocess.run([sys.executable, "-c", probe], env=env,
+                                          capture_output=True, text=True,
+                                          check=True).stdout)
+        assert digests[0] == digests[1]

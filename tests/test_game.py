@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seedgame import (CorePeripheryParams, DiscountedSolver, MarketParams, SeedSet,
-                      SeedingPair,
+from seedgame import (CorePeripheryParams, DiscountedSolver, GraphError, MarketParams,
+                      SeedSet, SeedingPair,
                       WeightedDigraph, best_response_gain,
                       biproduct_centrality, discounted_consumption,
                       generate_core_periphery,
@@ -45,6 +47,27 @@ class TestSeedSet:
             SeedSet.of([0], 4)
         with pytest.raises(Exception):
             SeedSet.of([5], 4)
+
+    @pytest.mark.parametrize("members, error, message", [
+        ((True, 2), GraphError, "agent id must be an integer, got True"),
+        ((3, 1, 3), ValueError, "seed set contains duplicate ids"),
+        ((2, 0), GraphError, "agent id 0 outside 1..4"),
+        ((1, 5), GraphError, "agent id 5 outside 1..4"),
+        ((1, 2 ** 70), GraphError, f"agent id {2 ** 70} outside 1..4"),
+        ((np.int64(2), 2.0), GraphError, "agent id must be an integer, got 2.0"),
+    ], ids=["bool", "duplicate", "zero", "n-plus-one", "beyond-int64", "float"])
+    def test_invalid_members_raise_the_per_id_errors(self, members, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SeedSet(members=members, n=4)
+
+    def test_of_matches_the_per_id_path(self):
+        # exact ints go through one array pass, anything else id by id
+        for ids in ([4, 2, 2, 1], range(4, 0, -1), [], [np.int64(3), 1], [True, 3]):
+            s = SeedSet.of(ids, 4)
+            assert s.members == tuple(sorted({int(i) for i in ids}))
+            assert set(map(type, s.members)) <= {int}
+        with pytest.raises(GraphError, match="^agent id 0 outside 1..4$"):
+            SeedSet.of([2, 0, 2], 4)
 
 
 class TestNashSeeding:
@@ -163,27 +186,28 @@ class TestDiscountedSolver:
         assert np.array_equal(y_bar, y_under)
 
     def test_fixed_point_path_matches_direct(self, monkeypatch, cp_graph):
-        import seedgame.centrality as centrality_mod
+        import seedgame.game as game_mod
         rng = np.random.default_rng(18)
         seeding = SeedingPair(rng.random(12), rng.random(12))
         direct = discounted_consumption(cp_graph, MARKET, seeding)
-        monkeypatch.setattr(centrality_mod, "DIRECT_SOLVE_MAX_N", 1)
+        monkeypatch.setattr(game_mod, "DIRECT_SOLVE_MAX_N", 1)
         iterative = discounted_consumption(cp_graph, MARKET, seeding)
         assert np.abs(direct[0] - iterative[0]).max() <= 1e-9
         assert np.abs(direct[1] - iterative[1]).max() <= 1e-9
 
-    @pytest.mark.parametrize("stack_size", [5, 30])
-    def test_grouped_iteration_matches_direct(self, monkeypatch, cp_graph, stack_size):
-        # stack_size 5 < n = 12 puts one column in each group; 30 puts two,
+    @pytest.mark.parametrize("chunk", [5, 30])
+    def test_grouped_iteration_matches_direct(self, monkeypatch, cp_graph, chunk):
+        # chunk 5 < n = 12 puts one column in each group; 30 puts two,
         # leaving a one-column remainder on the 7 columns below
         import seedgame.centrality as centrality_mod
+        import seedgame.game as game_mod
         rhs = np.random.default_rng(19).random((12, 7))
         direct_solver = DiscountedSolver(cp_graph, MARKET)
         direct, _ = direct_solver._plus.solve(rhs)
         direct_gain = nash_deviation_check(cp_graph, MARKET, samples=600, seed=4,
                                            solver=direct_solver)
-        monkeypatch.setattr(centrality_mod, "DIRECT_SOLVE_MAX_N", 1)
-        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", stack_size)
+        monkeypatch.setattr(game_mod, "DIRECT_SOLVE_MAX_N", 1)
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
         solver = DiscountedSolver(cp_graph, MARKET)
         iterative, residual = solver._plus.solve(rhs)
         assert solver._plus.method == "anderson"
@@ -230,8 +254,8 @@ class TestDiscountedSolver:
         with pytest.raises(ValueError, match="shape"):
             solver.net_payoffs_a(np.ones((11, 3)), np.ones(12))
 
-    @pytest.mark.parametrize("stack_size", [600, 4096, 65536])
-    def test_block_width_changes_no_bits(self, monkeypatch, stack_size):
+    @pytest.mark.parametrize("chunk", [600, 4096, 65536])
+    def test_block_width_changes_no_bits(self, monkeypatch, chunk):
         # the LU path: the oracle block width sets speed only
         import seedgame.centrality as centrality_mod
         graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
@@ -251,9 +275,9 @@ class TestDiscountedSolver:
             return width, net, gain
 
         width, net, gain = priced()
-        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", stack_size)
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
         patched_width, patched_net, patched_gain = priced()
-        assert patched_width == max(2, stack_size // graph.n)
+        assert (width, patched_width) == (27, max(2, chunk // graph.n))
         assert patched_net.tobytes() == net.tobytes()
         assert patched_gain == gain
 
@@ -299,9 +323,9 @@ class TestDiscountedSolver:
         graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
         bundle = biproduct_centrality(graph, MARKET)
         wide = DiscountedSolver(graph, MARKET)
-        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", 2 * graph.n)
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", 2 * graph.n)
         narrow = DiscountedSolver(graph, MARKET)
-        assert (wide.block_columns, narrow.block_columns) == (218, 2)
+        assert (wide.block_columns, narrow.block_columns) == (27, 2)
         for seed in range(8):
             gains = [nash_deviation_check(graph, MARKET, samples=9, seed=seed,
                                           bundle=bundle, solver=solver)
@@ -312,7 +336,7 @@ class TestDiscountedSolver:
         # blocks of 5 columns: each part of 83 or 84 candidates ends in a
         # shorter block
         import seedgame.centrality as centrality_mod
-        monkeypatch.setattr(centrality_mod, "_STACK_SIZE", 60)
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", 60)
         bundle = biproduct_centrality(cp_graph, MARKET)
         solver = DiscountedSolver(cp_graph, MARKET)
         assert solver.block_columns == 5
