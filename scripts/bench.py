@@ -1,26 +1,39 @@
-"""Run the benchmark's four workloads once each and record the results.
+"""Run the benchmark's four workloads and one large fresh-process command,
+and record the results.
 
     python3 scripts/bench.py OUT [--seed N] [--seconds S]
 
-Each workload runs as its own ``perfbench/run.py --workload W --seed N
---seconds S --trace 0`` process (seed 101 and 25 s by default).  OUT gets
-one JSON object: the commit of the checkout (and whether its tracked files
-differ from it), the settings, the environment line perfbench prints, and
-per workload its ``correct``, ``attempted`` and ``failed`` counts and the
-value and unit of each end-to-end metric.  Exits nonzero if a run fails or
-a workload's outputs are not correct.
+Each workload runs twice, each time as its own ``perfbench/run.py
+--workload W --seed N --seconds S`` process (seed 101 and 25 s by default):
+with ``--trace 0`` for the end-to-end metrics, and with ``--trace 1`` for
+the per-layer metrics, read from ``.perfbench/<workload>/result-trace1.json``.
+Then ``centrality`` runs as a fresh process on the 996,507-edge graph
+``bounded-outdegree:n=200000,d=10,weight=0.1`` (seed 7), FRESH_RUNS times;
+each run's wall seconds and peak RSS (the child's own ``ru_maxrss``) are
+kept.  OUT gets one JSON object: the commit of the checkout (and whether its
+tracked files differ from it), the settings, the environment line perfbench
+prints, per workload its ``correct``, ``attempted`` and ``failed`` counts,
+the value and unit of each end-to-end metric, the per-layer metrics and the
+hooks the tracer could not install, and the fresh-process row.  Exits
+nonzero if a run fails or a workload's outputs are not correct.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ingest-50k", "direct-2000", "near-critical", "core-periphery")
 ENVIRONMENT = "# environment "
+FRESH_GRAPH = ("bounded-outdegree:n=200000,d=10,weight=0.1", 7)
+FRESH_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -28,14 +41,48 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def run_workload(name: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_workload(name: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """One perfbench run: its final JSON line and its environment line."""
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     lines = subprocess.run(argv, check=True, capture_output=True, text=True).stdout.splitlines()
     environment = next(json.loads(line[len(ENVIRONMENT):]) for line in lines
                        if line.startswith(ENVIRONMENT))
     return json.loads(lines[-1]), environment
+
+
+def seedgame(*argv: str) -> tuple[float, float]:
+    """Run the CLI of this checkout as a fresh process: its wall seconds and
+    its peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "seedgame.cli", *argv], env=env,
+                             stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
+    seconds = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise subprocess.CalledProcessError(child.returncode, child.args)
+    return seconds, usage.ru_maxrss / 1024.0
+
+
+def fresh_centrality() -> dict:
+    """The fresh-process row: centrality on the large generated graph."""
+    spec, seed = FRESH_GRAPH
+    work = ROOT / ".perfbench" / "fresh-centrality"
+    shutil.rmtree(work, ignore_errors=True)
+    seedgame("generate", "--generate", spec, "--seed", str(seed), "--out", str(work))
+    edges = json.loads((work / "generate.json").read_text(encoding="utf-8"))["edge_count"]
+    runs = [seedgame("centrality", "--graph", str(work / "graph.edges"), "--out", str(work))
+            for _ in range(FRESH_RUNS)]
+    report_bytes = (work / "centrality.json").stat().st_size
+    shutil.rmtree(work, ignore_errors=True)
+    return {"command": f"centrality --graph <generate {spec} --seed {seed}>",
+            "edges": edges, "report_bytes": report_bytes,
+            "wall_s": {"value": statistics.median(s for s, _ in runs), "unit": "s",
+                       "samples": [s for s, _ in runs]},
+            "child_maxrss_mb": {"value": max(m for _, m in runs), "unit": "MB",
+                                "samples": [m for _, m in runs]}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,14 +94,22 @@ def main(argv: list[str] | None = None) -> int:
     record = {"commit": git("rev-parse", "HEAD"),
               "tracked_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
               "command": "perfbench/run.py --workload W "
-                         f"--seed {args.seed} --seconds {args.seconds:g} --trace 0",
+                         f"--seed {args.seed} --seconds {args.seconds:g} --trace 0|1",
               "environment": None, "workloads": {}}
     for name in WORKLOADS:
-        result, record["environment"] = run_workload(name, args.seed, args.seconds)
+        result, record["environment"] = run_workload(name, args.seed, args.seconds, trace=0)
+        traced_line, _ = run_workload(name, args.seed, args.seconds, trace=1)
+        traced = json.loads((ROOT / ".perfbench" / name / "result-trace1.json")
+                            .read_text(encoding="utf-8"))
+        result.update(traced_correct=traced_line["correct"], per_layer=traced["metrics"],
+                      unhooked=traced["detail"]["unhooked"])
         record["workloads"][name] = result
-        print(f"{name}: {json.dumps(result)}", flush=True)
+        print(f"{name}: {json.dumps(result['metrics'])}", flush=True)
+    record["fresh_centrality"] = fresh_centrality()
+    print(f"fresh centrality: {json.dumps(record['fresh_centrality'])}", flush=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    return 0 if all(r["correct"] is True for r in record["workloads"].values()) else 1
+    return 0 if all(r["correct"] is True and r["traced_correct"] is True
+                    for r in record["workloads"].values()) else 1
 
 
 if __name__ == "__main__":

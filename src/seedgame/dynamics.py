@@ -224,19 +224,20 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     # the states stay nonnegative, as the seeds, weights and alpha - price
     # are, so they are built without ConsumptionState's checks; an overflow
-    # shows in the sums
+    # shows in the sums, and raises below instead of warning
     x_bar, x_under = seeding.s_bar, seeding.s_under
     states = [ConsumptionState(x_bar=x_bar, x_under=x_under, k=0)] if store_states else []
     acc_bar = np.zeros(graph.n)
     acc_under = np.zeros(graph.n)
     discount = 1.0
-    for k in range(1, horizon + 1):
-        x_bar, x_under = _step(x_bar, x_under, graph, params)
-        discount *= params.delta
-        acc_bar += discount * x_bar
-        acc_under += discount * x_under
-        if store_states:
-            states.append(ConsumptionState._unchecked(x_bar, x_under, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, horizon + 1):
+            x_bar, x_under = _step(x_bar, x_under, graph, params)
+            discount *= params.delta
+            acc_bar += discount * x_bar
+            acc_under += discount * x_under
+            if store_states:
+                states.append(ConsumptionState._unchecked(x_bar, x_under, k))
     if not (np.isfinite(acc_bar).all() and np.isfinite(acc_under).all()):
         raise ValueError(f"consumption overflows within horizon {horizon}")
     tail = _tail_certificate(graph, params, seeding, horizon)

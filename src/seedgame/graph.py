@@ -168,7 +168,7 @@ class WeightedDigraph:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise GraphError(f"node count must be a positive integer, got {n!r}")
         if _columns is not None:
-            rows, cols, weights = map(np.ascontiguousarray, _columns)
+            rows, cols, weights = _columns
         else:
             try:
                 triples = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
@@ -177,12 +177,8 @@ class WeightedDigraph:
                     raise ValueError
             except (TypeError, ValueError, OverflowError):
                 raise MalformedLineError("edges must be (i, j, weight) triples") from None
-            rows, cols, weights = np.ascontiguousarray(triples.reshape(-1, 3).T)
-        order = _check_edges(n, rows, cols, weights)
-        order = order[weights[order] > 0]  # zero weight: no influence
-        counts = np.bincount(rows[order].astype(np.intp) - 1, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(counts)))  # scipy picks the index dtype
-        matrix = sp.csr_matrix((weights[order], cols[order].astype(np.intp) - 1, indptr), (n, n))
+            rows, cols, weights = triples.reshape(-1, 3).T
+        matrix = _csr_matrix(n, rows, cols, weights)
         transpose = matrix.T.tocsr()  # the walk systems iterate with G^T
         matrix.data.setflags(write=False)
         transpose.data.setflags(write=False)
@@ -252,6 +248,19 @@ class WeightedDigraph:
         return f"WeightedDigraph(n={self.n}, edges={self.edge_count})"
 
 
+def _csr_matrix(n: int, rows: np.ndarray, cols: np.ndarray,
+                weights: np.ndarray) -> sp.csr_matrix:
+    """The checked edges as an n x n CSR matrix, zero weights left out.  Its
+    own function, so that the edge order is freed before the transpose."""
+    order = _check_edges(n, rows, cols, weights)
+    kept = weights > 0  # zero weight: no influence
+    order = order[kept[order]]
+    counts = np.bincount(rows[kept].astype(np.intp, copy=False) - 1, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))  # scipy picks the index dtype
+    return sp.csr_matrix((weights[order], cols[order].astype(np.intp, copy=False) - 1, indptr),
+                         (n, n))
+
+
 def _check_edges(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
                  lines: list[int] | None = None) -> np.ndarray:
     """The one edge check, shared by WeightedDigraph and load_edge_list: raise
@@ -259,19 +268,22 @@ def _check_edges(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
     naming ``lines[row]`` when given.  Rules, in order: integral ids in 1..n,
     no self-loop, finite and then nonnegative weight, and no earlier row with
     the same ordered pair (zero weights count).  Returns the stable order of
-    the rows by (influenced, influencer), the order of the CSR arrays."""
+    the rows by (influenced, influencer), the order of the CSR arrays: the
+    identity when the pairs already increase, as in a canonical edge list."""
     ids_ok = (rows >= 1) & (rows <= n) & (cols >= 1) & (cols <= n)
     for ids in (rows, cols):
         if ids.dtype.kind == "f":  # integer columns (the bulk loader's) are integral
             ids_ok &= ids == np.floor(ids)
     # bad ids get the key of the self-loop (1, 1), so a repeat they cause lands
     # on a row that already breaks an earlier rule; int64 keys stay exact
-    keys = ((np.where(ids_ok, rows, 1).astype(np.int64) - 1) * n
-            + np.where(ids_ok, cols, 1).astype(np.int64) - 1)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    keys = ((np.where(ids_ok, rows, 1).astype(np.int64, copy=False) - 1) * n
+            + np.where(ids_ok, cols, 1).astype(np.int64, copy=False) - 1)
     repeat = np.zeros(keys.size, dtype=bool)  # every occurrence after the first
-    repeat[order[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
+    if (keys[1:] > keys[:-1]).all():
+        order = np.arange(keys.size)
+    else:
+        order, keys = _stable_order(keys, n)
+        repeat[order[1:][keys[1:] == keys[:-1]]] = True
     masks = (~ids_ok, rows == cols, ~np.isfinite(weights), weights < 0, repeat)
     bad = np.flatnonzero(np.logical_or.reduce(masks))
     if bad.size == 0:
@@ -287,6 +299,20 @@ def _check_edges(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
         (DuplicateEdgeError, f"duplicate pair ({i}, {j})"),
     )[next(rule for rule, mask in enumerate(masks) if mask[k])]
     raise error(message, line=None if lines is None else lines[k]) from None
+
+
+def _stable_order(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of int64 keys in [0, n^2), and the keys in it.  One
+    sort of key << b | index, with b bits for the index, when that fits in
+    int64: the packed values are distinct, so any sort gives the stable order."""
+    shift = max(keys.size - 1, 1).bit_length()
+    if int(n) ** 2 << shift > 1 << 63:  # n may be a numpy integer
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = keys << shift
+    packed |= np.arange(keys.size)
+    packed.sort()
+    return packed & ((1 << shift) - 1), packed >> shift
 
 
 def _check_id(i, n: int) -> int:
@@ -727,15 +753,23 @@ def _read_edge_lines(n: int, content: Iterable[tuple[int, str]]) -> WeightedDigr
         raise
 
 
+_SAVE_BLOCK = 1 << 16  # edge rows formatted and written at a time
+
+
 def save_edge_list(graph: WeightedDigraph, path: str | Path) -> None:
     """Write the canonical edge-list form (sorted by influenced, influencer).
 
     Weights use shortest round-trip decimal form, so load(save(g)) == g.
     """
     matrix = graph.matrix
-    fields = [None] * (3 * matrix.nnz)  # influenced, influencer, weight per row
-    fields[0::3] = np.repeat(np.arange(1, graph.n + 1), np.diff(matrix.indptr)).tolist()
-    fields[1::3] = (matrix.indices + 1).tolist()
-    fields[2::3] = format_distinct(matrix.data, lambda ws: list(map(repr, ws)))
-    text = ("%d\t%d\t%s\n" * matrix.nnz) % tuple(fields)
-    Path(path).write_text(f"# influenced\tinfluencer\tweight\nn={graph.n}\n{text}", "utf-8")
+    influenced = np.repeat(np.arange(1, graph.n + 1), np.diff(matrix.indptr))
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write(f"# influenced\tinfluencer\tweight\nn={graph.n}\n")
+        for start in range(0, matrix.nnz, _SAVE_BLOCK):
+            block = slice(start, start + _SAVE_BLOCK)
+            rows = influenced[block].tolist()
+            fields = [None] * (3 * len(rows))  # influenced, influencer, weight per row
+            fields[0::3] = rows
+            fields[1::3] = (matrix.indices[block] + 1).tolist()
+            fields[2::3] = format_distinct(matrix.data[block], lambda ws: list(map(repr, ws)))
+            handle.write(("%d\t%d\t%s\n" * len(rows)) % tuple(fields))

@@ -4,6 +4,7 @@ produce byte-identical files."""
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -46,7 +47,8 @@ _TIE_MARGIN = 1e-9  # the scaled value's error is below 1e-14
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
 # fewer distinct values are faster through one % call than through the kernel
 _KERNEL_MIN = 160
-_BLOCK = 16384  # entries per byte matrix
+_BLOCK = 4096  # entries per byte matrix
+_WRITE_SLICE = 1 << 18  # characters encoded and written at a time
 
 
 @functools.cache
@@ -100,19 +102,10 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, first_rows, np.frombuffer(signed, dtype=np.uint8).reshape(-1, 4)
 
 
-def _real_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The "%.17g" text of each entry of a finite float64 vector, followed by
-    ", ", as the rows of a byte matrix and of the mask of the bytes each row
-    keeps.  |x| * 10^(16-E), E = floor(log10|x|), is found in double-double
-    arithmetic and rounded to 17 digits; an entry whose scaled value lies
-    within _TIE_MARGIN of a rounding tie or has not 17 digits before rounding
-    (E was off by one), and a zero, a subnormal or an entry outside
-    [_FAST_MIN, _FAST_MAX], gets Python's own "%.17g"."""
-    size = values.size
-    a = np.abs(values)
-    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    a[~fast] = 1.0
-    at_e = _E_MAX - np.floor(np.log10(a)).astype(np.intp)  # E's row in the tables
+def _digits17(a: np.ndarray, at_e: np.ndarray, fast: np.ndarray) -> np.ndarray:
+    """The 17 significant digits of each entry of a, E's row in the tables at
+    at_e, as an int64; an entry the kernel cannot decide is cleared in fast.
+    Its own function, so that the double-double temporaries are freed."""
     hi_table, lo_table = _pow10()
     hi = hi_table[at_e]
     # a * (hi + lo) = p + r: p = fl(a * hi), its rounding error exactly (Dekker)
@@ -129,7 +122,23 @@ def _real_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     frac = r - whole
     top = p.astype(np.int64) + whole.astype(np.int64)  # p >= 2^53 is integral
     fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (top >= 10 ** 16) & (top < 10 ** 17 - 1)
-    digits17 = np.where(fast, top + (frac > 0.5), 10 ** 16)
+    return np.where(fast, top + (frac > 0.5), 10 ** 16)
+
+
+def _real_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The "%.17g" text of each entry of a finite float64 vector, followed by
+    ", ", as the rows of a byte matrix and of the mask of the bytes each row
+    keeps.  |x| * 10^(16-E), E = floor(log10|x|), is found in double-double
+    arithmetic and rounded to 17 digits; an entry whose scaled value lies
+    within _TIE_MARGIN of a rounding tie or has not 17 digits before rounding
+    (E was off by one), and a zero, a subnormal or an entry outside
+    [_FAST_MIN, _FAST_MAX], gets Python's own "%.17g"."""
+    size = values.size
+    a = np.abs(values)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    at_e = _E_MAX - np.floor(np.log10(a)).astype(np.intp)  # E's row in the tables
+    digits17 = _digits17(a, at_e, fast)
     halves = np.empty((size, 2), dtype=np.int32)  # 8 and 9 digits
     halves[:, 0] = digits17 // 10 ** 9
     halves[:, 1] = digits17 - halves[:, 0].astype(np.int64) * 10 ** 9
@@ -152,24 +161,40 @@ def _real_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, keep
 
 
-def _vector_text(values: np.ndarray) -> str:
-    """The report form of a finite 1-D float64 vector, each distinct value
-    (by bits, so -0.0 stays apart from 0.0) formatted once."""
+def _real_vector(obj) -> bool:
+    return (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
+            and bool(np.isfinite(obj).all()))
+
+
+def _vector_pieces(values: np.ndarray) -> list[str]:
+    """The report form of a finite 1-D float64 vector, as one piece per
+    _BLOCK entries, each distinct value (by bits, so -0.0 stays apart from
+    0.0) formatted once."""
+    if values.size == 0:
+        return ["[]"]
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
     if bits.size < _KERNEL_MIN:  # one % call, as for a scalar
-        texts = np.array(_format_reals(bits.view(np.float64).tolist()), dtype=object)
-        return "[" + ", ".join(texts[inverse].tolist()) + "]"
+        texts = np.array(_format_reals(distinct.tolist()), dtype=object)
+        return ["[", ", ".join(texts[inverse].tolist()), "]"]
     if bits.size < values.size:
-        rows = _real_rows(bits.view(np.float64))
-    parts = [b"["]
+        # the distinct values' rows, made a block at a time, with the bytes
+        # their texts leave out set to zero (no text byte is zero)
+        texts = np.empty((bits.size, _SLOTS.size), dtype=np.uint8)
+        for start in range(0, bits.size, _BLOCK):
+            chars, keep = _real_rows(distinct[start:start + _BLOCK])
+            np.multiply(chars, keep, out=texts[start:start + _BLOCK])
+    pieces = ["["]
     for start in range(0, values.size, _BLOCK):  # the byte matrices stay small
         if bits.size == values.size:
             chars, keep = _real_rows(values[start:start + _BLOCK])
+            text = np.compress(keep.ravel(), chars.ravel())
         else:
-            chars, keep = (m.take(inverse[start:start + _BLOCK], axis=0) for m in rows)
-        parts.append(np.compress(keep.ravel(), chars.ravel()).tobytes())
-    parts[-1] = parts[-1][:-2] + b"]"  # no separator after the last entry
-    return b"".join(parts).decode("ascii")
+            rows = texts.take(inverse[start:start + _BLOCK], axis=0).ravel()
+            text = np.compress(rows != 0, rows)
+        pieces.append(str(text, "ascii"))
+    pieces[-1] = pieces[-1][:-2] + "]"  # no separator after the last entry
+    return pieces
 
 
 def _emit(obj) -> str:
@@ -188,8 +213,8 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype == np.float64 and np.isfinite(obj).all():
-            return _vector_text(obj)
+        if _real_vector(obj):
+            return "".join(_vector_pieces(obj))
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) <= {int}:
@@ -205,30 +230,52 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _indent(obj, level: int, memo: dict) -> str:
-    pad = "  " * level
+def _layout(obj, level: int, memo: dict, out: list[str]) -> None:
+    """Append the report form of obj, indented at level, to out as pieces,
+    so that the report is joined once."""
     inner = "  " * (level + 1)
     if isinstance(obj, dict) and obj:
-        parts = [f"{inner}{json.dumps(k, ensure_ascii=False)}: {_indent(v, level + 1, memo)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        for k, (key, value) in enumerate(obj.items()):
+            out.append(f"{',' if k else '{'}\n{inner}{json.dumps(key, ensure_ascii=False)}: ")
+            _layout(value, level + 1, memo, out)
+        out.append(f"\n{'  ' * level}}}")
+        return
     if isinstance(obj, (list, tuple)) and any(map(isinstance, obj, itertools.repeat(dict))):
-        parts = [f"{inner}{_indent(v, level + 1, memo)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, np.ndarray):  # an array or id list repeated in a report is formatted once
-        key = (obj.dtype.str, obj.shape, obj.tobytes())
+        for k, value in enumerate(obj):
+            out.append(f"{',' if k else '['}\n{inner}")
+            _layout(value, level + 1, memo, out)
+        out.append(f"\n{'  ' * level}]")
+        return
+    # an array or id list repeated in a report is formatted once; an array is
+    # known by its dtype, shape and a 256-bit digest of its bytes
+    if isinstance(obj, np.ndarray):
+        key = (obj.dtype.str, obj.shape, hashlib.blake2b(obj.tobytes()).digest())
     elif isinstance(obj, (list, tuple)) and set(map(type, obj)) <= {int}:
         key = tuple(obj)  # exact ints only: True would hash as 1
     else:
-        return _emit(obj)
-    return memo[key] if key in memo else memo.setdefault(key, _emit(obj))
+        out.append(_emit(obj))
+        return
+    out.extend(memo[key] if key in memo else memo.setdefault(
+        key, _vector_pieces(obj) if _real_vector(obj) else [_emit(obj)]))
+
+
+def _indent(obj, level: int, memo: dict) -> str:
+    out = []
+    _layout(obj, level, memo, out)
+    return "".join(out)
 
 
 def dumps_report(obj: dict) -> str:
     """Serialize a report dict; top-level and nested dicts are indented,
     numeric vectors stay on one line."""
-    return _indent(obj, 0, {}) + "\n"
+    out = []
+    _layout(obj, 0, {}, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_report(obj: dict, path: str | Path) -> None:
-    Path(path).write_text(dumps_report(obj), encoding="utf-8")
+    text = dumps_report(obj)
+    with Path(path).open("wb") as handle:  # encoded a slice at a time
+        for start in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[start:start + _WRITE_SLICE].encode("utf-8"))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,17 @@ class TestWeightedCycles:
 class TestRefusals:
     """Inadmissible graphs, and admissible graphs the program cannot answer
     yet, get a typed refusal (exit 2, one error line), not a traceback."""
+
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # the near-critical 2-cycle, c * rho = 0.999: its states overflow
+        two = tmp_path / "two.edges"
+        two.write_text(f"n=2\n1 2 {0.999 / 0.75!r}\n2 1 {0.999 / 0.75!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run("simulate", "--graph", str(two), "--seeding", "nash",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert err == "error: consumption overflows within horizon 36133\n"
 
     def test_uncertified_tail_exits_two(self, tmp_path):
         dag = tmp_path / "dag.edges"  # rho = 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -182,6 +184,13 @@ class TestSimulate:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="overflows within horizon 1100"):
             simulate(g, MARKET, SeedingPair.zeros(2), horizon=1100)
+
+    def test_overflow_raises_without_numpy_warnings(self):
+        g = WeightedDigraph(2, [(1, 2, 1.3), (2, 1, 1.3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise first
+            with pytest.raises(ValueError, match="overflows within horizon 1100"):
+                simulate(g, MARKET, SeedingPair.zeros(2), horizon=1100)
 
 
 class TestTailCertification:

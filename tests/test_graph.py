@@ -456,6 +456,22 @@ class TestEdgeListIO:
             [f"# influenced\tinfluencer\tweight\nn={n}\n",
              *(f"{i}\t{j}\t{w!r}\n" for i, j, w in graph.edges)])
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 1 << 16])
+    def test_save_in_row_blocks_writes_the_same_text(self, tmp_path, monkeypatch, block):
+        # 9 rows: the weights repeat within and across the blocks
+        monkeypatch.setattr(graph_mod, "_SAVE_BLOCK", block)
+        weights = [0.25, 0.1, 0.25, 1 / 3, 0.1, 0.25, 2.0, 1 / 3, 0.1]
+        graph = WeightedDigraph(4, [(i, j, weights[k]) for k, (i, j) in enumerate(
+            (i, j) for i in range(1, 5) for j in range(1, 5) if i != j and (i, j) != (4, 1)
+            and (i, j) != (2, 4) and (i, j) != (3, 4))])
+        assert graph.edge_count == 9
+        path = tmp_path / "g.edges"
+        save_edge_list(graph, path)
+        assert path.read_text() == "".join(
+            ["# influenced\tinfluencer\tweight\nn=4\n",
+             *(f"{i}\t{j}\t{w!r}\n" for i, j, w in graph.edges)])
+        assert load_edge_list(path) == graph
+
 
 def _outcome(read):
     """What a read returns: (n, edges), or the error's class, line and text."""
@@ -731,6 +747,70 @@ class TestRepresentation:
         centrality.biproduct_centrality(cp_graph, market)
         centrality.katz_bonacich(cp_graph, 0.25)
         assert len(seen) == 3 and all(m is cp_graph._transpose for m in seen)
+
+
+class TestCheckEdges:
+    """The edge check's order: the identity for increasing pairs, else the
+    stable order by (influenced, influencer), and the first offending row."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("pairs", [
+        [], [(2, 1)], [(1, 2), (1, 3), (2, 1), (3, 1), (3, 2)],
+    ])
+    def test_increasing_pairs_give_the_identity_without_a_sort(self, dtype, pairs):
+        rows, cols = np.array(pairs, dtype=dtype).reshape(-1, 2).T
+        weights = np.full(rows.size, 0.5)
+        with mock.patch.object(graph_mod, "_stable_order", side_effect=AssertionError), \
+                mock.patch.object(np, "argsort", side_effect=AssertionError):
+            order = graph_mod._check_edges(3, rows, cols, weights)
+        assert np.array_equal(order, np.arange(rows.size))
+
+    def test_increasing_columns_of_a_structured_array(self):
+        # the loader's columns are strided views of one record array
+        table = np.zeros(4, dtype=graph_mod._BULK_DTYPE)
+        table["i"], table["j"], table["w"] = [1, 1, 2, 3], [2, 3, 3, 1], 0.5
+        order = graph_mod._check_edges(3, table["i"], table["j"], table["w"])
+        assert np.array_equal(order, np.arange(4))
+        graph = WeightedDigraph(3, _columns=(table["i"], table["j"], table["w"]))
+        assert graph.edges == ((1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5), (3, 1, 0.5))
+
+    # key << 9 | index fits, and does not (a numpy n must not wrap around)
+    @pytest.mark.parametrize("n", [50, 3 * 10 ** 9, np.int64(3 * 10 ** 9)])
+    def test_unsorted_keys_get_the_stable_order(self, n):
+        keys = np.random.default_rng(7).integers(0, 40, 500)  # many repeats
+        order, sorted_keys = graph_mod._stable_order(keys, n)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(sorted_keys, np.sort(keys))
+
+    def test_one_sort_when_the_packed_keys_fit(self):
+        keys = np.array([5, 3, 5, 0, 3])
+        with mock.patch.object(np, "argsort", side_effect=AssertionError):
+            order, _ = graph_mod._stable_order(keys, 3)
+        assert order.tolist() == [3, 1, 4, 0, 2]
+
+    @pytest.mark.parametrize("weights,error,line", [
+        ([0.5, 0.5, 0.5, 0.5, 0.5], DuplicateEdgeError, 9),  # (1, 2) again
+        ([0.5, 0.5, -0.5, 0.5, 0.5], NegativeWeightError, 7),  # before either repeat
+        ([0.5, 0.5, 0.5, 0.0, 0.5], DuplicateEdgeError, 9),  # zero weights count
+    ])
+    def test_unsorted_rows_name_the_first_offending_line(self, weights, error, line):
+        rows, cols = np.array([[3, 1, 2, 1, 2], [1, 2, 3, 2, 3]], dtype=float)
+        with pytest.raises(error) as info:
+            graph_mod._check_edges(3, rows, cols, np.array(weights), [4, 6, 7, 9, 12])
+        assert info.value.line == line
+
+    def test_an_adjacent_repeat_is_not_increasing(self):
+        rows, cols = np.array([[1, 1, 1, 2], [2, 3, 3, 1]])
+        with pytest.raises(DuplicateEdgeError, match=r"duplicate pair \(1, 3\)") as info:
+            graph_mod._check_edges(3, rows, cols, np.full(4, 0.5), [2, 3, 4, 5])
+        assert info.value.line == 4
+
+    def test_unsorted_file_with_a_repeat_names_its_line(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("n=4\n3 1 0.5\n1 2 0.5\n# c\n2 3 0.5\n1 2 0.25\n4 1 0.5\n")
+        with pytest.raises(DuplicateEdgeError) as info:
+            load_edge_list(path)
+        assert info.value.line == 6
 
 
 class TestAssumptionError:

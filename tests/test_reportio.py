@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from seedgame import WeightedDigraph, cli, dumps_report, format_real, reportio, save_edge_list
+from seedgame import (WeightedDigraph, cli, dumps_report, format_real, reportio,
+                      save_edge_list, write_report)
 from seedgame.reportio import _emit, format_distinct
 
 
@@ -329,3 +331,48 @@ class TestRealKernel:
         values = rng.random(300) * 10.0 ** rng.integers(-30, 30, 300)
         for vector in (values, values[rng.integers(0, 300, 1001)]):
             assert _emit(vector) == "[" + percent_text(vector) + "]"
+
+
+class TestBoundedText:
+    """A report is joined once from its pieces, its vectors are formatted a
+    _BLOCK at a time, and it is written in slices."""
+
+    def test_peak_memory_is_within_three_times_the_text(self):
+        rng = np.random.default_rng(18)
+        size = 10_000
+        values = rng.random(size)
+        report = {"version": "0", "config": {"out": "reports", "tol": 1e-10},
+                  "a": values, "b": values * 3.0,  # all distinct
+                  "c": rng.random(size // 2)[rng.integers(0, size // 2, size)],  # repeats
+                  "d": {"e": np.round(values, 2)}}  # few distinct values
+        dumps_report(report)  # the cached tables first
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text = dumps_report(report)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
+
+    @pytest.mark.parametrize("distinct", [5, 300, 1000])  # % path, repeats, all distinct
+    def test_kernel_work_stays_in_blocks(self, monkeypatch, distinct):
+        monkeypatch.setattr(reportio, "_BLOCK", 64)
+        sizes = []
+        kernel = reportio._real_rows
+        monkeypatch.setattr(reportio, "_real_rows",
+                            lambda values: sizes.append(values.size) or kernel(values))
+        rng = np.random.default_rng(distinct)
+        values = rng.random(distinct) * 10.0 ** rng.integers(-30, 30, distinct)
+        vector = values[rng.permutation(np.arange(1000) % distinct)]
+        assert _emit(vector) == "[" + percent_text(vector) + "]"
+        assert max(sizes, default=0) <= 64
+        assert sum(sizes) == (distinct if distinct >= reportio._KERNEL_MIN else 0)
+
+    def test_written_in_slices_as_one_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reportio, "_WRITE_SLICE", 7)
+        report = {"out": "r\u00e9sum\u00e9/\u6f22\u5b57", "v": np.linspace(0.0, 1.0, 33),
+                  "ids": list(range(1, 40))}
+        write_report(report, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_bytes() == dumps_report(report).encode("utf-8")
