@@ -7,7 +7,6 @@ difference is the cross-product (spillover) component.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -15,8 +14,8 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (_DEFAULT_TOL, AssumptionError, MarketParams, WeightedDigraph,
-                    _as_readonly, _radius_against, validate_assumptions)
+from .graph import (_DEFAULT_TOL, AssumptionError, MarketParams, PowerIterationError,
+                    WeightedDigraph, _as_readonly, _radius_against, validate_assumptions)
 
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
@@ -189,18 +188,39 @@ class _AttenuatedSystem:
             f_prev, g_prev = f, g
 
 
-def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
-                        tol: float) -> tuple[np.ndarray, float]:
+def _katz_with_residual(graph: WeightedDigraph, attenuation: float, tol: float,
+                        params: MarketParams | None = None) -> tuple[np.ndarray, float]:
     """The Katz solve and its residual.  A positive x bounds rho(G) by max_i
-    (G^T x)_i / x_i (Collatz-Wielandt); the graph keeps the lowest such bound."""
+    (G^T x)_i / x_i (Collatz-Wielandt); the graph keeps the lowest such bound.
+    Solved or not, the graph is admitted on that bound, else on the spectral
+    radius (validate_assumptions for a market, the bracket rule against
+    1 / attenuation without one), or refused before a failed solve raises."""
     system = _AttenuatedSystem(graph._transpose, attenuation, tol)
-    x, residual = system.solve(np.ones(graph.n))
-    if x.min() > 0.0:  # solve returns only finite x, whose residual met tol
-        # a row sum of fewer than n nonnegative terms and the division err by
-        # under (n + 1) / 2 epsilons, half the slack; nextafter covers the product
-        ratio = float(((graph._transpose @ x) / x).max())
-        upper = float(np.nextafter(ratio * (1.0 + (graph.n + 1) * np.finfo(float).eps), np.inf))
-        graph._rho_cache["upper"] = min(upper, graph._rho_cache.get("upper", np.inf))
+    failure = None
+    try:
+        x, residual = system.solve(np.ones(graph.n))
+        if x.min() > 0.0:  # solve returns only finite x, whose residual met tol
+            # a row sum of fewer than n nonnegative terms and the division err by
+            # under (n + 1) / 2 epsilons, half the slack; nextafter covers the product
+            ratio = float(((graph._transpose @ x) / x).max())
+            upper = float(np.nextafter(ratio * (1.0 + (graph.n + 1) * np.finfo(float).eps), np.inf))
+            graph._rho_cache["upper"] = min(upper, graph._rho_cache.get("upper", np.inf))
+    except RuntimeError as exc:  # a SolverError or a singular LU, raised once admitted
+        failure = exc
+    if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
+        if params is not None:
+            report = validate_assumptions(graph, params, tol)
+            if not report.passed:
+                names = ", ".join(c.name for c in report.failures())
+                raise AssumptionError(
+                    f"model assumptions violated ({names}):\n{report.summary()}",
+                    rho=report.rho, bound=report.bound, report=report)
+        elif attenuation * (rho := _radius_against(graph, 1.0 / attenuation, tol)) >= 1.0:
+            raise AssumptionError(
+                f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
+                f"is not below 1; the walk series diverges", rho=rho, bound=1.0 / attenuation)
+    if failure is not None:
+        raise failure
     if float(x.min()) < 1.0 - 1e-8:
         raise SolverError(
             f"centrality solve produced an entry {x.min():.12g} below 1",
@@ -208,43 +228,28 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
     return x, residual
 
 
-def _admit(graph: WeightedDigraph, attenuation: float, tol: float,
-           params: MarketParams | None = None) -> tuple[np.ndarray, float] | None:
-    """Admit the graph at attenuation or raise AssumptionError: on the lowest
-    Collatz-Wielandt bound an earlier Katz solve left on it, else on that of
-    the Katz solve at attenuation, run here and returned (None when it did not
-    run or failed), else on the spectral radius: validate_assumptions for a
-    market, and the same bracket rule against 1 / attenuation without one."""
-    solved = None
+def _admit(graph: WeightedDigraph, params: MarketParams, tol: float) -> None:
+    """_katz_with_residual's admission at delta*(1+beta), solved only when no
+    bound on the graph admits it yet; a failed solve alone does not refuse."""
+    attenuation = params.delta * (1.0 + params.beta)
     if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
-        with contextlib.suppress(RuntimeError):  # a SolverError or a singular LU
-            solved = _katz_with_residual(graph, attenuation, tol)
-    if attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
-        return solved
-    if params is not None:
-        report = validate_assumptions(graph, params, tol)
-        if not report.passed:
-            names = ", ".join(c.name for c in report.failures())
-            raise AssumptionError(
-                f"model assumptions violated ({names}):\n{report.summary()}",
-                rho=report.rho, bound=report.bound, report=report)
-    elif attenuation * (rho := _radius_against(graph, 1.0 / attenuation, tol)) >= 1.0:
-        raise AssumptionError(  # rho > 0 here, as attenuation is finite
-            f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
-            f"is not below 1; the walk series diverges", rho=rho, bound=1.0 / rho)
-    return solved
+        try:
+            _katz_with_residual(graph, attenuation, tol, params)
+        except RuntimeError as exc:  # a SolverError or a singular LU is let pass
+            if isinstance(exc, (AssumptionError, PowerIterationError)):
+                raise
 
 
 def katz_bonacich(graph: WeightedDigraph, attenuation: float,
                   tol: float = _DEFAULT_TOL) -> np.ndarray:
     """Katz-Bonacich centrality (I - attenuation * G^T)^{-1} 1.
 
-    Refuses when attenuation * spectral_radius(G) >= 1 (decided by _admit).
+    Refuses when attenuation * spectral_radius(G) >= 1 (_katz_with_residual).
     Every entry is at least 1 (the empty walk).
     """
     if not (np.isfinite(attenuation) and attenuation >= 0):
         raise ValueError(f"attenuation must be a nonnegative real, got {attenuation}")
-    x, _ = _admit(graph, attenuation, tol) or _katz_with_residual(graph, attenuation, tol)
+    x, _ = _katz_with_residual(graph, attenuation, tol)
     return _as_readonly(x)
 
 
@@ -252,15 +257,14 @@ def biproduct_centrality(graph: WeightedDigraph, params: MarketParams,
                          tol: float = _DEFAULT_TOL) -> CentralityBundle:
     """Both attenuated solves plus their average and half difference.
 
-    The solve at delta*(1+beta) comes first and admits the graph (_admit, at
-    the same tolerance); a refusal's AssumptionError carries the validation
-    report.  With beta = 0 the two attenuations coincide, one solve is
-    reused, and c_cross is exactly zero.
+    The solve at delta*(1+beta) comes first and admits the graph
+    (_katz_with_residual, at the same tolerance); a refusal's AssumptionError
+    carries the validation report.  With beta = 0 the two attenuations
+    coincide, one solve is reused, and c_cross is exactly zero.
     """
     att_low = params.delta * (1.0 - params.beta)
     att_high = params.delta * (1.0 + params.beta)
-    b, res_b = (_admit(graph, att_high, tol, params)
-                or _katz_with_residual(graph, att_high, tol))
+    b, res_b = _katz_with_residual(graph, att_high, tol, params)
     if params.beta == 0.0:
         a, res_a = b, res_b
     else:

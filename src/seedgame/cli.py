@@ -246,8 +246,6 @@ def _seeding_summary(graph: WeightedDigraph, c_new: np.ndarray,
 
 
 def cmd_generate(config: RunConfig) -> int:
-    if config.generate is None:
-        raise UsageError("generate needs --generate <spec>")
     graph = build_generated_graph(config.generate, config.seed)
     out = _ensure_out(config)
     path = out / "graph.edges"
@@ -320,8 +318,6 @@ def cmd_nash(config: RunConfig, sets: bool = False) -> int:
 
 
 def cmd_sparsify(config: RunConfig) -> int:
-    if config.epsilon_target is None:
-        raise UsageError("sparsify needs --epsilon-target")
     check_epsilon_target(config.epsilon_target)
     graph, params, out, bundle = _load_bundle(config)
     set_bar, set_under, eps = sparsify(graph, params, config.epsilon_target, bundle=bundle)
@@ -381,8 +377,6 @@ def _parse_rule(text: str):
 
 
 def cmd_asr_scan(config: RunConfig) -> int:
-    if config.family is None or config.schedule is None:
-        raise UsageError("asr-scan needs --family and --schedule")
     # the family's entry syntax is checked first, its kind and keys after
     # the schedule and the market, so a bad market wins over a bad kind
     _split_spec(config.family, "family")
@@ -447,7 +441,8 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
     # strictly positive so central differences below stay inside the domain
     seeding = SeedingPair(s_bar=params.price * bundle.c_new * (0.25 + rng.random(graph.n)),
                           s_under=params.price * (0.25 + rng.random(graph.n)))
-    trajectory = simulate(graph, params, seeding, tail_tol=config.tail_tol, tol=config.tol)
+    trajectory = simulate(graph, params, seeding, tail_tol=config.tail_tol,
+                          store_states=False, tol=config.tol)
     y_bar, y_under = solver.consumption(seeding)
     gap = max(float(np.abs(trajectory.discounted_bar - y_bar).max()),
               float(np.abs(trajectory.discounted_under - y_under).max()))

@@ -215,7 +215,7 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
     are stored unless store_states=False (sums-only streaming for large
     runs); discounted sums always cover k = 1..horizon.
     """
-    _admit(graph, params.delta * (1.0 + params.beta), tol, params)
+    _admit(graph, params, tol)
     if seeding.n != graph.n:
         raise ValueError(f"seeding has {seeding.n} agents, graph has {graph.n}")
     if horizon is None:

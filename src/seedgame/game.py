@@ -140,7 +140,7 @@ class DiscountedSolver:
 
     def __init__(self, graph: WeightedDigraph, params: MarketParams,
                  tol: float = _DEFAULT_TOL):
-        _admit(graph, params.delta * (1.0 + params.beta), tol, params)
+        _admit(graph, params, tol)
         self.graph = graph
         self.params = params
         self.tol = tol

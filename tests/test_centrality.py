@@ -61,6 +61,14 @@ class TestKatzBonacich:
         assert info.value.rho == pytest.approx(0.5, abs=1e-9)
         katz_bonacich(g, 1.9)  # just inside the region is fine
 
+    def test_refusal_reports_the_largest_admissible_radius(self, cp_graph):
+        # rho = 0.5: at attenuation 2.5 the admissible radii are those below
+        # 1 / 2.5, the bound validate_assumptions reports for a market too
+        with pytest.raises(AssumptionError) as info:
+            katz_bonacich(cp_graph, 2.5)
+        assert info.value.rho == pytest.approx(0.5, abs=1e-9)
+        assert info.value.bound == 1.0 / 2.5
+
     def test_monotone_in_attenuation(self, cp_graph):
         prev = katz_bonacich(cp_graph, 0.1)
         for q in (0.3, 0.6, 0.9):
@@ -285,6 +293,69 @@ class TestAdmissionCertificate:
         graph = WeightedDigraph.from_matrix(weights)
         with pytest.raises(AssumptionError):
             ENTRY_POINTS[entry](graph, MarketParams(2.0, 1.0, 0.5, 0.5))
+
+
+def _listens_to_three(c_rho: float) -> WeightedDigraph:
+    """50 agents, each listening to 3 distinct others at one weight, so every
+    row sums to rho and 0.75 * rho = c_rho: perfbench's in-degree graph at seed
+    1, drawn with replacement and the repeated pairs redrawn."""
+    n, degree = 50, 3
+    rng = np.random.default_rng(1)
+    owner = np.repeat(np.arange(n), degree)
+    partner = rng.integers(0, n - 1, size=owner.size)
+    partner += partner >= owner
+    while True:
+        _, first = np.unique(owner * n + partner, return_index=True)
+        repeated = np.ones(owner.size, dtype=bool)
+        repeated[first] = False
+        if not repeated.any():
+            break
+        redraw = rng.integers(0, n - 1, size=int(repeated.sum()))
+        partner[repeated] = redraw + (redraw >= owner[repeated])
+    weights = np.full(owner.size, c_rho / (0.75 * degree))
+    return WeightedDigraph(n, np.column_stack((owner + 1, partner + 1, weights)))
+
+
+class TestOneAdmission:
+    """_katz_with_residual admits the graph and raises a failed solve's error
+    after it, so a failing solve runs once; on the 50-agent graph at
+    0.75 * rho = 1 - 1e-7 the Katz solve stalls, and the spectral radius
+    admits the graph."""
+
+    STALLED = "direct solve stalled at residual 3.73e-09 > tol 1e-10"
+
+    @pytest.fixture
+    def katz_calls(self, monkeypatch):
+        calls = []
+        katz = centrality_mod._katz_with_residual
+        monkeypatch.setattr(centrality_mod, "_katz_with_residual", lambda *args, **kwargs:
+                            calls.append(args[1]) or katz(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("entry", [
+        lambda g: biproduct_centrality(g, MarketParams(2.0, 1.0, 0.5, 0.5)),
+        lambda g: katz_bonacich(g, 0.75),
+    ], ids=["biproduct_centrality", "katz_bonacich"])
+    def test_a_failing_solve_runs_once(self, katz_calls, entry):
+        with pytest.raises(SolverError) as info:
+            entry(_listens_to_three(1 - 1e-7))
+        assert str(info.value) == self.STALLED
+        assert katz_calls == [0.75]
+
+    def test_simulate_and_the_oracle_keep_their_errors(self):
+        market = MarketParams(2.0, 1.0, 0.5, 0.5)
+        graph = _listens_to_three(1 - 1e-7)
+        with pytest.raises(TailCertificationError):
+            simulate(graph, market, SeedingPair.zeros(graph.n))
+        with pytest.raises(SolverError, match="direct solve stalled"):
+            discounted_consumption(graph, market, SeedingPair.zeros(graph.n))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_a_refusal_comes_before_a_failed_solve(self, monkeypatch, entry):
+        monkeypatch.setattr(centrality_mod._AttenuatedSystem, "solve", mock.Mock(
+            side_effect=SolverError("solve failed", residual=1.0)))
+        with pytest.raises(AssumptionError):
+            ENTRY_POINTS[entry](_listens_to_three(1.01), MarketParams(2.0, 1.0, 0.5, 0.5))
 
 
 class TestNeumann:

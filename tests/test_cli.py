@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seedgame import (AssumptionError, DiscountedSolver, SeedingPair, WeightedDigraph,
-                      discounted_consumption, katz_bonacich, load_edge_list, simulate)
+from seedgame import (AssumptionError, DiscountedSolver, PowerIterationError, SeedingPair,
+                      WeightedDigraph, biproduct_centrality, discounted_consumption,
+                      katz_bonacich, load_edge_list, simulate)
 from seedgame import cli
 from seedgame.cli import build_parser, main
 
@@ -458,6 +459,22 @@ class TestRefusals:
         assert report["passed"] is False
         assert report["rho"] == pytest.approx(1.6, rel=1e-2)
 
+    @pytest.mark.parametrize("entry", [
+        lambda g: katz_bonacich(g, 0.75),
+        lambda g: biproduct_centrality(g, MARKET),
+    ], ids=["katz_bonacich", "biproduct_centrality"])
+    def test_a_straddling_bracket_is_a_power_iteration_error(self, entry):
+        # the 200-cycle at delta * (1 + beta) * rho = 1 - 1e-7: the Katz solve
+        # does not certify it, and the bracket left by the step budget holds 1 / 0.75
+        weights = weighted_cycle(*TestWeightedCycles.CYCLES["cycle200"])
+        weights *= (1 - 1e-7) / (0.75 * np.exp(np.log(weights).mean()))
+        graph = WeightedDigraph(200, [(i + 1, (i + 1) % 200 + 1, float(w))
+                                      for i, w in enumerate(weights)])
+        with pytest.raises(PowerIterationError) as info:
+            entry(graph)
+        # the bracket's upper end is 2 * estimate - lower
+        assert info.value.lower < 1 / 0.75 < 2 * info.value.estimate - info.value.lower
+
     def test_katz_on_an_inadmissible_cycle_is_an_assumption_failure(self):
         # the power iteration runs out of steps with its bracket above 1 / 0.75
         weights = weighted_cycle(*TestWeightedCycles.CYCLES["cycle200"])
@@ -657,6 +674,16 @@ class TestVerify:
             "(worst relative gap 0.000e+00)\n"
             "all checks passed (6/6)\n")
 
+    def test_verify_keeps_no_states(self, tmp_path, monkeypatch):
+        # verify reads only the trajectory's sums and tail bound
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs:
+                            calls.append(kwargs) or simulate(*args, **kwargs))
+        code, _, _ = run("verify", "--generate", CP_SPEC, "--samples", "200",
+                         "--out", str(tmp_path))
+        assert code == 0
+        assert [kwargs.get("store_states", True) for kwargs in calls] == [False]
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_needs_at_least_one_sample(self, tmp_path, samples):
         code, out, err = run("verify", "--samples", samples, "--out", str(tmp_path))
@@ -701,6 +728,17 @@ class TestParser:
     def test_unknown_command_exits_one(self):
         code, _, err = run("explode")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("generate",), "--generate"),
+        (("asr-scan",), "--family, --schedule"),
+        (("asr-scan", "--family", "core-periphery:chi=3,g=0.5"), "--schedule"),
+    ])
+    def test_a_missing_required_flag_exits_one(self, tmp_path, argv, flags):
+        code, out, err = run(*argv, "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: the following arguments are required: {flags}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_main_reuses_one_parser(self):
         assert cli._main_parser() is cli._main_parser()
