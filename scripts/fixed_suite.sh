@@ -139,3 +139,10 @@ run centrality-cycle200-critical centrality --graph cycle/critical.edges --out n
 # (c * rho ~ 0.986)
 run centrality-bo131073 centrality --generate "bounded-outdegree:n=131073,d=10,weight=0.2" \
     --seed 1 --delta 0.66 --out bo131073
+
+# both sides of the generator's bulk limit: at d = 200 every agent is drawn
+# in the bulk matrix, at d = 201 by numpy's own per-agent calls
+run generate-bo400-d200 generate --generate "bounded-outdegree:n=400,d=200,weight=0.001" \
+    --seed 3 --out bo400d200
+run generate-bo400-d201 generate --generate "bounded-outdegree:n=400,d=201,weight=0.001" \
+    --seed 3 --out bo400d201

@@ -646,6 +646,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -224,7 +224,8 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     # the states stay nonnegative, as the seeds, weights and alpha - price
     # are, so they are built without ConsumptionState's checks; an overflow
-    # shows in the sums, and raises below instead of warning
+    # shows in the sums, which stay non-finite once they are, and raises at
+    # the first period it shows in instead of warning
     x_bar, x_under = seeding.s_bar, seeding.s_under
     states = [ConsumptionState(x_bar=x_bar, x_under=x_under, k=0)] if store_states else []
     acc_bar = np.zeros(graph.n)
@@ -236,10 +237,10 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
             discount *= params.delta
             acc_bar += discount * x_bar
             acc_under += discount * x_under
+            if not (math.isfinite(acc_bar.max()) and math.isfinite(acc_under.max())):
+                raise ValueError(f"consumption overflows within horizon {horizon}")
             if store_states:
                 states.append(ConsumptionState._unchecked(x_bar, x_under, k))
-    if not (np.isfinite(acc_bar).all() and np.isfinite(acc_under).all()):
-        raise ValueError(f"consumption overflows within horizon {horizon}")
     tail = _tail_certificate(graph, params, seeding, horizon)
     return Trajectory(states=tuple(states),
                       discounted_bar=_as_readonly(acc_bar),

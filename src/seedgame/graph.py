@@ -457,9 +457,10 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
             picks = rng.choice(n - 1, size=k, replace=False)
 
     in which agent ``a`` influences the agents at positions ``picks`` of the
-    ascending list of the n - 1 agents other than ``a``.  The draws are made
-    in bulk from PCG64's 32-bit words, so the graph rests on how numpy turns
-    those words into ``integers`` and ``choice`` draws.  The tests compare it
+    ascending list of the n - 1 agents other than ``a``.  For d <= 200 the
+    draws are made in bulk from PCG64's 32-bit words, so the graph rests on
+    how numpy turns those words into ``integers`` and ``choice`` draws; for
+    larger d the loop itself runs.  The tests compare it
     with the loop on the installed numpy; numpy 1.24, the oldest release the
     package allows, is left to the minimum-versions CI job and is unverified
     until that job runs.
@@ -477,14 +478,10 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
                                         np.full(idx.size, weight, dtype=float)))
 
 
-# numpy's Generator.choice(pool, k, replace=False) shuffles the tail of the
-# whole pool, instead of running Floyd's algorithm, for pools above this size
-# when k > pool // 50
-_TAIL_SHUFFLE_POOL = 10_000
-# Agents with more picks than this are drawn by numpy in sequence: the bulk
-# draw's per-agent cost grows with its matrix width, numpy's barely with k.
-# Below 201, the fewest picks that take the tail-shuffle branch.
-_BULK_K = 64
+# Generator.choice(pool, k, replace=False) runs Floyd's algorithm for every
+# k up to this: it shuffles a tail of the pool instead only for pools above
+# 10,000 and k > pool // 50, and pool // 50 is then at least 200
+_FLOYD_K = 200
 _WINDOW = 4096  # agents in a window at most
 
 
@@ -549,55 +546,50 @@ def _numpy_draw(rng: np.random.Generator, pool: int, d: int) -> np.ndarray:
     return rng.choice(pool, size=rng.integers(0, d + 1), replace=False)
 
 
-def _position(bitgen: np.random.PCG64) -> tuple[int, int, int]:
-    """Where ``bitgen`` is in its stream: its state and buffered half, if any."""
-    state = bitgen.state
-    return state["state"]["state"], state["has_uint32"], state["uinteger"] * state["has_uint32"]
-
-
 def _outdegree_draws(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``generate_bounded_outdegree_family``'s loop, made in bulk:
-    the 0-based agent and the pool position of every pick, in no set order.
+    """The draws of ``generate_bounded_outdegree_family``'s loop: the 0-based
+    agent and the pool position of every pick, in no set order.
 
-    From its first word an agent spends: one Lemire draw on [0, d] for its
-    count k; k Floyd draws on [0, j] for j = n-1-k .. n-2 (no word on
-    [0, 0]); then k - 1 shuffle draws on [0, i], i = k-1 .. 1, whose values
-    the sorted CSR does not see.  On choice's tail-shuffle branch it spends
-    k draws on [0, n-2] .. [0, n-1-k] instead.  A window of words is read
-    from one bit generator state; one pass over Python ints follows the
-    chain of agents' first words through it, and the draws of its agents
-    with at most _BULK_K picks are taken as one matrix.
+    For d above _FLOYD_K they are the loop's own draws.  Up to it, they are
+    made in bulk: from its first word an agent spends one Lemire draw on
+    [0, d] for its count k; k Floyd draws on [0, j] for j = n-1-k .. n-2 (no
+    word on [0, 0]); then k - 1 shuffle draws on [0, i], i = k-1 .. 1, whose
+    values the sorted CSR does not see.  A window of words is read from one
+    bit generator state; one pass over Python ints follows the chain of
+    agents' first words through it, and the draws of its agents are taken
+    as one matrix of d columns.
 
     A rejected word shifts the rest of the stream.  So a window ends at the
     first agent whose count word, or a word in its matrix row, is rejected,
     and at an agent whose words run past the window's.  numpy's own
     ``integers`` and ``choice`` draw that agent from the bit generator
     placed at its first word, and the next window starts from the state they
-    leave.  Runs of agents with more picks are drawn in sequence by numpy
-    from a second bit generator placed at the run's first word.  If it does
-    not end at the word the chain expects, a word in the run was rejected,
-    and the next window starts from its state.
+    leave.
     """
     agents, picks = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     if d == 0:  # integers(0, 1) spends no word and every count is 0
         return agents[0], picks[0]
     pool = n - 1
-    tail_k = pool // 50 if pool > _TAIL_SHUFFLE_POOL else d  # a larger k shuffles a tail
-    width = min(d, _BULK_K)
+    bitgen = np.random.PCG64(seed)
+    rng = np.random.Generator(bitgen)
+    if d > _FLOYD_K:
+        for agent in range(n):
+            picks.append(_numpy_draw(rng, pool, d))
+            agents.append(np.full(picks[-1].size, agent))
+        return np.concatenate(agents), np.concatenate(picks)
     # Lemire thresholds 2**32 mod R: for the count (R = d + 1), for the Floyd
-    # draws (R = n-width .. n+width-1) and for the final shuffle's (R = 0 ..
-    # width, where R <= 1 never rejects)
+    # draws (R = n-d .. n+d-1) and for the final shuffle's (R = 0 .. d, where
+    # R <= 1 never rejects)
     count_threshold = (1 << 32) % (d + 1)
-    floyd_threshold = (1 << 32) % np.arange(n - width, n + width)
-    shuffle_threshold = (1 << 32) % np.maximum(np.arange(width + 1), 1)
+    floyd_threshold = (1 << 32) % np.arange(n - d, n + d)
+    shuffle_threshold = (1 << 32) % np.maximum(np.arange(d + 1), 1)
     # A rejection, about one in 2**34 / (d * n) agents, ends a window and
     # wastes the rest of it, while each window costs a fixed numpy overhead:
-    # windows of a fraction of that run, within a fixed memory budget.
-    window = max(1, min(_WINDOW, (1 << 20) // width, (1 << 32) // (d * n)))
+    # windows of a fraction of that run, of at most 2**17 matrix entries (at
+    # n = 5000, d = 200, 4096-agent windows ran 25% slower on a 2-core VM).
+    window = max(1, min(_WINDOW, (1 << 17) // d, (1 << 32) // (d * n)))
     size = window * (d + 2)  # words read per window; an agent averages under d + 1
-    cols = np.arange(width)
-    bitgen, side = np.random.PCG64(seed), np.random.PCG64(seed)
-    rng, side_rng = np.random.Generator(bitgen), np.random.Generator(side)
+    cols = np.arange(d)
     done = 0
     while done < n:
         state = bitgen.state
@@ -613,49 +605,31 @@ def _outdegree_draws(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]
         for _ in range(limit):
             product = stream[p] * scale
             k = product >> 32
-            end = p + 1 + k - (k == pool) + (k - 1 if 0 < k <= tail_k else 0)
+            end = p + 1 + k - (k == pool) + (k - 1 if k else 0)
             if product & 0xFFFFFFFF < count_threshold or end > size:
                 break
             starts.append(p)
             counts.append(k)
             p = end
         starts.append(p)
-        ks = np.array(counts, dtype=np.intp)
-        rows = np.flatnonzero(ks <= _BULK_K)  # the agents drawn from the matrix
-        kr = ks[rows, None]
+        kr = np.array(counts, dtype=np.intp)[:, None]
         # draw col on [0, n-1-k+col]; the draw on [0, 0] (k = n - 1) spends no word
-        first = np.array(starts[:-1], dtype=np.intp)[rows, None] + 1 - (kr == pool)
-        bound = cols - kr + width  # R - (n - width)
-        values, rejected = _lemire(words[first + cols], bound + (n - width),
-                                   floyd_threshold[bound])
+        first = np.array(starts[:-1], dtype=np.intp)[:, None] + 1 - (kr == pool)
+        bound = cols - kr + d  # R - (n - d)
+        values, rejected = _lemire(words[first + cols], bound + (n - d), floyd_threshold[bound])
         bad = (rejected & (cols < kr)).any(axis=1)
         # the final shuffle's draws on [0, R), R = k .. 2
         bound = np.maximum(kr - cols[:-1], 0)
         bad |= _lemire(words[first + kr + cols[:-1]], bound, shuffle_threshold[bound])[1].any(axis=1)
-        b = int(rows[np.argmax(bad)]) if bad.any() else len(counts)
-        resume = None
-        edges = np.flatnonzero(np.diff(ks[:b] > _BULK_K, prepend=False, append=False)).tolist()
-        for lo, hi in zip(edges[::2], edges[1::2]):  # runs of agents with many picks
-            _place(side, state, words, starts[lo])
-            for row in range(lo, hi):
-                picks.append(_numpy_draw(side_rng, pool, d))
-                agents.append(np.full(picks[-1].size, done + row))
-            _place(bitgen, state, words, starts[hi])
-            if _position(bitgen) != _position(side):  # the run spent a rejected word
-                b, resume = hi, side.state
-                break
-        use = rows < b
-        kept = cols < kr[use]
-        picks.append(_floyd(values[use], pool - kr[use, 0])[kept])
-        agents.append(done + rows[use][np.nonzero(kept)[0]])
-        if resume is not None:
-            bitgen.state = resume
-        else:
-            _place(bitgen, state, words, starts[b])
-            if b < limit:  # numpy draws the agent the window stopped at
-                picks.append(_numpy_draw(rng, pool, d))
-                agents.append(np.full(picks[-1].size, done + b))
-                b += 1
+        b = int(np.argmax(bad)) if bad.any() else len(counts)
+        kept = cols < kr[:b]
+        picks.append(_floyd(values[:b], pool - kr[:b, 0])[kept])
+        agents.append(done + np.nonzero(kept)[0])
+        _place(bitgen, state, words, starts[b])
+        if b < limit:  # numpy draws the agent the window stopped at
+            picks.append(_numpy_draw(rng, pool, d))
+            agents.append(np.full(picks[-1].size, done + b))
+            b += 1
         done += b
     return np.concatenate(agents), np.concatenate(picks)
 

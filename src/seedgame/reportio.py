@@ -259,12 +259,6 @@ def _layout(obj, level: int, memo: dict, out: list[str]) -> None:
         key, _vector_pieces(obj) if _real_vector(obj) else [_emit(obj)]))
 
 
-def _indent(obj, level: int, memo: dict) -> str:
-    out = []
-    _layout(obj, level, memo, out)
-    return "".join(out)
-
-
 def dumps_report(obj: dict) -> str:
     """Serialize a report dict; top-level and nested dicts are indented,
     numeric vectors stay on one line."""

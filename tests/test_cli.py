@@ -437,6 +437,26 @@ class TestRefusals:
         assert code == 1
         assert err == "error: consumption overflows within horizon 36133\n"
 
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,) "
+                     "and data type int64"),
+         "error: Unable to allocate 745. GiB for an array with shape (100000000001,) "
+         "and data type int64\n"),
+        (MemoryError(), "error: out of memory\n")], ids=["numpy", "bare"])
+    def test_a_failed_allocation_is_one_error_line(self, tmp_path, monkeypatch, error, line):
+        # the header n=100000000000 fails in the loader's CSR build; the
+        # loader is patched to raise, since on a machine that overcommits a
+        # real allocation may be granted and the process killed later
+        path = tmp_path / "huge.edges"
+        path.write_text("n=100000000000\n1 2 0.5\n")
+
+        def load(_):
+            raise error
+
+        monkeypatch.setattr(cli, "load_edge_list", load)
+        code, out, err = run("centrality", "--graph", str(path), "--out", str(tmp_path))
+        assert (code, out, err) == (1, "", line)
+
     def test_uncertified_tail_exits_two(self, tmp_path):
         dag = tmp_path / "dag.edges"  # rho = 0
         dag.write_text("n=3\n1 2 1.0\n1 3 1.0\n")

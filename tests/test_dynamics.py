@@ -10,6 +10,7 @@ from seedgame import (ConsumptionState, CorePeripheryParams, DiscountedSolver,
                       best_response_step, generate_bounded_outdegree_family,
                       generate_core_periphery, nash_seeding, simulate,
                       write_trajectory_csv)
+from seedgame import dynamics
 from seedgame.dynamics import _tail_certificate
 
 from conftest import MARKET
@@ -191,6 +192,19 @@ class TestSimulate:
             warnings.simplefilter("error")  # a RuntimeWarning would raise first
             with pytest.raises(ValueError, match="overflows within horizon 1100"):
                 simulate(g, MARKET, SeedingPair.zeros(2), horizon=1100)
+
+    def test_overflow_stops_at_its_period(self, monkeypatch):
+        # the near-critical 2-cycle (delta * (1 + beta) * rho = 0.999): its
+        # tail bound asks for tens of thousands of periods, while its states
+        # grow as 1.998^k and overflow near k = 1020
+        steps = []
+        step = dynamics._step
+        monkeypatch.setattr(dynamics, "_step", lambda *args: steps.append(1) or step(*args))
+        w = 0.999 / 0.75
+        g = WeightedDigraph(2, [(1, 2, w), (2, 1, w)])
+        with pytest.raises(ValueError, match="overflows within horizon"):
+            simulate(g, MARKET, SeedingPair.zeros(2))
+        assert 0 < len(steps) < 2000
 
 
 class TestTailCertification:

@@ -288,24 +288,23 @@ class TestBoundedOutDegree:
     # (20000, 10, 4): one Floyd word rejected, so numpy draws that agent and
     # the window restarts from its state, and agents cross window boundaries;
     # (50, 49, 3): one agent with k = n - 1, where the Floyd draw on [0, 0]
-    # spends no word; (10002, 210, 1): choice's tail-shuffle branch
-    # (pool > 10000, k > pool // 50), and agents above _BULK_K picks
+    # spends no word; (10002, 200, 1): the widest bulk matrix, on a pool where
+    # choice shuffles a tail above 200 picks (pool > 10000, k > pool // 50);
+    # (10002, 201, 1) and (10002, 210, 1): the loop, with that branch
     @pytest.mark.parametrize("n,d,seed", [(1, 0, 0), (2, 1, 3), (30, 2, 1), (300, 4, 11),
                                           (3000, 10, 7), (40, 39, 2), (1, 0, 4), (2, 1, 0),
-                                          (50, 49, 3), (20000, 10, 4), (10002, 210, 1)])
+                                          (50, 49, 3), (20000, 10, 4), (10002, 210, 1),
+                                          (10002, 200, 1), (10002, 201, 1)])
     def test_same_edges_as_the_per_agent_loop(self, n, d, seed):
         fast = generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
         reference = self.per_agent_family(n, d, 0.1, seed)
         assert fast == reference
         assert fast.edges == reference.edges
 
-    @pytest.mark.parametrize("window,bulk_k", [(7, 64), (4096, 1), (3, 2)])
-    def test_same_edges_in_short_windows_and_long_runs(self, monkeypatch, window, bulk_k):
-        # short windows put many agents on window boundaries; a low _BULK_K
-        # sends most agents to numpy's sequential runs, including the agent
-        # with the rejected word, whose run then ends off the chain's word
+    @pytest.mark.parametrize("window", [7, 3])
+    def test_same_edges_in_short_windows(self, monkeypatch, window):
+        # short windows put many agents on window boundaries
         monkeypatch.setattr(graph_mod, "_WINDOW", window)
-        monkeypatch.setattr(graph_mod, "_BULK_K", bulk_k)
         for n, d, seed in ((20000, 10, 4), (50, 49, 3), (300, 4, 11)):
             fast = generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
             assert fast == self.per_agent_family(n, d, 0.1, seed), (n, d, seed)

@@ -167,7 +167,9 @@ class TestRepeatedVectors:
         report = {"sets": {"bar": ids, "under": list(ids)},
                   "epsilon": {"sets": {"bar": tuple(ids), "under": ids}, "tau": 0.25},
                   "flags": [True, 1], "ones": [1, 1], "again": (1, 1)}
-        unshared = reportio._indent(report, 0, NoMemo()) + "\n"
+        pieces = []
+        reportio._layout(report, 0, NoMemo(), pieces)
+        unshared = "".join(pieces) + "\n"
         emitted = []
         emit = reportio._emit
         monkeypatch.setattr(reportio, "_emit", lambda obj: emitted.append(obj) or emit(obj))
