@@ -7,7 +7,7 @@ Each workload runs twice, each time as its own ``perfbench/run.py
 --workload W --seed N --seconds S`` process (seed 101 and 25 s by default):
 with ``--trace 0`` for the end-to-end metrics, and with ``--trace 1`` for
 the per-layer metrics, read from ``.perfbench/<workload>/result-trace1.json``.
-Then ``centrality`` runs as a fresh process on the 996,507-edge graph
+Then ``centrality`` runs as a fresh process on the 1,001,163-edge graph
 ``bounded-outdegree:n=200000,d=10,weight=0.1`` (seed 7), FRESH_RUNS times;
 each run's wall seconds and peak RSS (the child's own ``ru_maxrss``) are
 kept.  OUT gets one JSON object: the commit of the checkout (and whether its

@@ -82,8 +82,9 @@ run generate-bo20000 generate --generate "bounded-outdegree:n=20000,d=10,weight=
     --seed 7 --out bo20000
 run centrality-bo20000 centrality --graph bo20000/graph.edges --out bo20000
 run epsilon-bo20000 epsilon --graph bo20000/graph.edges --sets 1,2,3 --out bo20000/epsilon
-# seed 4 draws a word that numpy's Lemire sampler rejects inside one agent's
-# targets, so the generator's bulk draw hands that agent to numpy
+# a second seed of the same size: its edge list pins another stretch of
+# numpy's integers stream (seed 4 once drew a word numpy's sampler rejects,
+# when the generator replayed numpy's per-agent loop)
 run generate-bo20000-seed4 generate --generate "bounded-outdegree:n=20000,d=10,weight=0.1" \
     --seed 4 --out bo20000s4
 
@@ -126,7 +127,7 @@ run refuse-cycle200 centrality --graph cycle/scaled.edges --force --out cycle/re
 
 # near-critical graphs (ROADMAP item 9), both refused at the time of
 # writing, so that a fix shows as a deliberate byte change: simulate on the
-# 2-cycle (c * rho = 0.999; exit 1, consumption overflows) and centrality
+# 2-cycle (c * rho = 0.999; exit 2, ConsumptionOverflowError) and centrality
 # on the 200-cycle at c * rho = 1 - 1e-7 (exit 2, the radius bracket
 # straddles the bound); numpy's overflow warnings name the source file and
 # line, which differ between trees, so that run ignores warnings
@@ -140,8 +141,9 @@ run centrality-cycle200-critical centrality --graph cycle/critical.edges --out n
 run centrality-bo131073 centrality --generate "bounded-outdegree:n=131073,d=10,weight=0.2" \
     --seed 1 --delta 0.66 --out bo131073
 
-# both sides of the generator's bulk limit: at d = 200 every agent is drawn
-# in the bulk matrix, at d = 201 by numpy's own per-agent calls
+# d = 200 and d = 201 on 400 agents, where an agent picks up to half its
+# pool and many draws are displaced; the generator once switched to numpy's
+# per-agent calls between the two, and now draws both in one Floyd pass
 run generate-bo400-d200 generate --generate "bounded-outdegree:n=400,d=200,weight=0.001" \
     --seed 3 --out bo400d200
 run generate-bo400-d201 generate --generate "bounded-outdegree:n=400,d=201,weight=0.001" \

@@ -15,10 +15,9 @@ from .asr import (ASRScanResult, CorePeripheryAnalytics, FamilySpec,
                   write_scan_csv)
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          katz_bonacich, neumann_oracle, neumann_tail_bound)
-from .dynamics import (ConsumptionState, NegativeStateError, SeedingPair,
-                       TailCertificationError, Trajectory, agent_utility,
-                       auto_horizon, best_response_step, simulate,
-                       write_trajectory_csv)
+from .dynamics import (ConsumptionOverflowError, ConsumptionState, NegativeStateError,
+                       SeedingPair, TailCertificationError, Trajectory, agent_utility,
+                       auto_horizon, best_response_step, simulate, write_trajectory_csv)
 from .game import (DiscountedSolver, EpsilonReport, SeedSet, UtilityBreakdown,
                    best_response_gain, discounted_consumption,
                    epsilon_for_sets, firm_utility, nash_deviation_check,
@@ -50,7 +49,7 @@ __all__ = [
     "neumann_oracle", "neumann_tail_bound",
     # dynamics
     "SeedingPair", "ConsumptionState", "Trajectory", "NegativeStateError",
-    "TailCertificationError", "agent_utility", "best_response_step",
+    "ConsumptionOverflowError", "TailCertificationError", "agent_utility", "best_response_step",
     "auto_horizon", "simulate", "write_trajectory_csv",
     # game
     "SeedSet", "UtilityBreakdown", "EpsilonReport", "DiscountedSolver",

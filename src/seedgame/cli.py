@@ -21,7 +21,8 @@ from . import __version__
 from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_csv
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          certified_neumann_series)
-from .dynamics import SeedingPair, TailCertificationError, simulate, write_trajectory_csv
+from .dynamics import (ConsumptionOverflowError, SeedingPair, TailCertificationError,
+                       simulate, write_trajectory_csv)
 from .game import (DiscountedSolver, SeedSet, check_epsilon_target,
                    epsilon_for_sets, firm_utility, nash_deviation_check, nash_seeding,
                    restricted_nash_seeding, sparsify, utility_gradient)
@@ -637,7 +638,8 @@ def main(argv: list[str] | None = None) -> int:
     except AssumptionError as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return 2
-    except (PowerIterationError, SolverError, TailCertificationError) as exc:
+    except (PowerIterationError, SolverError, TailCertificationError,
+            ConsumptionOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:

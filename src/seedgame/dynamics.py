@@ -29,6 +29,10 @@ class TailCertificationError(RuntimeError):
     """No certified truncation bound is available for this graph/params pair."""
 
 
+class ConsumptionOverflowError(ValueError):
+    """The discounted consumption sums overflow a float before the horizon."""
+
+
 class NegativeStateError(ValueError):
     """Consumption states must be entrywise nonnegative."""
 
@@ -238,7 +242,7 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
             acc_bar += discount * x_bar
             acc_under += discount * x_under
             if not (math.isfinite(acc_bar.max()) and math.isfinite(acc_under.max())):
-                raise ValueError(f"consumption overflows within horizon {horizon}")
+                raise ConsumptionOverflowError(f"consumption overflows within horizon {horizon}")
             if store_states:
                 states.append(ConsumptionState._unchecked(x_bar, x_under, k))
     tail = _tail_certificate(graph, params, seeding, horizon)

@@ -447,23 +447,18 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
     """Random graph in which every agent influences at most d others, each
     with the same weight, so weighted out-degrees never exceed d * weight.
 
-    Determinism: the graph depends only on (n, d, weight, seed) and on the
-    raw output of numpy's PCG64 bit generator seeded with ``seed``.  It is
-    the graph of the per-agent loop
+    Determinism: the graph depends only on (n, d, weight, seed), through
+    these public calls on ``rng = np.random.default_rng(seed)``:
 
-        rng = np.random.default_rng(seed)
-        for agent in 1..n:
-            k = rng.integers(0, d + 1)
-            picks = rng.choice(n - 1, size=k, replace=False)
+        k = rng.integers(0, d + 1, size=n)       # every agent's count
+        for t in 0 .. d - 1:                     # the agents with k > t, in id order
+            draw_t = rng.integers(0, n - 1 - k + t + 1)
 
-    in which agent ``a`` influences the agents at positions ``picks`` of the
-    ascending list of the n - 1 agents other than ``a``.  For d <= 200 the
-    draws are made in bulk from PCG64's 32-bit words, so the graph rests on
-    how numpy turns those words into ``integers`` and ``choice`` draws; for
-    larger d the loop itself runs.  The tests compare it
-    with the loop on the installed numpy; numpy 1.24, the oldest release the
-    package allows, is left to the minimum-versions CI job and is unverified
-    until that job runs.
+    Each agent's picks come from its draws by Floyd's algorithm (Bentley &
+    Floyd, CACM 1987): draw t, on [0, n - 1 - k + t], is picked unless an
+    earlier pick holds it, and then n - 1 - k + t is.  Agent ``a``
+    influences the agents at the picked positions of the ascending list of
+    the n - 1 agents other than ``a``.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -478,22 +473,7 @@ def generate_bounded_outdegree_family(n: int, d: int, weight: float,
                                         np.full(idx.size, weight, dtype=float)))
 
 
-# Generator.choice(pool, k, replace=False) runs Floyd's algorithm for every
-# k up to this: it shuffles a tail of the pool instead only for pools above
-# 10,000 and k > pool // 50, and pool // 50 is then at least 200
-_FLOYD_K = 200
-_WINDOW = 4096  # agents in a window at most
-
-
-def _lemire(words: np.ndarray, bound: np.ndarray,
-            threshold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's draws on [0, bound) from 32-bit words, as numpy makes them:
-    the value ``(w * bound) >> 32``, and whether numpy rejects the word (the
-    low half of ``w * bound`` below ``threshold`` = 2**32 mod bound) and
-    draws again from the next one.  int64 holds the product while
-    bound < 2**31."""
-    product = words * bound
-    return product >> 32, (product & 0xFFFFFFFF) < threshold
+_WINDOW_ENTRIES = 1 << 17  # matrix entries _floyd resolves at a time
 
 
 def _floyd(values: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -528,109 +508,28 @@ def _floyd(values: np.ndarray, low: np.ndarray) -> np.ndarray:
     return values
 
 
-def _place(bitgen: np.random.PCG64, state: dict, words: np.ndarray, p: int) -> None:
-    """Put ``bitgen`` at word ``p`` of ``words``, the 32-bit stream read from
-    ``state``: numpy's buffered high half first, if it holds one, then each
-    64-bit output low half first, as its next_uint32 hands them out."""
-    fresh = p - state["has_uint32"]  # words taken from outputs after state
-    bitgen.state = state
-    bitgen.advance((fresh + 1) // 2)
-    if fresh % 2:  # word p is the high half of the last output taken
-        placed = bitgen.state
-        placed["has_uint32"], placed["uinteger"] = 1, int(words[p])
-        bitgen.state = placed
-
-
-def _numpy_draw(rng: np.random.Generator, pool: int, d: int) -> np.ndarray:
-    """One agent's picks as the loop draws them, by numpy's own calls."""
-    return rng.choice(pool, size=rng.integers(0, d + 1), replace=False)
-
-
 def _outdegree_draws(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``generate_bounded_outdegree_family``'s loop: the 0-based
-    agent and the pool position of every pick, in no set order.
-
-    For d above _FLOYD_K they are the loop's own draws.  Up to it, they are
-    made in bulk: from its first word an agent spends one Lemire draw on
-    [0, d] for its count k; k Floyd draws on [0, j] for j = n-1-k .. n-2 (no
-    word on [0, 0]); then k - 1 shuffle draws on [0, i], i = k-1 .. 1, whose
-    values the sorted CSR does not see.  A window of words is read from one
-    bit generator state; one pass over Python ints follows the chain of
-    agents' first words through it, and the draws of its agents are taken
-    as one matrix of d columns.
-
-    A rejected word shifts the rest of the stream.  So a window ends at the
-    first agent whose count word, or a word in its matrix row, is rejected,
-    and at an agent whose words run past the window's.  numpy's own
-    ``integers`` and ``choice`` draw that agent from the bit generator
-    placed at its first word, and the next window starts from the state they
-    leave.
-    """
-    agents, picks = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    if d == 0:  # integers(0, 1) spends no word and every count is 0
-        return agents[0], picks[0]
-    pool = n - 1
-    bitgen = np.random.PCG64(seed)
-    rng = np.random.Generator(bitgen)
-    if d > _FLOYD_K:
-        for agent in range(n):
-            picks.append(_numpy_draw(rng, pool, d))
-            agents.append(np.full(picks[-1].size, agent))
-        return np.concatenate(agents), np.concatenate(picks)
-    # Lemire thresholds 2**32 mod R: for the count (R = d + 1), for the Floyd
-    # draws (R = n-d .. n+d-1) and for the final shuffle's (R = 0 .. d, where
-    # R <= 1 never rejects)
-    count_threshold = (1 << 32) % (d + 1)
-    floyd_threshold = (1 << 32) % np.arange(n - d, n + d)
-    shuffle_threshold = (1 << 32) % np.maximum(np.arange(d + 1), 1)
-    # A rejection, about one in 2**34 / (d * n) agents, ends a window and
-    # wastes the rest of it, while each window costs a fixed numpy overhead:
-    # windows of a fraction of that run, of at most 2**17 matrix entries (at
-    # n = 5000, d = 200, 4096-agent windows ran 25% slower on a 2-core VM).
-    window = max(1, min(_WINDOW, (1 << 17) // d, (1 << 32) // (d * n)))
-    size = window * (d + 2)  # words read per window; an agent averages under d + 1
-    cols = np.arange(d)
-    done = 0
-    while done < n:
-        state = bitgen.state
-        # low half first on any byte order, as next_uint32 hands them out; the
-        # matrix rows of the window's last agents read up to 2 * d words on
-        words = bitgen.random_raw(size // 2 + d + 1).astype("<u8", copy=False).view(
-            "<u4").astype(np.uint32, copy=False)
-        if state["has_uint32"]:
-            words = np.concatenate(([np.uint32(state["uinteger"])], words))
-        limit = min(window, n - done)
-        starts, counts = [], []
-        p, stream, scale = 0, memoryview(words), d + 1
-        for _ in range(limit):
-            product = stream[p] * scale
-            k = product >> 32
-            end = p + 1 + k - (k == pool) + (k - 1 if k else 0)
-            if product & 0xFFFFFFFF < count_threshold or end > size:
-                break
-            starts.append(p)
-            counts.append(k)
-            p = end
-        starts.append(p)
-        kr = np.array(counts, dtype=np.intp)[:, None]
-        # draw col on [0, n-1-k+col]; the draw on [0, 0] (k = n - 1) spends no word
-        first = np.array(starts[:-1], dtype=np.intp)[:, None] + 1 - (kr == pool)
-        bound = cols - kr + d  # R - (n - d)
-        values, rejected = _lemire(words[first + cols], bound + (n - d), floyd_threshold[bound])
-        bad = (rejected & (cols < kr)).any(axis=1)
-        # the final shuffle's draws on [0, R), R = k .. 2
-        bound = np.maximum(kr - cols[:-1], 0)
-        bad |= _lemire(words[first + kr + cols[:-1]], bound, shuffle_threshold[bound])[1].any(axis=1)
-        b = int(np.argmax(bad)) if bad.any() else len(counts)
-        kept = cols < kr[:b]
-        picks.append(_floyd(values[:b], pool - kr[:b, 0])[kept])
-        agents.append(done + np.nonzero(kept)[0])
-        _place(bitgen, state, words, starts[b])
-        if b < limit:  # numpy draws the agent the window stopped at
-            picks.append(_numpy_draw(rng, pool, d))
-            agents.append(np.full(picks[-1].size, done + b))
-            b += 1
-        done += b
+    """Every pick of ``generate_bounded_outdegree_family``: the 0-based agent
+    and the pool position, in no set order.  Column t of one (n, d) matrix
+    holds draw t of every agent with k > t; the filler past k never repeats,
+    so only rows with a repeated draw reach _floyd's chain walk.  Windows
+    of agents bound _floyd's temporaries and nothing else."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, d + 1, size=n)
+    low = n - 1 - counts
+    values = np.empty((n, d), dtype=np.int32 if n < 1 << 31 else np.int64)
+    values[:] = -1 - np.arange(d)  # filler past k: distinct and below every draw
+    rows = np.arange(n)
+    for t in range(d):
+        rows = rows[counts[rows] > t]
+        values[rows, t] = rng.integers(0, low[rows] + t + 1)
+    agents, picks = [], []
+    step = max(1, _WINDOW_ENTRIES // max(d, 1))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        kept = np.arange(d) < counts[block, None]
+        picks.append(_floyd(values[block].astype(np.int64), low[block])[kept])
+        agents.append(start + np.nonzero(kept)[0])
     return np.concatenate(agents), np.concatenate(picks)
 
 

@@ -26,6 +26,24 @@ def random_validated_graph(rng: np.random.Generator) -> WeightedDigraph:
     return WeightedDigraph.from_matrix(weights)
 
 
+def choice_loop_family(n: int, d: int, weight: float, seed: int) -> WeightedDigraph:
+    """The bounded-out-degree graph of a per-agent numpy loop: one
+    ``integers`` and one ``choice`` call per agent on one stream, agent ``a``
+    influencing the picked positions of the ascending list of the others.
+    The generator drew these graphs before it took every agent's draws in
+    one Floyd pass; tests whose expected figures came from one of them
+    build it here."""
+    rng = np.random.default_rng(seed)
+    picks = []
+    for _ in range(n):
+        k = int(rng.integers(0, d + 1))
+        picks.append(rng.choice(n - 1, size=k, replace=False) if k else np.empty(0, np.int64))
+    influencers = np.repeat(np.arange(1, n + 1), [p.size for p in picks])
+    idx = np.concatenate(picks)
+    return WeightedDigraph(n, np.column_stack(
+        (idx + 1 + (idx >= influencers - 1), influencers, np.full(idx.size, weight))))
+
+
 @pytest.fixture(scope="session")
 def market() -> MarketParams:
     return MARKET

@@ -434,7 +434,7 @@ class TestRefusals:
             warnings.simplefilter("error")
             code, _, err = run("simulate", "--graph", str(two), "--seeding", "nash",
                                "--out", str(tmp_path))
-        assert code == 1
+        assert code == 2
         assert err == "error: consumption overflows within horizon 36133\n"
 
     @pytest.mark.parametrize("error,line", [
