@@ -254,9 +254,9 @@ class TestBoundedOutDegree:
         assert all(w == 0.25 for _, _, w in g.edges)
 
     @staticmethod
-    def per_agent_family(n, d, weight, seed):
-        """Reference draw: the generator's integers calls, then Floyd's
-        algorithm one agent at a time on the explicit pool of the others."""
+    def column_draws(n, d, seed):
+        """The generator's integers calls: every agent's k, then draw t of
+        every agent with k > t, on [0, n - 1 - k + t]; per agent, its draws."""
         rng = np.random.default_rng(seed)
         counts = rng.integers(0, d + 1, size=n)
         draws = [[] for _ in range(n)]
@@ -265,8 +265,36 @@ class TestBoundedOutDegree:
             for agent, value in zip(rows.tolist(),
                                     rng.integers(0, n - 1 - counts[rows] + t + 1).tolist()):
                 draws[agent].append(value)
+        return draws
+
+    @staticmethod
+    def pool_based_family(n, d, weight, seed):
+        """Reference draw: Floyd's algorithm on the labels of the explicit
+        pool of the other agents, a chosen label standing in for a taken one."""
+        edges = []
+        for j, values in enumerate(TestBoundedOutDegree.column_draws(n, d, seed), start=1):
+            pool = [i for i in range(1, n + 1) if i != j]
+            low = len(pool) - len(values)
+            chosen = []
+            for t, value in enumerate(values):
+                chosen.append(pool[low + t] if pool[value] in chosen else pool[value])
+            edges.extend((i, j, weight) for i in chosen)
+        return WeightedDigraph(n, edges)
+
+    @pytest.mark.parametrize("n,d,seed", [(1, 0, 4), (2, 1, 0), (5, 4, 3), (30, 2, 1),
+                                          (300, 3, 7), (3000, 10, 5)])
+    def test_same_graph_as_pool_based_draw(self, n, d, seed):
+        fast = generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
+        reference = self.pool_based_family(n, d, 0.1, seed)
+        assert fast == reference
+        assert fast.edges == reference.edges
+
+    @staticmethod
+    def per_agent_family(n, d, weight, seed):
+        """Reference draw: the generator's integers calls, then Floyd's
+        algorithm one agent at a time on the explicit pool of the others."""
         targets, influencers = [], []
-        for agent, values in enumerate(draws):
+        for agent, values in enumerate(TestBoundedOutDegree.column_draws(n, d, seed)):
             pool = np.delete(np.arange(1, n + 1), agent)
             targets.extend(pool[scalar_floyd(values, n - 1 - len(values))].tolist())
             influencers.extend([agent + 1] * len(values))
@@ -279,8 +307,7 @@ class TestBoundedOutDegree:
     @pytest.mark.parametrize("n,d,seed", [(1, 0, 0), (2, 1, 3), (30, 2, 1), (300, 4, 11),
                                           (3000, 10, 7), (40, 39, 2), (1, 0, 4), (2, 1, 0),
                                           (50, 49, 3), (20000, 10, 4), (10002, 210, 1),
-                                          (10002, 200, 1), (10002, 201, 1), (5, 4, 3),
-                                          (300, 3, 7), (3000, 10, 5)])
+                                          (10002, 200, 1), (10002, 201, 1)])
     def test_same_edges_as_the_per_agent_loop(self, n, d, seed):
         assert (generate_bounded_outdegree_family(n, d, 0.1, seed=seed)
                 == self.per_agent_family(n, d, 0.1, seed))
