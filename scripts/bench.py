@@ -7,15 +7,17 @@ Each workload runs twice, each time as its own ``perfbench/run.py
 --workload W --seed N --seconds S`` process (seed 101 and 25 s by default):
 with ``--trace 0`` for the end-to-end metrics, and with ``--trace 1`` for
 the per-layer metrics, read from ``.perfbench/<workload>/result-trace1.json``.
-Then ``centrality`` runs as a fresh process on the 1,001,163-edge graph
+Then ``centrality`` and ``sparsify --epsilon-target 0.5`` each run as a
+fresh process on the 1,001,163-edge graph
 ``bounded-outdegree:n=200000,d=10,weight=0.1`` (seed 7), FRESH_RUNS times;
 each run's wall seconds and peak RSS (the child's own ``ru_maxrss``) are
 kept.  OUT gets one JSON object: the commit of the checkout (and whether its
 tracked files differ from it), the settings, the environment line perfbench
 prints, per workload its ``correct``, ``attempted`` and ``failed`` counts,
 the value and unit of each end-to-end metric, the per-layer metrics and the
-hooks the tracer could not install, and the fresh-process row.  Exits
-nonzero if a run fails or a workload's outputs are not correct.
+hooks the tracer could not install, and the two fresh-process rows
+(``fresh_centrality`` and ``fresh_sparsify``).  Exits nonzero if a run
+fails or a workload's outputs are not correct.
 """
 from __future__ import annotations
 
@@ -66,23 +68,27 @@ def seedgame(*argv: str) -> tuple[float, float]:
     return seconds, usage.ru_maxrss / 1024.0
 
 
-def fresh_centrality() -> dict:
-    """The fresh-process row: centrality on the large generated graph."""
+def fresh_rows() -> dict:
+    """The fresh-process rows: centrality, and sparsify at epsilon 0.5, on
+    the large generated graph."""
     spec, seed = FRESH_GRAPH
-    work = ROOT / ".perfbench" / "fresh-centrality"
+    work = ROOT / ".perfbench" / "fresh"
     shutil.rmtree(work, ignore_errors=True)
     seedgame("generate", "--generate", spec, "--seed", str(seed), "--out", str(work))
     edges = json.loads((work / "generate.json").read_text(encoding="utf-8"))["edge_count"]
-    runs = [seedgame("centrality", "--graph", str(work / "graph.edges"), "--out", str(work))
-            for _ in range(FRESH_RUNS)]
-    report_bytes = (work / "centrality.json").stat().st_size
-    shutil.rmtree(work, ignore_errors=True)
-    return {"command": f"centrality --graph <generate {spec} --seed {seed}>",
-            "edges": edges, "report_bytes": report_bytes,
+    rows = {}
+    for command in (["centrality"], ["sparsify", "--epsilon-target", "0.5"]):
+        runs = [seedgame(*command, "--graph", str(work / "graph.edges"), "--out", str(work))
+                for _ in range(FRESH_RUNS)]
+        rows[f"fresh_{command[0]}"] = {
+            "command": f"{' '.join(command)} --graph <generate {spec} --seed {seed}>",
+            "edges": edges, "report_bytes": (work / f"{command[0]}.json").stat().st_size,
             "wall_s": {"value": statistics.median(s for s, _ in runs), "unit": "s",
                        "samples": [s for s, _ in runs]},
             "child_maxrss_mb": {"value": max(m for _, m in runs), "unit": "MB",
                                 "samples": [m for _, m in runs]}}
+    shutil.rmtree(work, ignore_errors=True)
+    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,8 +111,9 @@ def main(argv: list[str] | None = None) -> int:
                       unhooked=traced["detail"]["unhooked"])
         record["workloads"][name] = result
         print(f"{name}: {json.dumps(result['metrics'])}", flush=True)
-    record["fresh_centrality"] = fresh_centrality()
-    print(f"fresh centrality: {json.dumps(record['fresh_centrality'])}", flush=True)
+    for name, row in fresh_rows().items():
+        record[name] = row
+        print(f"{name}: {json.dumps(row)}", flush=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0 if all(r["correct"] is True and r["traced_correct"] is True
                     for r in record["workloads"].values()) else 1

@@ -2,18 +2,35 @@
 # Run the fixed command suite and keep everything it produces: the files
 # each command writes, and its stdout, stderr and exit code.
 #
-#   scripts/fixed_suite.sh OUT [TREE]
+#   scripts/fixed_suite.sh [--write | --check | --check-quick] OUT [TREE]
 #
 # TREE is the checkout whose src/ runs (default: the one holding this
 # script).  OUT must be empty or absent.  The commands run inside OUT with
 # relative --out paths, so the suites of two trees run into the same OUT
 # compare with `diff -r`.  Set PYTHON to choose the interpreter.
+#
+# The manifest scripts/fixed_suite.sha256 holds the environment the suite
+# was recorded under (Python, machine, numpy, scipy, BLAS) on its first
+# line, then one `sha256sum` line per file of OUT.  --write runs the suite
+# and rewrites the manifest.  --check runs it and names every file that
+# differs from the manifest, is missing or is not in it; --check-quick does
+# the same for the README quick start alone (its 8 commands).  A check exits
+# 0 when every file matches, 1 when a file differs under the recorded
+# environment, and 3 when the running environment is not the recorded one:
+# the digests hold for that environment only (another numpy or OpenBLAS
+# build may move a last bit), so then the differences are listed but bind
+# nothing.
 set -euo pipefail
 
+mode=
+case ${1:-} in
+    --write | --check | --check-quick) mode=${1#--}; shift ;;
+esac
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 OUT [TREE]" >&2
+    echo "usage: $0 [--write | --check | --check-quick] OUT [TREE]" >&2
     exit 1
 fi
+manifest=$(cd "$(dirname "$0")" && pwd)/fixed_suite.sha256
 tree=$(cd "${2:-$(dirname "$0")/..}" && pwd)
 if [ -n "$(ls -A "$1" 2>/dev/null)" ]; then
     echo "$0: $1 is not empty" >&2
@@ -21,6 +38,67 @@ if [ -n "$(ls -A "$1" 2>/dev/null)" ]; then
 fi
 mkdir -p "$1"
 cd "$1"
+
+# the first line of the manifest, for the running interpreter
+environment() {
+    "${PYTHON:-python3}" - <<'PY'
+import platform
+
+import numpy
+import scipy
+
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas['name']} {blas['version']}"
+except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+    blas = "unknown"
+print(f"# environment python={platform.python_version()} machine={platform.machine()} "
+      f"numpy={numpy.__version__} scipy={scipy.__version__} blas={blas}")
+PY
+}
+
+# one sha256sum line per file of OUT, in byte order of the paths
+digests() {
+    find . -type f -printf '%P\n' | LC_ALL=C sort | xargs -d '\n' sha256sum
+}
+
+# compare OUT with the manifest (its quick-start lines for --check-quick)
+# and exit as the usage above says
+check() {
+    local recorded current expected differences
+    recorded=$(head -n 1 "$manifest")
+    current=$(environment)
+    expected=$(tail -n +2 "$manifest")
+    if [ "$mode" = check-quick ]; then
+        expected=$(grep -E '^[0-9a-f]{64}  (0[1-8]-|demo/)' <<< "$expected" || true)
+    fi
+    differences=$(awk 'FILENAME == ARGV[1] { if (NF) want[$2] = $1; next }
+        !($2 in want) { print "not in the manifest: " $2; next }
+        want[$2] != $1 { print "differs: " $2 }
+        { delete want[$2] }
+        END { for (path in want) print "missing: " path }' \
+        <(echo "$expected") <(digests) | LC_ALL=C sort)
+    if [ -n "$differences" ]; then
+        echo "$differences"
+    fi
+    echo "$(grep -c . <<< "$differences") differences from the" \
+        "$(grep -c . <<< "$expected") files of $manifest"
+    if [ "$current" != "$recorded" ]; then
+        echo "the digests bind nothing here: recorded under '${recorded#\# environment }'," \
+            "running under '${current#\# environment }'"
+        exit 3
+    fi
+    [ -z "$differences" ] || exit 1
+}
+
+# the end of the run: write or check the manifest when asked to
+finish() {
+    case $mode in
+        write) { environment; digests; } > "$manifest" ;;
+        check | check-quick) check ;;
+    esac
+    exit 0
+}
 
 step=0
 # run NAME ARGS...: one seedgame command; its stdout, stderr and exit code
@@ -44,6 +122,8 @@ run sparsify sparsify --graph demo/graph.edges --epsilon-target 0.32 --out demo
 run simulate simulate --graph demo/graph.edges --seeding nash --out demo
 run asr-scan asr-scan --family "core-periphery:chi=3,g=0.5" --schedule 10,31,100 --out demo
 run verify verify --out demo
+# the quick start writes 01-* to 08-* and demo/, the lines --check-quick reads
+[ "$mode" != check-quick ] || finish
 
 # the benchmark's core-periphery graph and verify spec, and a 3000-agent
 # bounded-out-degree graph with its reports: all-distinct vectors
@@ -148,3 +228,5 @@ run generate-bo400-d200 generate --generate "bounded-outdegree:n=400,d=200,weigh
     --seed 3 --out bo400d200
 run generate-bo400-d201 generate --generate "bounded-outdegree:n=400,d=201,weight=0.001" \
     --seed 3 --out bo400d201
+
+finish

@@ -154,20 +154,18 @@ class ASRScanResult:
 
 def _resolve_rule(rule, graph: WeightedDigraph, bundle: CentralityBundle) -> SeedSet:
     if callable(rule):
-        return SeedSet.of(tuple(int(i) for i in rule(graph, bundle)), graph.n)
+        return SeedSet.of(rule(graph, bundle), graph.n)
     if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "top_k":
         k = int(rule[1])
         if not 0 <= k <= graph.n:
             raise ValueError(f"top_k size {k} outside 0..{graph.n}")
         c2 = bundle.c_new ** 2
         order = np.lexsort((np.arange(graph.n), -c2))
-        return SeedSet.of(tuple(int(i) + 1 for i in order[:k]), graph.n)
+        return SeedSet.of(order[:k] + 1, graph.n)
     raise ValueError(f"unknown seeding rule {rule!r}")
 
 
 def _rule_label(rule) -> str:
-    if rule == "role_models":
-        return "role_models"
     if isinstance(rule, tuple) and rule and rule[0] == "top_k":
         return f"top_k:{rule[1]}"
     if callable(rule):

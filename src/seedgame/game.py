@@ -28,37 +28,40 @@ from .dynamics import SeedingPair
 from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _check_id
 
 
-def _sorted_ids(ids, n: int) -> list[int] | None:
-    """The distinct ids in ascending order from one np.unique when all are
-    exact ints in 1..n, else None (the caller then checks id by id)."""
-    if set(map(type, ids)) <= {int}:
-        with contextlib.suppress(OverflowError):  # an id beyond int64
-            unique = np.unique(np.array(ids, dtype=np.int64)).tolist()
-            if not unique or 1 <= unique[0] and unique[-1] <= n:
-                return unique
-    return None
+def _id_index(ids, n: int) -> np.ndarray:
+    """0-based int64 ids, repeats kept, when every id is a Python or numpy int
+    (not a bool) in 1..n, from one numpy pass; else _check_id's first error."""
+    if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
+        ids = list(ids)
+        if all(t is int or issubclass(t, np.integer) for t in set(map(type, ids))):
+            with contextlib.suppress(OverflowError):  # an id beyond int64
+                ids = np.array(ids, dtype=np.int64)
+    if isinstance(ids, np.ndarray) and (ids.size == 0 or 1 <= ids.min() and ids.max() <= n):
+        return ids.astype(np.int64) - 1
+    return np.array([_check_id(i, n) for i in ids], dtype=np.int64) - 1
 
 
 @dataclass(frozen=True)
 class SeedSet:
-    """A set of seeded agents (1-based ids) inside a graph of n agents."""
+    """A set of seeded agents (1-based ids) inside a graph of n agents; _index
+    holds them 0-based as one sorted read-only array, outside the fields."""
 
     members: tuple[int, ...]
     n: int
 
     def __post_init__(self):
-        ids = _sorted_ids(self.members, self.n)
-        if ids is None or len(ids) != len(self.members):
-            ids = sorted({_check_id(i, self.n) for i in self.members})
-            if len(ids) != len(self.members):
-                raise ValueError("seed set contains duplicate ids")
-        object.__setattr__(self, "members", tuple(ids))
+        index = np.sort(_id_index(self.members, self.n))
+        if np.any(index[1:] == index[:-1]):
+            raise ValueError("seed set contains duplicate ids")
+        index.flags.writeable = False
+        object.__setattr__(self, "members", tuple((index + 1).tolist()))
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def of(cls, ids: Iterable[int], n: int) -> "SeedSet":
-        """Build from any id iterable, collapsing repeats."""
-        ids = list(ids)
-        return cls(members=tuple(_sorted_ids(ids, n) or sorted({int(i) for i in ids})), n=n)
+        """Build from any ids, dropping repeats; each is checked as the constructor checks it."""
+        index = np.sort(_id_index(ids, n))  # np.unique takes 20x as long on numpy 2.4
+        return cls(members=index[np.diff(index, prepend=-1) != 0] + 1, n=n)
 
     @classmethod
     def empty(cls, n: int) -> "SeedSet":
@@ -74,10 +77,7 @@ class SeedSet:
 
     def indicator(self) -> np.ndarray:
         """0/1 vector, 0-based."""
-        ind = np.zeros(self.n)
-        if self.members:
-            ind[np.asarray(self.members) - 1] = 1.0
-        return ind
+        return np.bincount(self._index, minlength=self.n).astype(float)
 
     def mask(self) -> np.ndarray:
         return self.indicator() > 0
@@ -380,7 +380,7 @@ def sparsify(graph: WeightedDigraph, params: MarketParams, epsilon_target: float
     bundle = _require_bundle(graph, params, bundle, tol)
     chosen = _greedy_prefix(bundle.c_new ** 2, _kappa(params) * float(bundle.b.sum()),
                             epsilon_target)
-    seed_set = SeedSet.of((chosen + 1).tolist(), graph.n)
+    seed_set = SeedSet.of(chosen + 1, graph.n)
     report = epsilon_for_sets(graph, params, seed_set, seed_set, bundle=bundle, tol=tol)
     return seed_set, seed_set, report
 

@@ -60,14 +60,46 @@ class TestSeedSet:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             SeedSet(members=members, n=4)
 
+    @pytest.mark.parametrize("ids", [[2.7], [np.float64(2.0)], [True], ["3"], [1, True]],
+                             ids=["float", "numpy-float", "bool", "str", "int-and-bool"])
+    def test_of_raises_what_the_constructor_raises(self, ids):
+        with pytest.raises(GraphError, match="^agent id must be an integer, got ") as refused:
+            SeedSet(members=tuple(ids), n=4)
+        with pytest.raises(GraphError, match=f"^{re.escape(str(refused.value))}$"):
+            SeedSet.of(ids, 4)
+
     def test_of_matches_the_per_id_path(self):
         # exact ints go through one array pass, anything else id by id
-        for ids in ([4, 2, 2, 1], range(4, 0, -1), [], [np.int64(3), 1], [True, 3]):
+        for ids in ([4, 2, 2, 1], range(4, 0, -1), [], [np.int64(3), 1]):
             s = SeedSet.of(ids, 4)
             assert s.members == tuple(sorted({int(i) for i in ids}))
             assert set(map(type, s.members)) <= {int}
+        with pytest.raises(GraphError, match="^agent id must be an integer, got True$"):
+            SeedSet.of([True, 3], 4)
         with pytest.raises(GraphError, match="^agent id 0 outside 1..4$"):
             SeedSet.of([2, 0, 2], 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_of_takes_python_and_numpy_ints(self, data):
+        n = data.draw(st.integers(1, 100))
+        kinds = st.sampled_from([int, np.int8, np.uint8, np.int32, np.uint32, np.int64,
+                                 np.uint64])
+        ids = data.draw(st.lists(st.builds(lambda i, kind: kind(i), st.integers(1, n), kinds),
+                                 max_size=30))
+        if data.draw(st.booleans()):
+            ids = np.array(ids, dtype=data.draw(kinds))
+        s = SeedSet.of(ids, n)
+        assert s.members == tuple(sorted(set(ids)))
+        assert set(map(type, s.members)) <= {int}
+        indicator = np.zeros(n)
+        for i in ids:
+            indicator[int(i) - 1] = 1.0
+        assert np.array_equal(s.indicator(), indicator)
+        assert np.array_equal(s.mask(), indicator == 1.0)
+        assert not s._index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s._index[...] = 0
 
 
 class TestNashSeeding:
