@@ -9,15 +9,20 @@ with ``--trace 0`` for the end-to-end metrics, and with ``--trace 1`` for
 the per-layer metrics, read from ``.perfbench/<workload>/result-trace1.json``.
 Then ``centrality`` and ``sparsify --epsilon-target 0.5`` each run as a
 fresh process on the 1,001,163-edge graph
-``bounded-outdegree:n=200000,d=10,weight=0.1`` (seed 7), FRESH_RUNS times;
+``bounded-outdegree:n=200000,d=10,weight=0.1`` (seed 7), and ``centrality
+--force`` on the fixed suite's weighted 200-cycle scaled to delta * (1 +
+beta) * rho = 1.2, which it refuses with exit code 2, FRESH_RUNS times each;
 each run's wall seconds and peak RSS (the child's own ``ru_maxrss``) are
-kept.  OUT gets one JSON object: the commit of the checkout (and whether its
-tracked files differ from it), the settings, the environment line perfbench
-prints, per workload its ``correct``, ``attempted`` and ``failed`` counts,
-the value and unit of each end-to-end metric, the per-layer metrics and the
-hooks the tracer could not install, and the two fresh-process rows
-(``fresh_centrality`` and ``fresh_sparsify``).  Exits nonzero if a run
-fails or a workload's outputs are not correct.
+kept.  The fresh processes run inside their work directory with relative
+paths, so the reports, which record --graph and --out, have the same size
+wherever the checkout sits.  OUT gets one JSON object: the commit of the
+checkout (and whether its tracked files differ from it), the settings, the
+environment line perfbench prints, per workload its ``correct``,
+``attempted`` and ``failed`` counts, the value and unit of each end-to-end
+metric, the per-layer metrics and the hooks the tracer could not install,
+and the three fresh-process rows (``fresh_centrality``, ``fresh_sparsify``
+and ``fresh_refusal``).  Exits nonzero if a run fails or a workload's
+outputs are not correct.
 """
 from __future__ import annotations
 
@@ -30,6 +35,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ingest-50k", "direct-2000", "near-critical", "core-periphery")
@@ -53,40 +60,62 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> tuple[dict
     return json.loads(lines[-1]), environment
 
 
-def seedgame(*argv: str) -> tuple[float, float]:
-    """Run the CLI of this checkout as a fresh process: its wall seconds and
-    its peak RSS in MB."""
+def seedgame(work: Path, *argv: str, expect: int = 0) -> tuple[float, float]:
+    """Run the CLI of this checkout as a fresh process inside work, which
+    must exit with code expect: its wall seconds and its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "seedgame.cli", *argv], env=env,
-                             stdout=subprocess.DEVNULL)
+    child = subprocess.Popen([sys.executable, "-m", "seedgame.cli", *argv], cwd=work, env=env,
+                             stdout=subprocess.DEVNULL,
+                             stderr=None if expect == 0 else subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
     seconds = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode != 0:
+    if child.returncode != expect:
         raise subprocess.CalledProcessError(child.returncode, child.args)
     return seconds, usage.ru_maxrss / 1024.0
 
 
-def fresh_rows() -> dict:
-    """The fresh-process rows: centrality, and sparsify at epsilon 0.5, on
-    the large generated graph."""
-    spec, seed = FRESH_GRAPH
-    work = ROOT / ".perfbench" / "fresh"
-    shutil.rmtree(work, ignore_errors=True)
-    seedgame("generate", "--generate", spec, "--seed", str(seed), "--out", str(work))
-    edges = json.loads((work / "generate.json").read_text(encoding="utf-8"))["edge_count"]
-    rows = {}
-    for command in (["centrality"], ["sparsify", "--epsilon-target", "0.5"]):
-        runs = [seedgame(*command, "--graph", str(work / "graph.edges"), "--out", str(work))
-                for _ in range(FRESH_RUNS)]
-        rows[f"fresh_{command[0]}"] = {
-            "command": f"{' '.join(command)} --graph <generate {spec} --seed {seed}>",
-            "edges": edges, "report_bytes": (work / f"{command[0]}.json").stat().st_size,
+def write_scaled_cycle(path: Path) -> None:
+    """The weighted 200-cycle of scripts/fixed_suite.sh scaled to delta * (1
+    + beta) * rho = 1.2 (cycle/scaled.edges there), byte for byte."""
+    weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)
+    scaled = weights * (1.2 / (0.75 * np.exp(np.log(weights).mean())))
+    path.write_text("n=200\n" + "".join(f"{i} {i % 200 + 1} {float(w)!r}\n"
+                                        for i, w in enumerate(scaled, start=1)))
+
+
+def fresh_row(command: str, runs: list[tuple[float, float]], **fields) -> dict:
+    """One fresh-process row: the median wall seconds and the largest peak RSS."""
+    return {"command": command, **fields,
             "wall_s": {"value": statistics.median(s for s, _ in runs), "unit": "s",
                        "samples": [s for s, _ in runs]},
             "child_maxrss_mb": {"value": max(m for _, m in runs), "unit": "MB",
                                 "samples": [m for _, m in runs]}}
+
+
+def fresh_rows() -> dict:
+    """The fresh-process rows: centrality, and sparsify at epsilon 0.5, on
+    the large generated graph, and the refusal of the scaled 200-cycle."""
+    spec, seed = FRESH_GRAPH
+    work = ROOT / ".perfbench" / "fresh"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    seedgame(work, "generate", "--generate", spec, "--seed", str(seed), "--out", ".")
+    edges = json.loads((work / "generate.json").read_text(encoding="utf-8"))["edge_count"]
+    rows = {}
+    for command in (["centrality"], ["sparsify", "--epsilon-target", "0.5"]):
+        runs = [seedgame(work, *command, "--graph", "graph.edges", "--out", ".")
+                for _ in range(FRESH_RUNS)]
+        rows[f"fresh_{command[0]}"] = fresh_row(
+            f"{' '.join(command)} --graph <generate {spec} --seed {seed}>", runs,
+            edges=edges, report_bytes=(work / f"{command[0]}.json").stat().st_size)
+    write_scaled_cycle(work / "scaled.edges")
+    runs = [seedgame(work, "centrality", "--graph", "scaled.edges", "--force", "--out", "refuse",
+                     expect=2) for _ in range(FRESH_RUNS)]
+    rows["fresh_refusal"] = fresh_row(
+        "centrality --graph <fixed suite cycle/scaled.edges> --force", runs,
+        exit_code=2, report_bytes=(work / "refuse" / "validation.json").stat().st_size)
     shutil.rmtree(work, ignore_errors=True)
     return rows
 

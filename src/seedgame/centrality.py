@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import (_DEFAULT_TOL, AssumptionError, MarketParams, PowerIterationError,
-                    WeightedDigraph, _as_readonly, _radius_against, validate_assumptions)
+                    WeightedDigraph, _as_readonly, _collatz_wielandt, _power_iteration,
+                    validate_assumptions)
 
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
@@ -190,20 +191,18 @@ class _AttenuatedSystem:
 
 def _katz_with_residual(graph: WeightedDigraph, attenuation: float, tol: float,
                         params: MarketParams | None = None) -> tuple[np.ndarray, float]:
-    """The Katz solve and its residual.  A positive x bounds rho(G) by max_i
-    (G^T x)_i / x_i (Collatz-Wielandt); the graph keeps the lowest such bound.
-    Solved or not, the graph is admitted on that bound, else on the spectral
-    radius (validate_assumptions for a market, the bracket rule against
-    1 / attenuation without one), or refused before a failed solve raises."""
+    """The Katz solve and its residual.  A positive x bounds rho(G) by the
+    upper end of its outward-rounded Collatz-Wielandt bracket on G^T; the
+    graph keeps the lowest such bound.  Solved or not, the graph is admitted
+    on that bound, else on a certified bracket decided against the bound
+    (validate_assumptions for a market, _power_iteration against 1 /
+    attenuation without one), or refused before a failed solve raises."""
     system = _AttenuatedSystem(graph._transpose, attenuation, tol)
     failure = None
     try:
         x, residual = system.solve(np.ones(graph.n))
         if x.min() > 0.0:  # solve returns only finite x, whose residual met tol
-            # a row sum of fewer than n nonnegative terms and the division err by
-            # under (n + 1) / 2 epsilons, half the slack; nextafter covers the product
-            ratio = float(((graph._transpose @ x) / x).max())
-            upper = float(np.nextafter(ratio * (1.0 + (graph.n + 1) * np.finfo(float).eps), np.inf))
+            _, upper = _collatz_wielandt(graph._transpose @ x, x, graph.n)  # rows of < n entries
             graph._rho_cache["upper"] = min(upper, graph._rho_cache.get("upper", np.inf))
     except RuntimeError as exc:  # a SolverError or a singular LU, raised once admitted
         failure = exc
@@ -215,10 +214,11 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float, tol: float,
                 raise AssumptionError(
                     f"model assumptions violated ({names}):\n{report.summary()}",
                     rho=report.rho, bound=report.bound, report=report)
-        elif attenuation * (rho := _radius_against(graph, 1.0 / attenuation, tol)) >= 1.0:
+        elif (decided := _power_iteration(graph, tol, 1.0 / attenuation))[0] >= 1.0 / attenuation:
             raise AssumptionError(
-                f"attenuation {attenuation:.12g} times spectral radius {rho:.12g} "
-                f"is not below 1; the walk series diverges", rho=rho, bound=1.0 / attenuation)
+                "attenuation {:.12g} times spectral radius {:.12g} in [{:.12g}, {:.12g}] is not "
+                "below 1; the walk series diverges".format(attenuation, *decided),
+                rho=decided[0], bound=1.0 / attenuation)
     if failure is not None:
         raise failure
     if float(x.min()) < 1.0 - 1e-8:
@@ -244,7 +244,7 @@ def katz_bonacich(graph: WeightedDigraph, attenuation: float,
                   tol: float = _DEFAULT_TOL) -> np.ndarray:
     """Katz-Bonacich centrality (I - attenuation * G^T)^{-1} 1.
 
-    Refuses when attenuation * spectral_radius(G) >= 1 (_katz_with_residual).
+    Refuses when a certified bracket puts attenuation * rho(G) at 1 or above.
     Every entry is at least 1 (the empty walk).
     """
     if not (np.isfinite(attenuation) and attenuation >= 0):

@@ -57,6 +57,9 @@ class SeedSet:
         object.__setattr__(self, "members", tuple((index + 1).tolist()))
         object.__setattr__(self, "_index", index)
 
+    def __reduce__(self):  # a copy or an unpickled set is built, checked and frozen anew
+        return SeedSet, (self.members, self.n)
+
     @classmethod
     def of(cls, ids: Iterable[int], n: int) -> "SeedSet":
         """Build from any ids, dropping repeats; each is checked as the constructor checks it."""

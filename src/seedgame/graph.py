@@ -71,15 +71,11 @@ class AssumptionError(RuntimeError):
 
 
 class PowerIterationError(RuntimeError):
-    """Spectral-radius iteration did not converge within the budget."""
+    """The step budget ran out with the bracket [lower, upper] undecided."""
 
-    def __init__(self, message: str, *, estimate: float, lower: float, cap: float,
-                 iterations: int):
+    def __init__(self, message: str, *, lower: float, upper: float):
         super().__init__(message)
-        self.estimate = estimate
-        self.lower = lower  # low end of the last bracket: a lower bound on the radius
-        self.cap = cap
-        self.iterations = iterations
+        self.lower, self.upper = lower, upper
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -323,63 +319,61 @@ def _check_id(i, n: int) -> int:
     return int(i)
 
 
-def _power_iteration(sub: sp.csr_matrix, tol: float, max_iter: int, cap: float) -> float:
-    # Shifted iteration keeps the chain aperiodic so the Collatz-Wielandt
-    # bracket [min_i (Ax)_i / x_i, max_i (Ax)_i / x_i] closes on the Perron
-    # root; the shift cancels out of the returned estimate.
-    shift = 0.05 * max(float(np.asarray(sub.sum(axis=1)).max()), 1e-300)
-    x = np.ones(sub.shape[0])
-    lo, hi = 0.0, np.inf
-    for it in range(1, max_iter + 1):
-        y = sub @ x + shift * x
-        ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= 2.0 * tol:
-            return 0.5 * (hi + lo) - shift
-        x = y / y.sum()
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} steps "
-        f"(bracket [{lo - shift:.6g}, {hi - shift:.6g}], cap {cap:.6g})",
-        estimate=0.5 * (hi + lo) - shift, lower=lo - shift, cap=cap, iterations=max_iter)
+def _collatz_wielandt(ax: np.ndarray, x: np.ndarray, terms: int) -> tuple[float, float]:
+    """min and max of ax / x rounded outward, for ax = A @ x, A nonnegative with at
+    most ``terms`` entries a row and x positive: a certified bracket on rho(A)
+    (Collatz-Wielandt; Meyer, Matrix Analysis, ch. 8).  Row sums and division
+    err by under (terms + 1) / 2 epsilons; nextafter covers the product."""
+    ratios = ax / x
+    slack = (terms + 1) * np.finfo(float).eps
+    return (float(np.nextafter(ratios.min() * (1.0 - slack), -np.inf)),
+            float(np.nextafter(ratios.max() * (1.0 + slack), np.inf)))
+
+
+def _power_iteration(graph: WeightedDigraph, tol: float, bound: float = np.nan,
+                     max_iter: int = 100_000) -> tuple[float, float, float]:
+    """(rho, lower, upper): a certified bracket on rho(G) and its end that decided
+    against bound, so rho < bound exactly when G is admitted.  On each strongly
+    connected component with a cycle (G's spectrum is the union of theirs) a
+    shifted, so aperiodic, power iteration from all ones runs until its bracket
+    is 2 * tol wide (then, if it holds bound, no admission can be certified),
+    its upper end is below bound, or its lower end is not; a refusal returns."""
+    cap = float(min(graph.in_degrees.max(), graph.out_degrees.max()))  # named on a failure
+    from scipy.sparse.csgraph import connected_components  # off the success path
+    _, labels = connected_components(graph.matrix, directed=True, connection="strong")
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0, True])  # between components
+    lower = upper = 0.0
+    for members in (order[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b - a >= 2):
+        sub = graph.matrix[members][:, members].tocsr()
+        shift = 0.05 * max(float(np.asarray(sub.sum(axis=1)).max()), 1e-300)
+        terms, x, lo, hi = int(np.diff(sub.indptr).max()), np.ones(members.size), 0.0, np.inf
+        for _ in range(max_iter):
+            ax = sub @ x
+            lo, hi = _collatz_wielandt(ax, x, terms)
+            if hi - lo <= 2.0 * tol or lo >= bound or hi < bound:
+                break
+            y = ax + shift * x
+            x = y / y.sum()
+        else:
+            raise PowerIterationError(
+                f"power iteration did not converge in {max_iter} steps "
+                f"(bracket [{lo:.6g}, {hi:.6g}], cap {cap:.6g})", lower=lo, upper=hi)
+        if hi >= bound:
+            return (lo if lo >= bound else hi), lo, hi
+        lower, upper = max(lower, lo), max(upper, hi)
+    return upper, lower, upper
 
 
 def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
                     max_iter: int = 100_000) -> float:
-    """Spectral radius of the influence matrix, accurate to tol.
-
-    Decomposes the graph into strongly connected components (the spectrum is
-    the union over the diagonal blocks), runs a shifted power iteration on
-    each nontrivial component from an all-ones start, and caps the result by
-    the row/column-sum bound.  Acyclic graphs return exactly 0.
-    """
+    """Spectral radius of the influence matrix, accurate to tol: the midpoint
+    of _power_iteration's certified bracket, at most 2 * tol wide, capped by
+    the row/column-sum bound.  Acyclic graphs return exactly 0."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    # certified upper bound: the largest weighted in- or out-degree, whichever is less
-    cap = float(min(graph.in_degrees.max(), graph.out_degrees.max()))
-    from scipy.sparse.csgraph import connected_components  # off the success path
-    matrix = graph.matrix
-    _, labels = connected_components(matrix, directed=True, connection="strong")
-    best = 0.0
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0])
-    ends = np.r_[starts[1:], labels.size]
-    nontrivial = ends - starts >= 2  # a singleton (no self-loop) has eigenvalue 0
-    for start, end in zip(starts[nontrivial], ends[nontrivial]):
-        members = order[start:end]
-        sub = matrix[members][:, members]
-        best = max(best, _power_iteration(sub.tocsr(), tol, max_iter, cap))
-    return float(min(best, cap))
-
-
-def _radius_against(graph: WeightedDigraph, bound: float, tol: float) -> float:
-    """spectral_radius, or the estimate of a power iteration that ran out of
-    steps with its bracket at or above bound; a straddling bracket re-raises."""
-    try:
-        return spectral_radius(graph, tol)
-    except PowerIterationError as exc:
-        if exc.lower < bound:
-            raise
-        return exc.estimate
+    _, lower, upper = _power_iteration(graph, tol, np.nan, max_iter)  # NaN: no bound decides
+    return float(min(0.5 * (lower + upper), graph.in_degrees.max(), graph.out_degrees.max()))
 
 
 @dataclass(frozen=True)
@@ -413,18 +407,20 @@ class ValidationReport:
 def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
                          tol: float = _DEFAULT_TOL) -> ValidationReport:
     """Report-only check of the assumptions the closed forms rely on: (i) alpha
-    >= price, (ii) spectral radius below 1 / (delta * (1 + beta)) with an
-    explicit margin, (iii) nonnegative finite weights.  (i) and (iii) pass
+    >= price, (ii) spectral radius below 1 / (delta * (1 + beta)), decided by a
+    certified bracket whose deciding end is rho (_power_iteration), so the margin's
+    sign is the decision's, (iii) nonnegative finite weights.  (i) and (iii) pass
     here: MarketParams and the edge check refuse a failing one first."""
     bound = params.spectral_bound
-    rho = _radius_against(graph, bound, tol)
+    rho, lower, upper = _power_iteration(graph, tol, bound)
     margin = bound - rho
     checks = (
         ValidationCheck(
             "alpha_ge_price", True, f"alpha={params.alpha:.12g}, price={params.price:.12g}"),
         ValidationCheck(
             "spectral_radius_below_bound", rho < bound,
-            f"rho={rho:.12g}, bound={bound:.12g}, margin={margin:.12g}"),
+            f"rho={rho:.12g} in [{lower:.12g}, {upper:.12g}], bound={bound:.12g}, "
+            f"margin={margin:.12g}"),
         ValidationCheck("nonnegative_weights", True, f"{graph.edge_count} edges scanned"),
     )
     return ValidationReport(checks=checks, rho=rho, bound=bound, margin=margin)

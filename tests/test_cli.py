@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ from seedgame import (AssumptionError, DiscountedSolver, PowerIterationError, Se
                       WeightedDigraph, biproduct_centrality, discounted_consumption,
                       katz_bonacich, load_edge_list, simulate)
 from seedgame import cli
+from seedgame import graph as graph_mod
 from seedgame.cli import build_parser, main
 
 from conftest import MARKET
@@ -356,6 +358,11 @@ def write_cycle(path, weights):
     return path
 
 
+def bracket_of(text):
+    """The two ends of the first bracket "[lower, upper]" in text."""
+    return tuple(map(float, re.search(r"\[([^],]+), ([^]]+)\]", text).groups()))
+
+
 def weighted_cycle(n, low, high, seed):
     return low + (high - low) * np.random.default_rng(seed).random(n)
 
@@ -467,7 +474,8 @@ class TestRefusals:
     @pytest.mark.parametrize("name", sorted(TestWeightedCycles.CYCLES))
     def test_inadmissible_cycle_is_an_assumption_failure(self, tmp_path, name):
         # the cycles above scaled to delta * (1 + beta) * rho = 1.2: the power
-        # iteration runs out of steps, but its bracket lies above the bound
+        # iteration is far from converged when its bracket's lower end passes
+        # the bound, and refuses there
         weights = weighted_cycle(*TestWeightedCycles.CYCLES[name])
         weights *= 1.2 / (0.75 * np.exp(np.log(weights).mean()))
         cycle = write_cycle(tmp_path / "cycle.edges", weights)
@@ -477,7 +485,23 @@ class TestRefusals:
         assert any(line.startswith("assumption failure: ") for line in err.splitlines())
         report = read_json(tmp_path / "validation.json")
         assert report["passed"] is False
-        assert report["rho"] == pytest.approx(1.6, rel=1e-2)
+        detail = next(c["detail"] for c in report["checks"]
+                      if c["name"] == "spectral_radius_below_bound")
+        lower, upper = bracket_of(detail)
+        assert 4 / 3 <= lower == pytest.approx(report["rho"], rel=1e-11)
+        assert lower <= 1.6 <= upper and report["margin"] < 0
+
+    @pytest.mark.parametrize("name, steps", [("cycle200", 100), ("cycle3000", 1000)])
+    def test_a_refusal_stops_once_the_bracket_decides(self, name, steps):
+        # the same cycles: with a budget of steps (90 and 925 needed) the
+        # bracket's lower end passes the bound, where spectral_radius takes
+        # more than 100,000 steps to close the bracket to 2e-10
+        weights = weighted_cycle(*TestWeightedCycles.CYCLES[name])
+        weights *= 1.2 / (0.75 * np.exp(np.log(weights).mean()))
+        graph = WeightedDigraph(weights.size, [(i + 1, (i + 1) % weights.size + 1, float(w))
+                                               for i, w in enumerate(weights)])
+        rho, lower, upper = graph_mod._power_iteration(graph, 1e-10, 1 / 0.75, max_iter=steps)
+        assert 1 / 0.75 <= rho == lower <= 1.6 <= upper
 
     @pytest.mark.parametrize("entry", [
         lambda g: katz_bonacich(g, 0.75),
@@ -492,18 +516,19 @@ class TestRefusals:
                                       for i, w in enumerate(weights)])
         with pytest.raises(PowerIterationError) as info:
             entry(graph)
-        # the bracket's upper end is 2 * estimate - lower
-        assert info.value.lower < 1 / 0.75 < 2 * info.value.estimate - info.value.lower
+        assert info.value.lower < 1 / 0.75 < info.value.upper
 
     def test_katz_on_an_inadmissible_cycle_is_an_assumption_failure(self):
-        # the power iteration runs out of steps with its bracket above 1 / 0.75
+        # the power iteration stops once its bracket's lower end passes 1 / 0.75
         weights = weighted_cycle(*TestWeightedCycles.CYCLES["cycle200"])
         weights *= 1.2 / (0.75 * np.exp(np.log(weights).mean()))
         graph = WeightedDigraph(200, [(i + 1, (i + 1) % 200 + 1, float(w))
                                       for i, w in enumerate(weights)])
         with pytest.raises(AssumptionError, match="is not below 1") as info:
             katz_bonacich(graph, 0.75)
-        assert info.value.rho == pytest.approx(1.6, rel=1e-2)
+        lower, upper = bracket_of(str(info.value))
+        assert 4 / 3 <= lower == pytest.approx(info.value.rho, rel=1e-11)
+        assert lower <= 1.6 <= upper
 
 
 class TestNearCritical:
@@ -543,7 +568,6 @@ class TestCallCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        import seedgame.graph as graph_mod
         from seedgame import DiscountedSolver, biproduct_centrality
         tally = collections.Counter()
 
@@ -592,7 +616,6 @@ class TestCallCounts:
     @staticmethod
     def power_iterations_per_tol(monkeypatch, tmp_path, *argv) -> list[int]:
         """_power_iteration calls of one command at --tol 1e-10 and 1e-6."""
-        import seedgame.graph as graph_mod
         calls = []
         power_iteration = graph_mod._power_iteration
         monkeypatch.setattr(graph_mod, "_power_iteration",

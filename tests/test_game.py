@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -78,6 +80,17 @@ class TestSeedSet:
             SeedSet.of([True, 3], 4)
         with pytest.raises(GraphError, match="^agent id 0 outside 1..4$"):
             SeedSet.of([2, 0, 2], 4)
+
+    @pytest.mark.parametrize("duplicate_of", [lambda s: pickle.loads(pickle.dumps(s)),
+                                              copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_a_copy_keeps_a_read_only_index(self, duplicate_of):
+        original = SeedSet.of([3, 1], 4)
+        duplicate = duplicate_of(original)
+        assert duplicate == original and duplicate.members == (1, 3)
+        for s in (original, duplicate):
+            with pytest.raises(ValueError, match="read-only"):
+                s._index[0] = 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -5,12 +5,13 @@ import itertools
 import os
 import threading
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from seedgame import (AssumptionError, CorePeripheryParams, DuplicateEdgeError,
@@ -166,6 +167,13 @@ class TestSpectralRadius:
             expected = np.abs(np.linalg.eigvals(g.to_dense())).max()
             assert spectral_radius(g) == pytest.approx(expected, abs=1e-8)
 
+    def test_chained_equal_radius_cycles(self):
+        # two 2-cycles of weight 0.5 joined by one edge: a whole-graph bracket
+        # closes only like 1 / k there, each block's at once
+        g = WeightedDigraph(4, [(1, 2, 0.5), (2, 1, 0.5), (3, 4, 0.5), (4, 3, 0.5),
+                                (3, 2, 0.5)])
+        assert spectral_radius(g) == pytest.approx(0.5, abs=1e-10)
+
     def test_cached(self, cp_graph):
         assert spectral_radius(cp_graph) is spectral_radius(cp_graph) or \
             spectral_radius(cp_graph) == spectral_radius(cp_graph)
@@ -193,20 +201,97 @@ class TestValidation:
     @pytest.mark.parametrize("c_rho", [0.6, 1.2])
     def test_unconverged_power_iteration(self, monkeypatch, c_rho):
         # a weighted 200-cycle, whose power iteration is far from converged
-        # after 1000 steps; its bracket still refuses c * rho = 1.2
+        # after 1000 steps; its certified bracket decides both scalings by then
         weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)
         weights *= c_rho / (0.75 * np.exp(np.log(weights).mean()))
         g = WeightedDigraph(200, [(i + 1, (i + 1) % 200 + 1, float(w))
                                   for i, w in enumerate(weights)])
-        monkeypatch.setattr(graph_mod, "spectral_radius",
-                            functools.partial(spectral_radius, max_iter=1000))
+        monkeypatch.setattr(graph_mod, "_power_iteration",
+                            functools.partial(graph_mod._power_iteration, max_iter=1000))
+        report = validate_assumptions(g, MARKET)
+        assert report.passed is (c_rho < 1.0)
+        # rho is the end that decided: the upper end admits, the lower refuses
         if c_rho < 1.0:
-            with pytest.raises(PowerIterationError):
-                validate_assumptions(g, MARKET)
+            assert c_rho / 0.75 <= report.rho < report.bound and report.margin > 0
         else:
-            report = validate_assumptions(g, MARKET)
-            assert not report.passed
-            assert report.rho == pytest.approx(c_rho / 0.75, rel=0.05)
+            assert report.bound <= report.rho <= c_rho / 0.75 and report.margin < 0
+
+    def test_radius_at_the_bound_is_refused(self):
+        # rho is exactly the bound: the bracket, rounded outward, closes around
+        # it and can never certify an admission
+        bound = MARKET.spectral_bound
+        report = validate_assumptions(WeightedDigraph(2, [(1, 2, bound), (2, 1, bound)]), MARKET)
+        assert not report.passed and report.margin < 0
+        assert report.rho == pytest.approx(bound, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_decision_matches_dense_eigenvalues(self, data):
+        weights = data.draw(_mixed_graphs())
+        dense = np.abs(np.linalg.eigvals(weights)).max()
+        if dense > 0:
+            weights = weights * (data.draw(st.floats(0.05, 2.0)) / (0.75 * dense))
+        graph = WeightedDigraph(weights.shape[0], [
+            (i + 1, j + 1, weights[i, j]) for i, j in zip(*np.nonzero(weights >= 0))
+            if i != j and (weights[i, j] > 0 or data.draw(st.booleans()))])  # some zero weights
+        c_rho = 0.75 * float(np.abs(np.linalg.eigvals(graph.to_dense())).max())
+        assume(abs(c_rho - 1.0) >= 1e-3)
+        report = validate_assumptions(graph, MARKET)
+        assert report.passed is (c_rho < 1.0), report.summary()
+        rho, lower, upper = graph_mod._power_iteration(graph, 1e-10, MARKET.spectral_bound)
+        assert report.rho == rho == (upper if report.passed else lower)
+        # the lower end bounds rho(G); the upper end does on an admission, and
+        # a refusal stops at its block.  Dense eigenvalues of a defective
+        # matrix (equal cycles joined) err by about the square root of epsilon
+        assert lower <= c_rho / 0.75 * (1 + 1e-6)
+        assert not report.passed or upper >= c_rho / 0.75 * (1 - 1e-6)
+
+
+@st.composite
+def _mixed_graphs(draw) -> np.ndarray:
+    """A dense weight matrix of at most 12 agents in groups: isolated agents,
+    cycles, dense blocks, or two cycles of equal weight joined by one edge,
+    with edges from earlier groups into later ones (a DAG of blocks feeding
+    one another, and sinks), the agents shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    n = min(sum(sizes), 12)
+    weights = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        block = np.arange(start, min(start + size, n))
+        start += size
+        if block.size < 2:
+            continue
+        kind = draw(st.sampled_from(["isolated", "cycle", "dense", "equal cycles"]))
+        if kind == "cycle":
+            weights[block, np.roll(block, -1)] = rng.uniform(0.1, 1.0, block.size)
+        elif kind == "dense":
+            weights[np.ix_(block, block)] = rng.uniform(0.0, 1.0, (block.size,) * 2) * (
+                rng.random((block.size,) * 2) < 0.7)
+        elif kind == "equal cycles" and block.size == 4:
+            weights[block, block[[1, 0, 3, 2]]] = 0.5
+            weights[block[2], block[1]] = 0.5
+    later = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 0.4)), k=1)
+    weights += later * rng.uniform(0.0, 1.0, (n, n)) * (weights == 0)
+    np.fill_diagonal(weights, 0.0)
+    order = rng.permutation(n)
+    return weights[np.ix_(order, order)]
+
+
+class TestCollatzWielandt:
+    def test_bracket_holds_the_exact_ratios(self):
+        # the ends, rounded outward, enclose the ratios computed in exact arithmetic
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            dense = rng.random((n, n)) * (rng.random((n, n)) < 0.6) + np.diag(rng.random(n))
+            matrix = sp.csr_matrix(dense)
+            x = rng.random(n) + 1e-3
+            lower, upper = graph_mod._collatz_wielandt(matrix @ x, x, n)
+            exact = [sum(Fraction(a) * Fraction(b) for a, b in zip(row, x)) / Fraction(xi)
+                     for row, xi in zip(dense, x)]
+            assert Fraction(lower) <= min(exact) and max(exact) <= Fraction(upper)
 
 
 class TestCorePeriphery:
