@@ -174,6 +174,17 @@ class TestSpectralRadius:
                                 (3, 2, 0.5)])
         assert spectral_radius(g) == pytest.approx(0.5, abs=1e-10)
 
+    def test_out_of_steps_raises_with_the_bracket(self):
+        # a weighted 200-cycle of radius 0.8 (the geometric mean of its
+        # weights), whose bracket is still wide after 100 steps
+        weights = 0.5 + 0.6 * np.random.default_rng(0).random(200)
+        weights *= 0.8 / np.exp(np.log(weights).mean())
+        g = WeightedDigraph(200, [(i + 1, (i + 1) % 200 + 1, float(w))
+                                  for i, w in enumerate(weights)])
+        with pytest.raises(PowerIterationError, match="did not converge in 100 steps") as info:
+            spectral_radius(g, max_iter=100)
+        assert info.value.lower < 0.8 - 1e-3 and 0.8 + 1e-3 < info.value.upper
+
     def test_cached(self, cp_graph):
         assert spectral_radius(cp_graph) is spectral_radius(cp_graph) or \
             spectral_radius(cp_graph) == spectral_radius(cp_graph)
