@@ -58,7 +58,7 @@ class SeedSet:
         object.__setattr__(self, "_index", index)
 
     def __reduce__(self):  # a copy or an unpickled set is built, checked and frozen anew
-        return SeedSet, (self.members, self.n)
+        return type(self), (self.members, self.n)
 
     @classmethod
     def of(cls, ids: Iterable[int], n: int) -> "SeedSet":
