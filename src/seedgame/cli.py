@@ -118,28 +118,32 @@ def _parse_spec(spec: str, family: bool = False) -> tuple[str, dict]:
     return kind, values
 
 
-def build_generated_graph(spec: str, seed: int) -> WeightedDigraph:
+def _generated(spec: str, seed: int) -> tuple[WeightedDigraph, CorePeripheryParams | None]:
+    """The graph a generator spec makes, with its core-periphery parameters
+    (None for a bounded-out-degree spec)."""
     kind, values = _parse_spec(spec)
     try:
         if kind == "core-periphery":
-            return generate_core_periphery(CorePeripheryParams(**values))
-        return generate_bounded_outdegree_family(**values, seed=seed)
+            cp = CorePeripheryParams(**values)
+            return generate_core_periphery(cp), cp
+        return generate_bounded_outdegree_family(**values, seed=seed), None
     except ValueError as exc:
         raise UsageError(f"invalid generator parameters in {spec!r}: {exc}") from None
 
 
-def _load_graph(config: RunConfig) -> WeightedDigraph:
+def _load_graph(config: RunConfig) -> tuple[WeightedDigraph, CorePeripheryParams | None]:
+    """The run's graph from --graph or --generate, as _generated gives it."""
     if (config.graph is None) == (config.generate is None):
         raise UsageError("exactly one graph source is required: --graph or --generate")
-    if config.graph is not None:
-        path = Path(config.graph)
-        if not path.exists():
-            raise UsageError(f"graph file not found: {path}")
-        try:
-            return load_edge_list(path)
-        except EdgeListError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
-    return build_generated_graph(config.generate, config.seed)
+    if config.generate is not None:
+        return _generated(config.generate, config.seed)
+    path = Path(config.graph)
+    if not path.exists():
+        raise UsageError(f"graph file not found: {path}")
+    try:
+        return load_edge_list(path), None
+    except EdgeListError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _parse_id_list(text: str, n: int, label: str) -> SeedSet:
@@ -222,7 +226,7 @@ def _load_bundle(config: RunConfig) -> tuple[WeightedDigraph, MarketParams, Path
                                              CentralityBundle]:
     """Shared front of the graph commands: load the graph, check the market,
     create --out and compute the bundle."""
-    graph = _load_graph(config)
+    graph, _ = _load_graph(config)
     params = _checked_market(config)
     out = _ensure_out(config)
     return graph, params, out, _bundle(graph, params, config, out)
@@ -247,7 +251,7 @@ def _seeding_summary(graph: WeightedDigraph, c_new: np.ndarray,
 
 
 def cmd_generate(config: RunConfig) -> int:
-    graph = build_generated_graph(config.generate, config.seed)
+    graph, _ = _generated(config.generate, config.seed)
     out = _ensure_out(config)
     path = out / "graph.edges"
     save_edge_list(graph, path)
@@ -414,10 +418,7 @@ def cmd_asr_scan(config: RunConfig) -> int:
 
 def _verify_graphs(config: RunConfig) -> list[tuple[str, WeightedDigraph, CorePeripheryParams | None]]:
     if config.graph is not None or config.generate is not None:
-        graph = _load_graph(config)
-        kind, values = _parse_spec(config.generate) if config.generate else (None, None)
-        cp = CorePeripheryParams(**values) if kind == "core-periphery" else None
-        return [("input", graph, cp)]
+        return [("input", *_load_graph(config))]
     cp_params = CorePeripheryParams(chi=3, m=4, g=0.5)
     return [
         ("two-agent-chain", WeightedDigraph(2, [(1, 2, 0.5)]), None),
@@ -531,74 +532,67 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# each flag once, with its argparse keywords; every default but asr-scan's
+# --rule spelling is RunConfig's
+_FLAGS = {
+    "--graph": {"help": "edge-list file"},
+    "--generate": {"help": "generator spec, e.g. core-periphery:chi=3,m=4,g=0.5 "
+                           "or bounded-outdegree:n=10,d=2,weight=0.1"},
+    "--alpha": {"type": float},
+    "--price": {"type": float},
+    "--beta": {"type": float},
+    "--delta": {"type": float},
+    "--tol": {"type": float, "help": "linear-solve residual tolerance"},
+    "--out": {"help": "output directory"},
+    "--seed": {"type": int},
+    "--force": {"action": "store_true",
+                "help": "on assumption failure, still write diagnostics"},
+    "--sets": {"help": "shared 1-based ids, e.g. 4,8,12 or @file"},
+    "--sets-bar": {"help": "ids for the first firm"},
+    "--sets-under": {"help": "ids for the second firm"},
+    "--epsilon-target": {"type": float},
+    "--horizon": {"type": int, "help": "periods to simulate (default: auto)"},
+    "--tail-tol": {"type": float,
+                   "help": "target certified tail bound for the auto horizon"},
+    "--seeding": {"help": "zero, nash, or restricted (with --sets)"},
+    "--family": {"help": "core-periphery:chi=3,g=0.5 or bounded-outdegree:d=2,weight=0.1"},
+    "--schedule": {"help": "sizes, e.g. 10,31,100"},
+    "--rule": {"default": "role-models", "help": "role-models or top-k:<int>"},
+    "--samples": {"type": int, "help": "deviation samples per graph"},
+}
+_MARKET = ("--alpha", "--price", "--beta", "--delta", "--tol", "--out", "--seed", "--force")
+_INPUT = ("--graph", "--generate", *_MARKET)
+_SETS = ("--sets", "--sets-bar", "--sets-under")
+
+# subcommand -> (handler, help, its flags in order); a flag ending in "!" is required
+_COMMANDS = {
+    "generate": (cmd_generate, "write a generated graph as an edge list",
+                 (*_MARKET, "--generate!")),
+    "centrality": (cmd_centrality, "emit the centrality bundle", _INPUT),
+    "nash": (cmd_nash, "emit the Nash seeding and payoffs", _INPUT),
+    "epsilon": (functools.partial(cmd_nash, sets=True),
+                "epsilon certificate for given seed sets", (*_INPUT, *_SETS)),
+    "sparsify": (cmd_sparsify, "smallest greedy set meeting a target epsilon",
+                 (*_INPUT, "--epsilon-target!")),
+    "simulate": (cmd_simulate, "run the consumption dynamics",
+                 (*_INPUT, "--horizon", "--tail-tol", "--seeding", *_SETS)),
+    "asr-scan": (cmd_asr_scan, "scan a family for sparse-seeding decay",
+                 (*_MARKET, "--family!", "--schedule!", "--rule")),
+    "verify": (cmd_verify, "run the cross-check suite", (*_INPUT, "--samples", "--tail-tol")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; a flag not given stays out of the namespace (RunConfig's default)."""
     parser = _Parser(prog="seedgame",
                      description="Two-firm seeding competition on influence networks.")
     parser.add_argument("--version", action="version", version=f"seedgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, graph_source=True):
-        if graph_source:
-            p.add_argument("--graph", help="edge-list file")
-            p.add_argument("--generate", help="generator spec, e.g. "
-                           "core-periphery:chi=3,m=4,g=0.5 or "
-                           "bounded-outdegree:n=10,d=2,weight=0.1")
-        p.add_argument("--alpha", type=float, default=2.0)
-        p.add_argument("--price", type=float, default=1.0)
-        p.add_argument("--beta", type=float, default=0.5)
-        p.add_argument("--delta", type=float, default=0.5)
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="linear-solve residual tolerance")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--force", action="store_true",
-                       help="on assumption failure, still write diagnostics")
-
-    p = sub.add_parser("generate", help="write a generated graph as an edge list")
-    add_common(p, graph_source=False)
-    p.add_argument("--generate", required=True, help="generator spec")
-
-    p = sub.add_parser("centrality", help="emit the centrality bundle")
-    add_common(p)
-
-    p = sub.add_parser("nash", help="emit the Nash seeding and payoffs")
-    add_common(p)
-
-    p = sub.add_parser("epsilon", help="epsilon certificate for given seed sets")
-    add_common(p)
-    p.add_argument("--sets", help="shared 1-based ids, e.g. 4,8,12 or @file")
-    p.add_argument("--sets-bar", help="ids for the first firm")
-    p.add_argument("--sets-under", help="ids for the second firm")
-
-    p = sub.add_parser("sparsify", help="smallest greedy set meeting a target epsilon")
-    add_common(p)
-    p.add_argument("--epsilon-target", type=float, required=True)
-
-    p = sub.add_parser("simulate", help="run the consumption dynamics")
-    add_common(p)
-    p.add_argument("--horizon", type=int, help="periods to simulate (default: auto)")
-    p.add_argument("--tail-tol", type=float, default=1e-10,
-                   help="target certified tail bound for the auto horizon")
-    p.add_argument("--seeding", default="zero",
-                   help="zero, nash, or restricted (with --sets)")
-    p.add_argument("--sets", help="ids for --seeding restricted")
-    p.add_argument("--sets-bar")
-    p.add_argument("--sets-under")
-
-    p = sub.add_parser("asr-scan", help="scan a family for sparse-seeding decay")
-    add_common(p, graph_source=False)
-    p.add_argument("--family", required=True,
-                   help="core-periphery:chi=3,g=0.5 or bounded-outdegree:d=2,weight=0.1")
-    p.add_argument("--schedule", required=True, help="sizes, e.g. 10,31,100")
-    p.add_argument("--rule", default="role-models",
-                   help="role-models or top-k:<int>")
-
-    p = sub.add_parser("verify", help="run the cross-check suite")
-    add_common(p)
-    p.add_argument("--samples", type=int, default=2000,
-                   help="deviation samples per graph")
-    p.add_argument("--tail-tol", type=float, default=1e-10)
-
+    for command, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            name = flag.rstrip("!")
+            p.add_argument(name, required=flag != name, **_FLAGS[name])
     return parser
 
 
@@ -607,34 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
 _main_parser = functools.cache(build_parser)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
-              if hasattr(args, f)}
-    config = RunConfig(**fields)
-    # written as "not > 0" so that NaN, which certifies nothing, is refused too
-    for flag, value in (("--tol", config.tol), ("--tail-tol", config.tail_tol)):
-        if not value > 0:
-            raise UsageError(f"{flag} must be positive, got {value}")
-    return config
-
-
-_COMMANDS = {
-    "generate": cmd_generate,
-    "centrality": cmd_centrality,
-    "nash": cmd_nash,
-    "epsilon": functools.partial(cmd_nash, sets=True),
-    "sparsify": cmd_sparsify,
-    "simulate": cmd_simulate,
-    "asr-scan": cmd_asr_scan,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _main_parser().parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        config = RunConfig(**vars(_main_parser().parse_args(argv)))
+        # written as "not > 0" so that NaN, which certifies nothing, is refused too
+        for flag, value in (("--tol", config.tol), ("--tail-tol", config.tail_tol)):
+            if not value > 0:
+                raise UsageError(f"{flag} must be positive, got {value}")
+        return _COMMANDS[config.command][0](config)
     except AssumptionError as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return 2

@@ -25,12 +25,14 @@ from . import centrality
 from .centrality import (CentralityBundle, _admit, _AttenuatedSystem, _dot,
                          biproduct_centrality)
 from .dynamics import SeedingPair
-from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _check_id
+from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _check_count, _check_id
 
 
 def _id_index(ids, n: int) -> np.ndarray:
-    """0-based int64 ids, repeats kept, when every id is a Python or numpy int
-    (not a bool) in 1..n, from one numpy pass; else _check_id's first error."""
+    """0-based int64 ids, repeats kept, when n is a positive integer and every
+    id is a Python or numpy int (not a bool) in 1..n, from one numpy pass;
+    else _check_count's or _check_id's first error."""
+    _check_count(n)
     if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
         ids = list(ids)
         if all(t is int or issubclass(t, np.integer) for t in set(map(type, ids))):
@@ -72,6 +74,7 @@ class SeedSet:
 
     @classmethod
     def full(cls, n: int) -> "SeedSet":
+        _check_count(n)  # before range sees it
         return cls(members=tuple(range(1, n + 1)), n=n)
 
     @property
@@ -136,9 +139,9 @@ class DiscountedSolver:
     materialized.  Both systems serve any number of right-hand sides; up to
     DIRECT_SOLVE_MAX_N agents each is factored once with a sparse LU, so the
     oracle checks the centralities' Anderson iteration with a direct solve.
-    net_payoffs_a prices a block of seedings with one solve per system;
-    nash_deviation_check shares one matvec between the systems' right-hand
-    sides and keeps only the column sums of the solutions.
+    Every evaluation (consumption, net_payoffs_a, nash_deviation_check)
+    builds both systems' right-hand sides in solve_systems, from one G @ s
+    product per seeding block and the rival's product formed once.
     """
 
     def __init__(self, graph: WeightedDigraph, params: MarketParams,
@@ -158,27 +161,32 @@ class DiscountedSolver:
             for system in systems.values():
                 system._factor()
 
+    def solve_systems(self, g_own: np.ndarray, g_rival: np.ndarray,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Plus and minus solutions (u, v), y_bar = (u + v) / 2 and y_under =
+        (u - v) / 2, for the seedings whose G-products are g_own's columns
+        against the rival's g_rival: the right-hand side 2 r + q_plus (g_own +
+        g_rival) is formed in out when given, q_minus (g_own - g_rival) in
+        g_own, and an exactly zero one is not solved (v = 0)."""
+        rhs = np.add(g_own, g_rival, out=out)
+        rhs *= self._q_plus
+        rhs += 2.0 * self._r
+        u, _ = self._plus.solve(rhs)
+        g_own -= g_rival
+        g_own *= self._q_minus
+        if not np.any(g_own):
+            return u, np.zeros_like(u)
+        v, _ = self._minus.solve(g_own)
+        return u, v
+
     def consumption(self, seeding: SeedingPair) -> tuple[np.ndarray, np.ndarray]:
         """Discounted sums (y_bar, y_under) with y = sum_{k>=1} delta^k x(k)."""
         if seeding.n != self.graph.n:
             raise ValueError(f"seeding has {seeding.n} agents, graph has {self.graph.n}")
-        y_bar, y_under = self._consumption(seeding.s_bar[:, None], seeding.s_under[:, None])
-        return y_bar[:, 0], y_under[:, 0]
-
-    def _consumption(self, s_bar: np.ndarray,
-                     s_under: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Discounted sums (y_bar, y_under), (n, k) each, for the k seeding
-        pairs in the columns of s_bar and s_under; an (n, 1) s_under serves
-        every column of s_bar.  consumption is its k = 1 case."""
         matrix = self.graph.matrix
-        rhs_sum = 2.0 * self._r + self._q_plus * (matrix @ (s_bar + s_under))
-        u, _ = self._plus.solve(rhs_sum)
-        diff_seed = s_bar - s_under
-        if np.any(diff_seed):
-            v, _ = self._minus.solve(self._q_minus * (matrix @ diff_seed))
-        else:
-            v = np.zeros_like(u)
-        return 0.5 * (u + v), 0.5 * (u - v)
+        u, v = self.solve_systems(matrix @ seeding.s_bar[:, None],
+                                  matrix @ seeding.s_under[:, None])
+        return 0.5 * (u[:, 0] + v[:, 0]), 0.5 * (u[:, 0] - v[:, 0])
 
     def net_payoffs_a(self, s_bar: np.ndarray, s_under: np.ndarray) -> np.ndarray:
         """Firm a's net payoff price * (1's + 1'y_bar) - s's / 2 for each
@@ -192,7 +200,9 @@ class DiscountedSolver:
         if s_bar.ndim != 2 or s_bar.shape[0] != self.graph.n:
             raise ValueError(f"seeding block must have shape ({self.graph.n}, k), "
                              f"got {s_bar.shape}")
-        y_bar, _ = self._consumption(s_bar, s_under[:, None])
+        matrix = self.graph.matrix
+        u, v = self.solve_systems(matrix @ s_bar, (matrix @ s_under)[:, None])
+        y_bar = 0.5 * (u + v)
         seeds = np.ascontiguousarray(s_bar.T)
         gross = self.params.price * (seeds.sum(axis=1)
                                      + np.ascontiguousarray(y_bar.T).sum(axis=1))
@@ -400,9 +410,9 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     and sparse profiles; they are generated by a seeded generator and
     evaluated through the full linear solve in blocks of
     solver.block_columns, so the check is deterministic in (graph, params,
-    samples, seed).  Each block takes one G @ block matvec, shared by the
-    right-hand sides 2 r + q_plus (G s + G star) and q_minus (G s - G star)
-    of the two systems (G star is formed once), and each system's solve
+    samples, seed).  Each block takes one G @ block matvec; solver.solve_systems
+    builds from it the right-hand sides 2 r + q_plus (G s + G star) and
+    q_minus (G s - G star) (G star is formed once), and each system's solve
     certifies every candidate's full right-hand side to tol.  A candidate s
     is priced from column sums only, price * (1's + 1'(u + v) / 2) - s's / 2;
     on the LU path each sum runs over its own column in one order, so its
@@ -436,14 +446,7 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
             block = block_buffer[:columns.size].reshape(columns.shape)
             np.copyto(block, columns)
             # the block's buffer takes the plus system's right-hand side
-            g_block = graph.matrix @ block
-            rhs = np.add(g_block, g_star, out=block)
-            rhs *= solver._q_plus
-            rhs += 2.0 * solver._r
-            u, _ = solver._plus.solve(rhs)
-            g_block -= g_star
-            g_block *= solver._q_minus
-            v, _ = solver._minus.solve(g_block)
+            u, v = solver.solve_systems(graph.matrix @ block, g_star, out=block)
             u += v  # y_bar = (u + v) / 2
             # the LU path's solutions are Fortran-ordered, so each column sum
             # runs over that column alone, in one order at any width

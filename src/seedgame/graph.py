@@ -161,8 +161,7 @@ class WeightedDigraph:
                  _columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
         # _columns: the influenced, influencer and weight columns as 1-D
         # arrays, ids integer or float, in place of edges (the bulk loader)
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise GraphError(f"node count must be a positive integer, got {n!r}")
+        _check_count(n)
         if _columns is not None:
             rows, cols, weights = _columns
         else:
@@ -311,6 +310,11 @@ def _stable_order(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return packed & ((1 << shift) - 1), packed >> shift
 
 
+def _check_count(n) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise GraphError(f"node count must be a positive integer, got {n!r}")
+
+
 def _check_id(i, n: int) -> int:
     if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
         raise GraphError(f"agent id must be an integer, got {i!r}")
@@ -369,7 +373,10 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
                     max_iter: int = 100_000) -> float:
     """Spectral radius of the influence matrix, accurate to tol: the midpoint
     of _power_iteration's certified bracket, at most 2 * tol wide, capped by
-    the row/column-sum bound.  Acyclic graphs return exactly 0."""
+    the row/column-sum bound.  Acyclic graphs return exactly 0.  Raises
+    PowerIterationError when max_iter steps leave the bracket wider, as on
+    weighted cycles of a few hundred agents; admission and refusal never
+    call it."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _, lower, upper = _power_iteration(graph, tol, np.nan, max_iter)  # NaN: no bound decides

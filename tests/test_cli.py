@@ -1,5 +1,7 @@
+import argparse
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +19,7 @@ from seedgame import (AssumptionError, DiscountedSolver, PowerIterationError, Se
                       katz_bonacich, load_edge_list, simulate)
 from seedgame import cli
 from seedgame import graph as graph_mod
-from seedgame.cli import build_parser, main
+from seedgame.cli import RunConfig, build_parser, main
 
 from conftest import MARKET
 
@@ -782,6 +784,39 @@ class TestParser:
         assert (code, out) == (1, "")
         assert err == f"error: the following arguments are required: {flags}\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, flags, report", [
+        ("generate", {"generate": CP_SPEC}, "generate.json"),
+        ("centrality", {"generate": CP_SPEC}, "centrality.json"),
+        ("nash", {"generate": CP_SPEC}, "equilibrium.json"),
+        ("epsilon", {"generate": CP_SPEC, "sets": "4,8,12"}, "equilibrium.json"),
+        ("sparsify", {"generate": CP_SPEC, "epsilon_target": 0.32}, "sparsify.json"),
+        ("simulate", {"generate": CP_SPEC}, "trajectory.json"),
+        ("asr-scan", {"family": "core-periphery:chi=3,g=0.5", "schedule": "10,31,100"},
+         "asr_verdict.json"),
+        ("verify", {}, "verify.json"),
+    ])
+    def test_every_default_is_run_config_s(self, tmp_path, monkeypatch, command, flags,
+                                           report):
+        # each command with only the flags it needs, run where it writes
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        for field, value in flags.items():
+            argv += ["--" + field.replace("_", "-"), str(value)]
+        code, _, err = run(*argv)
+        assert (code, err) == (0, "")
+        expected = RunConfig(command=command, **flags)
+        if command == "asr-scan":  # its reports echo the flag's own spelling
+            expected = dataclasses.replace(expected, rule="role-models")
+        assert read_json(tmp_path / report)["config"] == dataclasses.asdict(expected)
+
+    def test_the_parser_holds_no_default_but_asr_scan_s_rule(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        defaults = {(command, action.dest): action.default
+                    for command, parser in subparsers.items()
+                    for action in parser._actions
+                    if action.default is not argparse.SUPPRESS}
+        assert defaults == {("asr-scan", "rule"): "role-models"}
 
     def test_main_reuses_one_parser(self):
         assert cli._main_parser() is cli._main_parser()

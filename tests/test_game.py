@@ -62,6 +62,22 @@ class TestSeedSet:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             SeedSet(members=members, n=4)
 
+    @pytest.mark.parametrize("build", [
+        lambda n: SeedSet((), n), lambda n: SeedSet.of([], n),
+        SeedSet.empty, SeedSet.full,
+    ], ids=["constructor", "of", "empty", "full"])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "4", None],
+                             ids=["zero", "negative", "float", "bool", "str", "none"])
+    def test_refuses_a_count_that_is_not_a_positive_integer(self, build, n):
+        with pytest.raises(GraphError, match=f"^node count must be a positive "
+                                             f"integer, got {re.escape(repr(n))}$"):
+            build(n)
+
+    def test_accepts_a_numpy_integer_count(self):
+        assert SeedSet((2, 4), np.int64(4)).indicator().tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert SeedSet.full(np.int64(4)).members == (1, 2, 3, 4)
+        assert SeedSet.of([3], np.int64(4)).members == (3,)
+
     @pytest.mark.parametrize("ids", [[2.7], [np.float64(2.0)], [True], ["3"], [1, True]],
                              ids=["float", "numpy-float", "bool", "str", "int-and-bool"])
     def test_of_raises_what_the_constructor_raises(self, ids):
@@ -229,6 +245,34 @@ class TestDiscountedSolver:
         s = np.full(12, 0.7)
         y_bar, y_under = discounted_consumption(cp_graph, MARKET, SeedingPair(s, s))
         assert np.array_equal(y_bar, y_under)
+
+    def test_seedings_equal_where_listened_to_skip_the_minus_solve(self, monkeypatch,
+                                                                   cp_graph):
+        # nobody listens to an agent of zero out-degree, so seedings that
+        # differ only there have equal products with G
+        import seedgame.centrality as centrality_mod
+        unheard = np.flatnonzero(cp_graph.out_degrees == 0)
+        assert 0 < unheard.size < cp_graph.n
+        s_bar = np.random.default_rng(20).random(cp_graph.n)
+        s_under = s_bar.copy()
+        s_under[unheard] += 1.0
+        solver = DiscountedSolver(cp_graph, MARKET)
+        calls = {id(solver._plus): 0, id(solver._minus): 0}
+        solve = centrality_mod._AttenuatedSystem.solve
+
+        def counted(self, rhs):
+            calls[id(self)] += 1
+            return solve(self, rhs)
+
+        monkeypatch.setattr(centrality_mod._AttenuatedSystem, "solve", counted)
+        y_bar, y_under = solver.consumption(SeedingPair(s_bar, s_under))
+        assert np.array_equal(y_bar, y_under)
+        assert calls == {id(solver._plus): 1, id(solver._minus): 0}
+        s_under = s_under.copy()
+        s_under[np.flatnonzero(cp_graph.out_degrees)[0]] += 1.0  # a listened-to agent
+        y_bar, y_under = solver.consumption(SeedingPair(s_bar, s_under))
+        assert not np.array_equal(y_bar, y_under)
+        assert calls == {id(solver._plus): 2, id(solver._minus): 1}
 
     def test_fixed_point_path_matches_direct(self, monkeypatch, cp_graph):
         import seedgame.game as game_mod
