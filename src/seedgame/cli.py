@@ -532,8 +532,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# each flag once, with its argparse keywords; every default but asr-scan's
-# --rule spelling is RunConfig's
+# each flag once, with its argparse keywords; every default is RunConfig's
 _FLAGS = {
     "--graph": {"help": "edge-list file"},
     "--generate": {"help": "generator spec, e.g. core-periphery:chi=3,m=4,g=0.5 "
@@ -557,7 +556,7 @@ _FLAGS = {
     "--seeding": {"help": "zero, nash, or restricted (with --sets)"},
     "--family": {"help": "core-periphery:chi=3,g=0.5 or bounded-outdegree:d=2,weight=0.1"},
     "--schedule": {"help": "sizes, e.g. 10,31,100"},
-    "--rule": {"default": "role-models", "help": "role-models or top-k:<int>"},
+    "--rule": {"help": "role-models or top-k:<int>"},
     "--samples": {"type": int, "help": "deviation samples per graph"},
 }
 _MARKET = ("--alpha", "--price", "--beta", "--delta", "--tol", "--out", "--seed", "--force")

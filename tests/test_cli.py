@@ -806,17 +806,15 @@ class TestParser:
         code, _, err = run(*argv)
         assert (code, err) == (0, "")
         expected = RunConfig(command=command, **flags)
-        if command == "asr-scan":  # its reports echo the flag's own spelling
-            expected = dataclasses.replace(expected, rule="role-models")
         assert read_json(tmp_path / report)["config"] == dataclasses.asdict(expected)
 
-    def test_the_parser_holds_no_default_but_asr_scan_s_rule(self):
+    def test_the_parser_holds_no_default(self):
         subparsers = build_parser()._subparsers._group_actions[0].choices
         defaults = {(command, action.dest): action.default
                     for command, parser in subparsers.items()
                     for action in parser._actions
                     if action.default is not argparse.SUPPRESS}
-        assert defaults == {("asr-scan", "rule"): "role-models"}
+        assert defaults == {}
 
     def test_main_reuses_one_parser(self):
         assert cli._main_parser() is cli._main_parser()
