@@ -153,7 +153,9 @@ class DiscountedSolver:
         self._q_plus = params.delta * (1.0 + params.beta)
         self._q_minus = params.delta * (1.0 - params.beta)
         self._r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
-        self.block_columns = max(2, centrality._DOT_CHUNK // graph.n)  # seedings per block
+        # seedings per block, a multiple of the stacked Anderson group, so a
+        # block splits into whole groups; two was measured fastest (README)
+        self.block_columns = 2 * max(2, centrality._DOT_CHUNK // graph.n)
         systems = {q: _AttenuatedSystem(graph.matrix, q, tol)  # one when beta = 0
                    for q in (self._q_plus, self._q_minus)}
         self._plus, self._minus = systems[self._q_plus], systems[self._q_minus]
@@ -161,14 +163,15 @@ class DiscountedSolver:
             for system in systems.values():
                 system._factor()
 
-    def solve_systems(self, g_own: np.ndarray, g_rival: np.ndarray,
-                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def solve_systems(self, g_own: np.ndarray,
+                      g_rival: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Plus and minus solutions (u, v), y_bar = (u + v) / 2 and y_under =
         (u - v) / 2, for the seedings whose G-products are g_own's columns
-        against the rival's g_rival: the right-hand side 2 r + q_plus (g_own +
-        g_rival) is formed in out when given, q_minus (g_own - g_rival) in
-        g_own, and an exactly zero one is not solved (v = 0)."""
-        rhs = np.add(g_own, g_rival, out=out)
+        against the rival's g_rival: the right-hand side q_plus (g_own +
+        g_rival) + 2 r is formed anew and q_minus (g_own - g_rival) in g_own,
+        which the caller hands over, and an exactly zero one is not solved
+        (v = 0)."""
+        rhs = g_own + g_rival
         rhs *= self._q_plus
         rhs += 2.0 * self._r
         u, _ = self._plus.solve(rhs)
@@ -410,14 +413,15 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     and sparse profiles; they are generated by a seeded generator and
     evaluated through the full linear solve in blocks of
     solver.block_columns, so the check is deterministic in (graph, params,
-    samples, seed).  Each block takes one G @ block matvec; solver.solve_systems
-    builds from it the right-hand sides 2 r + q_plus (G s + G star) and
-    q_minus (G s - G star) (G star is formed once), and each system's solve
-    certifies every candidate's full right-hand side to tol.  A candidate s
-    is priced from column sums only, price * (1's + 1'(u + v) / 2) - s's / 2;
-    on the LU path each sum runs over its own column in one order, so its
-    payoff does not depend on the block width.  A caller holding a
-    DiscountedSolver for the same graph, market and tol passes it as solver.
+    samples, seed).  Each block is one G @ block product, handed to
+    solver.solve_systems with G star (formed once per check): it forms
+    q_plus (G s + G star) + 2 r anew and q_minus (G s - G star) in the
+    product, and each system's solve certifies every candidate's full
+    right-hand side to tol.  A candidate s is priced from column sums only,
+    price * (1's + 1'(u + v) / 2) - s's / 2; on the LU path each sum runs
+    over its own column in one order, so its payoff does not depend on the
+    block width.  A caller holding a DiscountedSolver for the same graph,
+    market and tol passes it as solver.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -433,7 +437,6 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     p = params.price
     g_star = (graph.matrix @ star)[:, None]
     width = solver.block_columns
-    block_buffer = np.empty(graph.n * width)
     worst = -np.inf
     # Whichever firm deviates, its own discounted consumption and the Nash
     # payoff it compares with are the first firm's, so one evaluation serves both.
@@ -442,11 +445,7 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
         # seeded period minus seeding cost, each summed over a whole column
         payoffs = p * part.sum(axis=0) - 0.5 * np.einsum("ij,ij->j", part, part)
         for start in range(0, part.shape[1], width):
-            columns = part[:, start:start + width]
-            block = block_buffer[:columns.size].reshape(columns.shape)
-            np.copyto(block, columns)
-            # the block's buffer takes the plus system's right-hand side
-            u, v = solver.solve_systems(graph.matrix @ block, g_star, out=block)
+            u, v = solver.solve_systems(graph.matrix @ part[:, start:start + width], g_star)
             u += v  # y_bar = (u + v) / 2
             # the LU path's solutions are Fortran-ordered, so each column sum
             # runs over that column alone, in one order at any width

@@ -366,7 +366,7 @@ class TestDiscountedSolver:
         width, net, gain = priced()
         monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
         patched_width, patched_net, patched_gain = priced()
-        assert (width, patched_width) == (27, max(2, chunk // graph.n))
+        assert (width, patched_width) == (54, 2 * max(2, chunk // graph.n))
         assert patched_net.tobytes() == net.tobytes()
         assert patched_gain == gain
 
@@ -406,29 +406,29 @@ class TestDiscountedSolver:
         assert abs(gain - self.reference_deviation_gain(graph, samples, 9)) <= 1e-9
 
     def test_width_one_remainders_change_no_bits(self, monkeypatch):
-        # 9 samples make three parts of 3 candidates: one block each at the
-        # default width, blocks of 2 and 1 at width 2
+        # 15 samples make three parts of 5 candidates: one block each at the
+        # default width, blocks of 4 and 1 at width 4, the narrowest there is
         import seedgame.centrality as centrality_mod
         graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
         bundle = biproduct_centrality(graph, MARKET)
         wide = DiscountedSolver(graph, MARKET)
         monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", 2 * graph.n)
         narrow = DiscountedSolver(graph, MARKET)
-        assert (wide.block_columns, narrow.block_columns) == (27, 2)
+        assert (wide.block_columns, narrow.block_columns) == (54, 4)
         for seed in range(8):
-            gains = [nash_deviation_check(graph, MARKET, samples=9, seed=seed,
+            gains = [nash_deviation_check(graph, MARKET, samples=15, seed=seed,
                                           bundle=bundle, solver=solver)
                      for solver in (wide, narrow)]
             assert gains[0] == gains[1], seed
 
     def test_every_candidate_goes_through_the_solve(self, monkeypatch, cp_graph):
-        # blocks of 5 columns: each part of 83 or 84 candidates ends in a
+        # blocks of 10 columns: each part of 83 or 84 candidates ends in a
         # shorter block
         import seedgame.centrality as centrality_mod
         monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", 60)
         bundle = biproduct_centrality(cp_graph, MARKET)
         solver = DiscountedSolver(cp_graph, MARKET)
-        assert solver.block_columns == 5
+        assert solver.block_columns == 10
         columns = {id(solver._plus): 0, id(solver._minus): 0}
         solve = centrality_mod._AttenuatedSystem.solve
 
@@ -443,6 +443,32 @@ class TestDiscountedSolver:
         # the Nash reference is symmetric, so it skips the difference system
         assert columns == {id(solver._plus): 2 * samples + 1,
                            id(solver._minus): 2 * samples}
+
+    @pytest.mark.parametrize("chunk", [5, 60])
+    def test_anderson_blocks_hold_whole_groups(self, monkeypatch, cp_graph, chunk):
+        # above DIRECT_SOLVE_MAX_N a block is two stacked Anderson groups of
+        # 5 columns (chunk 60) or four of one column (chunk 5 < n = 12), so
+        # the gain has the bits of blocks one group wide, the width before.
+        # 252 samples make parts of 84, which end in no one-column block at
+        # either width: numpy sums a lone column pairwise, and the columns
+        # of a wider C-ordered Anderson block row by row
+        import seedgame.centrality as centrality_mod
+        import seedgame.game as game_mod
+        monkeypatch.setattr(game_mod, "DIRECT_SOLVE_MAX_N", 1)
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
+        bundle = biproduct_centrality(cp_graph, MARKET)
+        solver = DiscountedSolver(cp_graph, MARKET)
+        narrow = max(2, chunk // cp_graph.n)
+        assert solver.block_columns == 2 * narrow
+        for seed in range(4):
+            gains = []
+            for width in (2 * narrow, narrow):
+                solver.block_columns = width
+                gains.append(nash_deviation_check(cp_graph, MARKET, samples=252, seed=seed,
+                                                  bundle=bundle, solver=solver))
+            assert np.float64(gains[0]).tobytes() == np.float64(gains[1]).tobytes(), seed
+        assert solver._plus.method == "anderson" and solver._plus._lu is None
+        assert solver._minus.method == "anderson" and solver._minus._lu is None
 
     def test_deviation_check_wants_a_sample(self, cp_graph):
         for samples in (0, -5):
