@@ -1,7 +1,8 @@
 """Run the benchmark's four workloads and one large fresh-process command,
-and record the results.
+and record the results; or time one workload in pairs against another tree.
 
     python3 scripts/bench.py OUT [--seed N] [--seconds S]
+    python3 scripts/bench.py OUT --against TREE --workload W --pairs K [--seed N] [--seconds S]
 
 Each workload runs twice, each time as its own ``perfbench/run.py
 --workload W --seed N --seconds S`` process (seed 101 and 25 s by default):
@@ -23,6 +24,14 @@ metric, the per-layer metrics and the hooks the tracer could not install,
 and the three fresh-process rows (``fresh_centrality``, ``fresh_sparsify``
 and ``fresh_refusal``).  Exits nonzero if a run fails or a workload's
 outputs are not correct.
+
+With ``--against TREE`` (another checkout, such as the parent commit's),
+workload W runs K pairs of ``--trace 0`` runs, one of TREE's
+``perfbench/run.py`` and one of this checkout's in each pair, TREE first
+in the first pair and the side that runs first swapped in every pair
+after it.  OUT then gets both checkouts' commits, every run in order, and
+per end-to-end metric of ``BENCHMARK.json`` each side's median and
+quartiles and the number of pairs this checkout wins (is better in).
 """
 from __future__ import annotations
 
@@ -45,14 +54,25 @@ FRESH_GRAPH = ("bounded-outdegree:n=200000,d=10,weight=0.1", 7)
 FRESH_RUNS = 3
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, tree: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=tree, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def run_workload(name: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """One perfbench run: its final JSON line and its environment line."""
-    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
+def checkout(tree: Path) -> dict:
+    """The commit of a checkout and whether its tracked files differ from it."""
+    try:
+        return {"commit": git("rev-parse", "HEAD", tree=tree),
+                "tracked_changes": bool(git("status", "--porcelain", "--untracked-files=no",
+                                            tree=tree))}
+    except subprocess.CalledProcessError:  # not a git checkout
+        return {"commit": None, "tracked_changes": None}
+
+
+def run_workload(name: str, seed: int, seconds: float, trace: int,
+                 tree: Path = ROOT) -> tuple[dict, dict]:
+    """One perfbench run of tree: its final JSON line and its environment line."""
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", name,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     lines = subprocess.run(argv, check=True, capture_output=True, text=True).stdout.splitlines()
     environment = next(json.loads(line[len(ENVIRONMENT):]) for line in lines
@@ -120,14 +140,56 @@ def fresh_rows() -> dict:
     return rows
 
 
+def paired_runs(against: Path, name: str, pairs: int, seed: int, seconds: float) -> dict:
+    """The pairs mode's record: every run, and per end-to-end metric each
+    side's median and quartiles and the pairs this checkout wins."""
+    trees = {"parent": against, "change": ROOT}
+    record = {"mode": "pairs", "workload": name, "pairs": pairs,
+              "command": f"perfbench/run.py --workload {name} "
+                         f"--seed {seed} --seconds {seconds:g} --trace 0",
+              "parent": checkout(against), "change": checkout(ROOT),
+              "environment": None, "runs": [], "summary": {}}
+    values = {"parent": [], "change": []}
+    for pair in range(pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            result, record["environment"] = run_workload(name, seed, seconds, trace=0,
+                                                         tree=trees[side])
+            record["runs"].append({"pair": pair, "side": side, **result})
+            values[side].append({m: v["value"] for m, v in result["metrics"].items()})
+            print(f"pair {pair} {side}: {json.dumps(result['metrics'])}", flush=True)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in benchmark["end_to_end"]:
+        key, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+        sides = {side: [run[key] for run in runs] for side, runs in values.items()}
+        record["summary"][key] = {
+            **{side: dict(zip(("q1", "median", "q3"),
+                              np.percentile(v, [25, 50, 75]).tolist()))
+               for side, v in sides.items()},
+            "change_wins": sum(sign * c < sign * p
+                               for p, c in zip(sides["parent"], sides["change"]))}
+        print(f"{key}: {json.dumps(record['summary'][key])}", flush=True)
+    return record
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--against", type=Path, metavar="TREE",
+                        help="the other checkout of the pairs mode")
+    parser.add_argument("--workload", choices=WORKLOADS, help="the pairs mode's workload")
+    parser.add_argument("--pairs", type=int, help="the pairs mode's pair count")
     args = parser.parse_args(argv)
-    record = {"commit": git("rev-parse", "HEAD"),
-              "tracked_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
+    pairs_mode = (args.against, args.workload, args.pairs)
+    if any(v is not None for v in pairs_mode):
+        if any(v is None for v in pairs_mode) or args.pairs < 1:
+            parser.error("the pairs mode takes --against, --workload and --pairs >= 1")
+        record = paired_runs(args.against.resolve(), args.workload, args.pairs,
+                             args.seed, args.seconds)
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        return 0 if all(run["correct"] is True for run in record["runs"]) else 1
+    record = {**checkout(ROOT),
               "command": "perfbench/run.py --workload W "
                          f"--seed {args.seed} --seconds {args.seconds:g} --trace 0|1",
               "environment": None, "workloads": {}}
