@@ -456,9 +456,8 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
     h = 1e-4
     grad = utility_gradient(graph, params, seeding, firm="a", bundle=bundle)
     worst_rel = 0.0
-    agents = solver.block_columns // 2  # per block, each bumped by +h and by -h
-    for start in range(0, graph.n, agents):
-        idx = np.arange(start, min(start + agents, graph.n))
+    for start in range(0, graph.n, solver.block_columns // 2):
+        idx = np.arange(start, min(start + solver.block_columns // 2, graph.n))
         cols = np.arange(idx.size)
         block = np.repeat(seeding.s_bar[:, None], 2 * idx.size, axis=1)
         block[idx, cols] += h

@@ -153,8 +153,7 @@ class DiscountedSolver:
         self._q_plus = params.delta * (1.0 + params.beta)
         self._q_minus = params.delta * (1.0 - params.beta)
         self._r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
-        # seedings per block, a multiple of the stacked Anderson group, so a
-        # block splits into whole groups; two was measured fastest (README)
+        # seedings per block: two whole stacked Anderson groups' worth (README)
         self.block_columns = 2 * max(2, centrality._DOT_CHUNK // graph.n)
         systems = {q: _AttenuatedSystem(graph.matrix, q, tol)  # one when beta = 0
                    for q in (self._q_plus, self._q_minus)}
@@ -167,10 +166,9 @@ class DiscountedSolver:
                       g_rival: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Plus and minus solutions (u, v), y_bar = (u + v) / 2 and y_under =
         (u - v) / 2, for the seedings whose G-products are g_own's columns
-        against the rival's g_rival: the right-hand side q_plus (g_own +
-        g_rival) + 2 r is formed anew and q_minus (g_own - g_rival) in g_own,
-        which the caller hands over, and an exactly zero one is not solved
-        (v = 0)."""
+        against the rival's g_rival: q_plus (g_own + g_rival) + 2 r is formed
+        anew, q_minus (g_own - g_rival) in the caller's g_own, and an exactly
+        zero right-hand side is not solved (v = 0)."""
         rhs = g_own + g_rival
         rhs *= self._q_plus
         rhs += 2.0 * self._r
@@ -209,7 +207,11 @@ class DiscountedSolver:
         seeds = np.ascontiguousarray(s_bar.T)
         gross = self.params.price * (seeds.sum(axis=1)
                                      + np.ascontiguousarray(y_bar.T).sum(axis=1))
-        return gross - np.array([0.5 * float(_dot(s, s)) for s in seeds])
+        # s's per column as _dot(s, s) adds it: a row @ a column is numpy's 1-D dot
+        rows, chunk = seeds[:, None, :], centrality._DOT_CHUNK
+        cost = sum(rows[..., i:i + chunk] @ seeds[:, i:i + chunk, None]
+                   for i in range(0, self.graph.n, chunk))
+        return gross - 0.5 * cost[:, 0, 0]
 
     def gross_revenues(self, seeding: SeedingPair) -> tuple[float, float]:
         """price * (seeded period + discounted consumption), per firm."""

@@ -311,8 +311,14 @@ class TestDiscountedSolver:
         generate_core_periphery(CorePeripheryParams(chi=3, m=4, g=0.5)),
         generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5)),
     ], ids=["two-agent-chain", "core-periphery-3x4", "core-periphery-10x30"])
-    def test_blocked_net_payoffs_equal_single_seedings_bit_for_bit(self, graph):
-        # the +h and -h bumps of verify's finite-difference gradient
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_blocked_net_payoffs_equal_single_seedings_bit_for_bit(self, monkeypatch, graph,
+                                                                   chunk):
+        # the +h and -h bumps of verify's finite-difference gradient; chunk 5
+        # splits each seeding cost into _dot's slices
+        import seedgame.centrality as centrality_mod
+        if chunk is not None:
+            monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
         rng = np.random.default_rng(20)
         s_bar, s_under = 0.25 + rng.random(graph.n), 0.25 + rng.random(graph.n)
         cols = np.arange(graph.n)
@@ -324,7 +330,7 @@ class TestDiscountedSolver:
         for column in block.T:
             s = column.copy()  # contiguous, as a seeding vector is
             gross, _ = solver.gross_revenues(SeedingPair(s, s_under))
-            single.append(gross - 0.5 * float(s @ s))
+            single.append(gross - 0.5 * float(centrality_mod._dot(s, s)))
         assert np.array_equal(solver.net_payoffs_a(block, s_under), single)
         assert np.array_equal(solver.net_payoffs_a(block[:, :1], s_under), single[:1])
 
