@@ -149,18 +149,17 @@ def paired_runs(against: Path, name: str, pairs: int, seed: int, seconds: float)
                          f"--seed {seed} --seconds {seconds:g} --trace 0",
               "parent": checkout(against), "change": checkout(ROOT),
               "environment": None, "runs": [], "summary": {}}
-    values = {"parent": [], "change": []}
     for pair in range(pairs):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
             result, record["environment"] = run_workload(name, seed, seconds, trace=0,
                                                          tree=trees[side])
             record["runs"].append({"pair": pair, "side": side, **result})
-            values[side].append({m: v["value"] for m, v in result["metrics"].items()})
             print(f"pair {pair} {side}: {json.dumps(result['metrics'])}", flush=True)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for metric in benchmark["end_to_end"]:
         key, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
-        sides = {side: [run[key] for run in runs] for side, runs in values.items()}
+        sides = {side: [run["metrics"][key]["value"] for run in record["runs"]
+                        if run["side"] == side] for side in trees}
         record["summary"][key] = {
             **{side: dict(zip(("q1", "median", "q3"),
                               np.percentile(v, [25, 50, 75]).tolist()))

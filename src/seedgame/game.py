@@ -153,7 +153,7 @@ class DiscountedSolver:
         self._q_plus = params.delta * (1.0 + params.beta)
         self._q_minus = params.delta * (1.0 - params.beta)
         self._r = params.delta * (params.alpha - params.price) / (1.0 - params.delta)
-        # seedings per block: two whole stacked Anderson groups' worth (README)
+        # seedings per block: a whole number of stacked Anderson groups (README)
         self.block_columns = 2 * max(2, centrality._DOT_CHUNK // graph.n)
         systems = {q: _AttenuatedSystem(graph.matrix, q, tol)  # one when beta = 0
                    for q in (self._q_plus, self._q_minus)}
