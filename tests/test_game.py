@@ -311,14 +311,8 @@ class TestDiscountedSolver:
         generate_core_periphery(CorePeripheryParams(chi=3, m=4, g=0.5)),
         generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5)),
     ], ids=["two-agent-chain", "core-periphery-3x4", "core-periphery-10x30"])
-    @pytest.mark.parametrize("chunk", [None, 5])
-    def test_blocked_net_payoffs_equal_single_seedings_bit_for_bit(self, monkeypatch, graph,
-                                                                   chunk):
-        # the +h and -h bumps of verify's finite-difference gradient; chunk 5
-        # splits each seeding cost into _dot's slices
-        import seedgame.centrality as centrality_mod
-        if chunk is not None:
-            monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", chunk)
+    def test_blocked_net_payoffs_equal_single_seedings_bit_for_bit(self, graph):
+        # the +h and -h bumps of verify's finite-difference gradient
         rng = np.random.default_rng(20)
         s_bar, s_under = 0.25 + rng.random(graph.n), 0.25 + rng.random(graph.n)
         cols = np.arange(graph.n)
@@ -330,9 +324,24 @@ class TestDiscountedSolver:
         for column in block.T:
             s = column.copy()  # contiguous, as a seeding vector is
             gross, _ = solver.gross_revenues(SeedingPair(s, s_under))
-            single.append(gross - 0.5 * float(centrality_mod._dot(s, s)))
+            single.append(gross - 0.5 * float(s @ s))
         assert np.array_equal(solver.net_payoffs_a(block, s_under), single)
         assert np.array_equal(solver.net_payoffs_a(block[:, :1], s_under), single[:1])
+
+    def test_blocked_net_payoffs_take_each_cost_in_dot_s_slices(self, monkeypatch):
+        # chunk 5 splits each seeding cost of the 300-agent graph into 60 slices
+        import seedgame.centrality as centrality_mod
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", 5)
+        graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
+        rng = np.random.default_rng(21)
+        block, s_under = rng.random((graph.n, 40)), rng.random(graph.n)
+        solver = DiscountedSolver(graph, MARKET)
+        single = []
+        for column in block.T:
+            s = column.copy()
+            gross, _ = solver.gross_revenues(SeedingPair(s, s_under))
+            single.append(gross - 0.5 * float(centrality_mod._dot(s, s)))
+        assert np.array_equal(solver.net_payoffs_a(block, s_under), single)
 
     def test_blocked_net_payoffs_with_a_symmetric_column(self, cp_graph):
         # a block whose every seeding equals the rival's skips the difference system
@@ -452,9 +461,9 @@ class TestDiscountedSolver:
 
     @pytest.mark.parametrize("chunk", [5, 60])
     def test_anderson_blocks_hold_whole_groups(self, monkeypatch, cp_graph, chunk):
-        # above DIRECT_SOLVE_MAX_N a block is two stacked Anderson groups of
-        # 5 columns (chunk 60) or four of one column (chunk 5 < n = 12), so
-        # the gain has the bits of blocks one group wide, the width before.
+        # above DIRECT_SOLVE_MAX_N a block holds whole stacked Anderson groups,
+        # two of 5 columns (chunk 60) or four of one column (chunk 5 < n = 12),
+        # so the gain has the bits it has at half the width, the width before.
         # 252 samples make parts of 84, which end in no one-column block at
         # either width: numpy sums a lone column pairwise, and the columns
         # of a wider C-ordered Anderson block row by row
