@@ -9,15 +9,14 @@ approximate the full equilibrium.
 """
 
 from .asr import (ASRScanResult, CorePeripheryAnalytics, FamilySpec,
-                  LinearGrowthReport, NecessaryConditionReport, ScanRecord,
-                  analytic_core_periphery, check_linear_growth,
+                  NecessaryConditionReport, ScanRecord, analytic_core_periphery,
                   check_necessary_condition, scan_family, sparsity_residual,
                   write_scan_csv)
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          katz_bonacich, neumann_oracle, neumann_tail_bound)
 from .dynamics import (ConsumptionOverflowError, ConsumptionState, NegativeStateError,
-                       SeedingPair, TailCertificationError, Trajectory, agent_utility,
-                       auto_horizon, best_response_step, simulate, write_trajectory_csv)
+                       SeedingPair, TailCertificationError, Trajectory, auto_horizon,
+                       simulate, write_trajectory_csv)
 from .game import (DiscountedSolver, EpsilonReport, SeedSet, UtilityBreakdown,
                    best_response_gain, discounted_consumption,
                    epsilon_for_sets, firm_utility, nash_deviation_check,
@@ -49,8 +48,8 @@ __all__ = [
     "neumann_oracle", "neumann_tail_bound",
     # dynamics
     "SeedingPair", "ConsumptionState", "Trajectory", "NegativeStateError",
-    "ConsumptionOverflowError", "TailCertificationError", "agent_utility", "best_response_step",
-    "auto_horizon", "simulate", "write_trajectory_csv",
+    "ConsumptionOverflowError", "TailCertificationError", "auto_horizon",
+    "simulate", "write_trajectory_csv",
     # game
     "SeedSet", "UtilityBreakdown", "EpsilonReport", "DiscountedSolver",
     "firm_utility", "utility_gradient", "nash_seeding",
@@ -58,9 +57,8 @@ __all__ = [
     "epsilon_for_sets", "sparsify", "nash_deviation_check",
     # asr
     "FamilySpec", "ScanRecord", "ASRScanResult", "CorePeripheryAnalytics",
-    "NecessaryConditionReport", "LinearGrowthReport",
-    "sparsity_residual", "analytic_core_periphery", "scan_family",
-    "write_scan_csv", "check_necessary_condition", "check_linear_growth",
+    "NecessaryConditionReport", "sparsity_residual", "analytic_core_periphery",
+    "scan_family", "write_scan_csv", "check_necessary_condition",
     # report IO
     "format_real", "dumps_report", "write_report",
 ]

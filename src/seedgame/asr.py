@@ -8,9 +8,9 @@ and the degree-based obstructions to sparse seeding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .graph import (_DEFAULT_TOL, AssumptionError, CorePeripheryParams, MarketPa
 # Verdict heuristics for finite schedules (no asymptotic claim implied).
 DECAY_SLOPE_THRESHOLD = -0.5
 BOUNDED_AWAY_RATIO = 0.8
-SUPERLINEAR_EXPONENT = 1.1
 
 
 def sparsity_residual(bundle: CentralityBundle, seed_set: SeedSet) -> float:
@@ -84,8 +83,7 @@ class FamilySpec:
     """A graph family with a strictly increasing size schedule (>= 3 sizes).
 
     kind 'core_periphery' grows the community size m at fixed (chi, g);
-    'bounded_outdegree' grows the agent count at fixed (d, weight, seed);
-    'custom' calls builder(size).
+    'bounded_outdegree' grows the agent count at fixed (d, weight, seed).
     """
 
     kind: str
@@ -96,10 +94,9 @@ class FamilySpec:
     d: int = 2
     weight: float = 0.1
     seed: int = 0
-    builder: Callable[[int], WeightedDigraph] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("core_periphery", "bounded_outdegree", "custom"):
+        if self.kind not in ("core_periphery", "bounded_outdegree"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         schedule = tuple(int(s) for s in self.schedule)
         if len(schedule) < 3:
@@ -108,17 +105,13 @@ class FamilySpec:
             raise ValueError(f"schedule must be strictly increasing, got {schedule}")
         if any(s < 1 for s in schedule):
             raise ValueError("schedule sizes must be positive")
-        if self.kind == "custom" and self.builder is None:
-            raise ValueError("custom families need a builder callable")
         object.__setattr__(self, "schedule", schedule)
 
     def build(self, size: int) -> WeightedDigraph:
         if self.kind == "core_periphery":
             return generate_core_periphery(CorePeripheryParams(self.chi, size, self.g))
-        if self.kind == "bounded_outdegree":
-            return generate_bounded_outdegree_family(size, self.d, self.weight,
-                                                     seed=self.seed + size)
-        return self.builder(size)
+        return generate_bounded_outdegree_family(size, self.d, self.weight,
+                                                 seed=self.seed + size)
 
 
 @dataclass(frozen=True)
@@ -152,9 +145,14 @@ class ASRScanResult:
     rule: str
 
 
-def _resolve_rule(rule, graph: WeightedDigraph, bundle: CentralityBundle) -> SeedSet:
-    if callable(rule):
-        return SeedSet.of(rule(graph, bundle), graph.n)
+def _resolve_rule(rule, spec: FamilySpec, size: int, graph: WeightedDigraph,
+                  bundle: CentralityBundle) -> SeedSet:
+    """The rule's seed set on the family's instance at this size: chi role
+    models, or the k agents of largest c_new (ties to the lower id)."""
+    if rule == "role_models":
+        if spec.kind != "core_periphery":
+            raise ValueError("role_models rule needs a core_periphery family")
+        return SeedSet.of(CorePeripheryParams(spec.chi, size, spec.g).role_models(), graph.n)
     if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "top_k":
         k = int(rule[1])
         if not 0 <= k <= graph.n:
@@ -163,14 +161,6 @@ def _resolve_rule(rule, graph: WeightedDigraph, bundle: CentralityBundle) -> See
         order = np.lexsort((np.arange(graph.n), -c2))
         return SeedSet.of(order[:k] + 1, graph.n)
     raise ValueError(f"unknown seeding rule {rule!r}")
-
-
-def _rule_label(rule) -> str:
-    if isinstance(rule, tuple) and rule and rule[0] == "top_k":
-        return f"top_k:{rule[1]}"
-    if callable(rule):
-        return getattr(rule, "__name__", "custom")
-    return str(rule)
 
 
 def _fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
@@ -187,12 +177,12 @@ def scan_family(spec: FamilySpec, rule="role_models",
     """Evaluate the seeding rule across the schedule and classify the epsilon
     sequence.
 
-    The rule must produce sets of constant size across the schedule (the
-    sparse-seeding question is about O(1) sets); a validation failure at any
-    size aborts the scan naming that size.
+    rule is "role_models" (the chi role models of a core_periphery family)
+    or ("top_k", k) (k must lie in 0..n at every size), so the set has one
+    size across the schedule (the sparse-seeding question is about O(1)
+    sets); a validation failure at any size aborts the scan naming that size.
     """
     records: list[ScanRecord] = []
-    set_sizes: set[int] = set()
     for size in spec.schedule:
         graph = spec.build(size)
         try:
@@ -201,16 +191,9 @@ def scan_family(spec: FamilySpec, rule="role_models",
             raise AssumptionError(
                 f"family instance at size {size} failed validation: {exc}",
                 rho=exc.rho, bound=exc.bound, report=exc.report) from exc
-        if rule == "role_models":
-            if spec.kind != "core_periphery":
-                raise ValueError("role_models rule needs a core_periphery family")
-            seed_set = SeedSet.of(CorePeripheryParams(spec.chi, size, spec.g).role_models(),
-                                  graph.n)
-        else:
-            seed_set = _resolve_rule(rule, graph, bundle)
+        seed_set = _resolve_rule(rule, spec, size, graph, bundle)
         report = epsilon_for_sets(graph, spec.market, seed_set, seed_set,
                                   bundle=bundle, tol=tol)
-        set_sizes.add(seed_set.size)
         records.append(ScanRecord(
             size=size, n=graph.n,
             set_size_bar=seed_set.size, set_size_under=seed_set.size,
@@ -218,10 +201,6 @@ def scan_family(spec: FamilySpec, rule="role_models",
             epsilon_paper=report.epsilon_paper,
             epsilon_exact_a=report.epsilon_exact_a,
             epsilon_exact_b=report.epsilon_exact_b))
-    if len(set_sizes) > 1:
-        raise ValueError(
-            f"seeding rule produced sets of varying size {sorted(set_sizes)}; "
-            f"scans require a constant set size")
     eps = [r.epsilon_paper for r in records]
     ns = [r.n for r in records]
     slope = _fit_loglog_slope(ns, eps)
@@ -234,7 +213,8 @@ def scan_family(spec: FamilySpec, rule="role_models",
     else:
         verdict = "inconclusive"
     return ASRScanResult(records=tuple(records), verdict=verdict,
-                         decay_exponent=slope, rule=_rule_label(rule))
+                         decay_exponent=slope,
+                         rule=rule if rule == "role_models" else f"top_k:{rule[1]}")
 
 
 def write_scan_csv(result: ASRScanResult, path: str | Path) -> None:
@@ -291,32 +271,3 @@ def check_necessary_condition(graph: WeightedDigraph, params: MarketParams,
     return NecessaryConditionReport(
         d_max_out=d_max, threshold=threshold, blocks_sparse_seeding=blocks,
         lower_bounds_hold=lower_ok, upper_bound=upper, upper_bounds_hold=upper_ok)
-
-
-@dataclass(frozen=True)
-class LinearGrowthReport:
-    """Growth of the largest bi-product centrality across a graph sequence.
-
-    Sparse-seedable families keep max_i c_new,i at most linear in n, so a
-    fitted log-log exponent well above 1 flags the sequence.
-    """
-
-    sizes: tuple[int, ...]
-    max_centrality: tuple[float, ...]
-    exponent: float
-    superlinear: bool
-
-
-def check_linear_growth(graphs: Sequence[WeightedDigraph], params: MarketParams,
-                        tol: float = _DEFAULT_TOL) -> LinearGrowthReport:
-    """Fit the growth exponent of max_i c_new,i over the given instances."""
-    if len(graphs) < 3:
-        raise ValueError(f"need at least 3 instances, got {len(graphs)}")
-    sizes = [graph.n for graph in graphs]
-    peaks = [float(biproduct_centrality(graph, params, tol).c_new.max()) for graph in graphs]
-    exponent = _fit_loglog_slope(sizes, peaks)
-    if np.isnan(exponent) and all(p == peaks[0] for p in peaks):
-        exponent = 0.0
-    superlinear = bool(np.isfinite(exponent) and exponent > SUPERLINEAR_EXPONENT)
-    return LinearGrowthReport(sizes=tuple(sizes), max_centrality=tuple(peaks),
-                              exponent=exponent, superlinear=superlinear)

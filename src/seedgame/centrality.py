@@ -117,7 +117,9 @@ class _AttenuatedSystem:
             else:
                 xs, residuals, iterations = zip(*parts)
                 self.method, self.iterations = "anderson", max(iterations)
-                return np.hstack(xs), max(residuals)
+                # Fortran-ordered, as SuperLU's solutions are, so a column
+                # sums alone in one order at any width (a 1-D x is not copied)
+                return np.asfortranarray(np.hstack(xs)), max(residuals)
             self._factor()
         return self._direct(rhs)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .centrality import _admit
-from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _as_readonly, _check_id
+from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _as_readonly
 from .reportio import format_distinct
 
 _DEFAULT_TAIL_TOL = 1e-10
@@ -115,49 +115,15 @@ class Trajectory:
     tail_bound: float
     horizon: int
 
-    @property
-    def discounted_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.discounted_bar, self.discounted_under)
-
-
-def agent_utility(i: int, x: float, state: ConsumptionState,
-                  graph: WeightedDigraph, params: MarketParams,
-                  firm: str = "a") -> float:
-    """Per-period payoff of agent i consuming x of the given firm's product
-    while the rest of the network consumes ``state``.
-
-    u = alpha x - x^2 / 2 + x * sum_j g_ij (own_j + beta other_j) - price x,
-    where own/other select the firm's own product column of the state.
-    """
-    idx = _check_id(i, graph.n) - 1
-    if firm not in ("a", "b"):
-        raise ValueError(f"firm must be 'a' or 'b', got {firm!r}")
-    if state.n != graph.n:
-        raise ValueError(f"state has {state.n} agents, graph has {graph.n}")
-    own, other = ((state.x_bar, state.x_under) if firm == "a"
-                  else (state.x_under, state.x_bar))
-    row = graph.matrix.getrow(idx)
-    social = float((row @ (own + params.beta * other))[0])
-    x = float(x)
-    return (params.alpha - params.price) * x - 0.5 * x * x + x * social
-
 
 def _step(x_bar: np.ndarray, x_under: np.ndarray, graph: WeightedDigraph,
           params: MarketParams) -> tuple[np.ndarray, np.ndarray]:
+    """One simultaneous best-response update of both consumption profiles."""
     base = params.alpha - params.price
     matrix = graph.matrix
     g_bar = matrix @ x_bar
     g_under = matrix @ x_under
     return base + g_bar + params.beta * g_under, base + g_under + params.beta * g_bar
-
-
-def best_response_step(state: ConsumptionState, graph: WeightedDigraph,
-                       params: MarketParams) -> ConsumptionState:
-    """One simultaneous best-response update of both consumption profiles."""
-    if state.n != graph.n:
-        raise ValueError(f"state has {state.n} agents, graph has {graph.n}")
-    x_bar, x_under = _step(state.x_bar, state.x_under, graph, params)
-    return ConsumptionState(x_bar=x_bar, x_under=x_under, k=state.k + 1)
 
 
 def _tail_certificate(graph: WeightedDigraph, params: MarketParams,

@@ -420,10 +420,11 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
     q_plus (G s + G star) + 2 r anew and q_minus (G s - G star) in the
     product, and each system's solve certifies every candidate's full
     right-hand side to tol.  A candidate s is priced from column sums only,
-    price * (1's + 1'(u + v) / 2) - s's / 2; on the LU path each sum runs
-    over its own column in one order, so its payoff does not depend on the
-    block width.  A caller holding a DiscountedSolver for the same graph,
-    market and tol passes it as solver.
+    price * (1's + 1'(u + v) / 2) - s's / 2; each sum runs over its own
+    column in one order, so its payoff depends on the block width only
+    through the stacked Anderson group its column is solved in.  A caller
+    holding a DiscountedSolver for the same graph, market and tol passes it
+    as solver.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -449,8 +450,8 @@ def nash_deviation_check(graph: WeightedDigraph, params: MarketParams,
         for start in range(0, part.shape[1], width):
             u, v = solver.solve_systems(graph.matrix @ part[:, start:start + width], g_star)
             u += v  # y_bar = (u + v) / 2
-            # the LU path's solutions are Fortran-ordered, so each column sum
-            # runs over that column alone, in one order at any width
+            # both solve paths return Fortran-ordered solutions, so each column
+            # sum runs over that column alone, in one order at any width
             payoffs[start:start + width] += 0.5 * p * u.sum(axis=0)
         worst = max(worst, float(np.max(payoffs - net_star, initial=-np.inf)))
     return worst

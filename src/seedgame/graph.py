@@ -222,12 +222,6 @@ class WeightedDigraph:
         """Weighted out-degree per agent (column sums), 0-based."""
         return _as_readonly(np.asarray(self._matrix.sum(axis=0)).ravel())
 
-    def in_degree(self, i: int) -> float:
-        return float(self.in_degrees[_check_id(i, self.n) - 1])
-
-    def out_degree(self, i: int) -> float:
-        return float(self.out_degrees[_check_id(i, self.n) - 1])
-
     def to_dense(self) -> np.ndarray:
         return self._matrix.toarray()
 

@@ -3,7 +3,7 @@ import pytest
 
 from seedgame import (AssumptionError, CorePeripheryParams, FamilySpec,
                       SeedSet, analytic_core_periphery, biproduct_centrality,
-                      check_linear_growth, check_necessary_condition,
+                      check_necessary_condition,
                       generate_bounded_outdegree_family,
                       generate_core_periphery, scan_family, sparsity_residual,
                       write_scan_csv)
@@ -88,10 +88,6 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec(kind="mystery", schedule=(1, 2, 3), market=MARKET)
 
-    def test_custom_requires_builder(self):
-        with pytest.raises(ValueError):
-            FamilySpec(kind="custom", schedule=(1, 2, 3), market=MARKET)
-
     def test_build_core_periphery(self):
         spec = FamilySpec(kind="core_periphery", schedule=(2, 4, 8),
                           market=MARKET, chi=3, g=0.5)
@@ -135,18 +131,6 @@ class TestScanFamily:
         residuals = [r.residual_bar for r in result.records]
         assert all(b > a for a, b in zip(residuals, residuals[1:]))
         assert result.verdict in ("bounded-away", "inconclusive")
-
-    def test_custom_rule_callable(self, cp_params):
-        spec = FamilySpec(kind="core_periphery", schedule=(2, 4, 8),
-                          market=MARKET, chi=3, g=0.5)
-        picks = scan_family(spec, rule=lambda graph, bundle: (1, 2))
-        assert all(r.set_size_bar == 2 for r in picks.records)
-
-    def test_varying_set_size_rejected(self):
-        spec = FamilySpec(kind="core_periphery", schedule=(2, 4, 8),
-                          market=MARKET, chi=3, g=0.5)
-        with pytest.raises(ValueError, match="constant"):
-            scan_family(spec, rule=lambda graph, bundle: range(1, graph.n // 4))
 
     def test_assumption_failure_names_size(self):
         spec = FamilySpec(kind="core_periphery", schedule=(2, 4, 8),
@@ -205,24 +189,3 @@ class TestNecessaryCondition:
         bundle = biproduct_centrality(two_node, MARKET)
         lower = 1 + 0.5 * 0.5 * two_node.out_degrees
         assert np.all(bundle.c_new >= lower - 1e-12)
-
-
-class TestLinearGrowth:
-    def test_core_periphery_grows_linearly(self):
-        graphs = [generate_core_periphery(CorePeripheryParams(3, m, 0.5))
-                  for m in (5, 10, 20, 40)]
-        report = check_linear_growth(graphs, MARKET)
-        assert report.sizes == (15, 30, 60, 120)
-        assert 0.8 <= report.exponent <= 1.1
-        assert not report.superlinear
-
-    def test_bounded_outdegree_flat(self):
-        graphs = [generate_bounded_outdegree_family(n, 2, 0.1, seed=2)
-                  for n in (50, 100, 200, 400)]
-        report = check_linear_growth(graphs, MARKET)
-        assert report.exponent < 0.2
-        assert not report.superlinear
-
-    def test_needs_three_graphs(self, cp_graph):
-        with pytest.raises(ValueError):
-            check_linear_growth([cp_graph, cp_graph], MARKET)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import contextlib
 import dataclasses
@@ -302,6 +303,20 @@ class TestAsrScan:
                            "--out", str(tmp_path))
         assert code == 1 and "sideways" in err
 
+    @pytest.mark.parametrize("family, rule, message", [
+        ("core-periphery:chi=3,g=0.5", ("--rule", "top-k:50"), "top_k size 50 outside 0..30"),
+        ("bounded-outdegree:d=2,weight=0.1", (),
+         "role_models rule needs a core_periphery family"),
+    ])
+    def test_rule_that_cannot_give_one_set_size_exits_one(self, tmp_path, family, rule,
+                                                          message):
+        # a scan's sets keep one size: top_k's k must fit the smallest graph
+        # (30 agents here), and role models exist only in core-periphery graphs
+        code, _, err = run("asr-scan", "--family", family, "--schedule", "10,31,100",
+                           *rule, "--out", str(tmp_path))
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not (tmp_path / "asr_scan.csv").exists()
+
     def test_bad_schedule_exits_one(self, tmp_path):
         code, _, err = run("asr-scan", "--family", "core-periphery:chi=3,g=0.5",
                            "--schedule", "10,10,100", "--out", str(tmp_path))
@@ -422,7 +437,8 @@ class TestWeightedCycles:
         slack = 0.0
         if entry == "simulate":
             trajectory = simulate(graph, MARKET, seeding)
-            sums, slack = trajectory.discounted_sums, trajectory.tail_bound
+            sums = (trajectory.discounted_bar, trajectory.discounted_under)
+            slack = trajectory.tail_bound
         elif entry == "DiscountedSolver":
             sums = DiscountedSolver(graph, MARKET).consumption(seeding)
         else:
@@ -840,7 +856,37 @@ class TestParser:
         assert (config["sets"], config["sets_bar"], config["sets_under"]) == (None, "4", "8")
 
 
+def _module_imports(path):
+    """The names a module's top-level import statements bind (``__future__``
+    features left out), and the module's syntax tree."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names, tree
+
+
 class TestImports:
+    PACKAGE = Path(cli.__file__).parent
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                              if p.name != "__init__.py"))
+    def test_every_imported_name_is_used(self, module):
+        names, tree = _module_imports(self.PACKAGE / module)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert names - used == set()
+
+    def test_all_is_what_the_package_imports(self):
+        import seedgame
+        names, _ = _module_imports(self.PACKAGE / "__init__.py")
+        assert len(set(seedgame.__all__)) == len(seedgame.__all__)
+        assert set(seedgame.__all__) == names | {"__version__"}
+        for name in seedgame.__all__:
+            assert hasattr(seedgame, name), name
+
     def test_cli_import_leaves_out_the_lu_and_component_modules(self):
         # scipy.sparse.linalg (the LU fallback) and scipy.sparse.csgraph (a
         # refusal's spectral radius) load when a command first needs them;

@@ -6,12 +6,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from seedgame import (ConsumptionState, CorePeripheryParams, DiscountedSolver,
                       MarketParams, SeedingPair, TailCertificationError, Trajectory,
-                      WeightedDigraph, agent_utility, auto_horizon,
-                      best_response_step, generate_bounded_outdegree_family,
+                      WeightedDigraph, auto_horizon, generate_bounded_outdegree_family,
                       generate_core_periphery, nash_seeding, simulate,
                       write_trajectory_csv)
 from seedgame import dynamics
-from seedgame.dynamics import _tail_certificate
+from seedgame.dynamics import _step, _tail_certificate
 
 from conftest import MARKET, choice_loop_family
 
@@ -47,50 +46,42 @@ class TestSeedingPair:
 class TestBestResponseStep:
     def test_isolated_agents_jump_to_base_level(self):
         g = WeightedDigraph.empty(3)
-        state = ConsumptionState(np.zeros(3), np.zeros(3), k=0)
-        nxt = best_response_step(state, g, MARKET)
-        assert nxt.k == 1
+        x_bar, x_under = _step(np.zeros(3), np.zeros(3), g, MARKET)
         # alpha - price = 1 for both products when nobody influences anybody
-        assert np.allclose(nxt.x_bar, 1.0)
-        assert np.allclose(nxt.x_under, 1.0)
+        assert np.allclose(x_bar, 1.0)
+        assert np.allclose(x_under, 1.0)
 
     def test_single_step_by_hand(self, two_node):
         # x1' = 1 + g12 * (x2 + beta * y2) with g12 = 0.5, beta = 0.5
-        state = ConsumptionState(np.array([0.0, 2.0]), np.array([0.0, 4.0]), k=0)
-        nxt = best_response_step(state, two_node, MARKET)
-        assert nxt.x_bar[0] == pytest.approx(1 + 0.5 * (2 + 0.5 * 4))
-        assert nxt.x_under[0] == pytest.approx(1 + 0.5 * (4 + 0.5 * 2))
-        assert nxt.x_bar[1] == pytest.approx(1.0)
+        x_bar, x_under = _step(np.array([0.0, 2.0]), np.array([0.0, 4.0]), two_node, MARKET)
+        assert x_bar[0] == pytest.approx(1 + 0.5 * (2 + 0.5 * 4))
+        assert x_under[0] == pytest.approx(1 + 0.5 * (4 + 0.5 * 2))
+        assert x_bar[1] == pytest.approx(1.0)
 
     def test_steady_state_is_fixed(self, cp_graph):
         # x* solves x = (alpha - p) 1 + (1 + beta) G x when both sides seed alike
         dense = cp_graph.to_dense()
         x_star = np.linalg.solve(np.eye(12) - 1.5 * dense, np.ones(12))
-        state = ConsumptionState(x_star, x_star, k=3)
-        nxt = best_response_step(state, cp_graph, MARKET)
-        assert np.allclose(nxt.x_bar, x_star, atol=1e-12)
-        assert np.allclose(nxt.x_under, x_star, atol=1e-12)
+        x_bar, x_under = _step(x_star, x_star, cp_graph, MARKET)
+        assert np.allclose(x_bar, x_star, atol=1e-12)
+        assert np.allclose(x_under, x_star, atol=1e-12)
 
 
 class TestAgentUtility:
-    def test_matches_hand_formula(self, two_node):
-        state = ConsumptionState(np.array([0.0, 2.0]), np.array([0.0, 4.0]), k=0)
-        x = 1.5
-        # (alpha - p) x - x^2/2 + x * g12 * (x2_own + beta * x2_other)
-        expected = 1.0 * x - x * x / 2 + x * 0.5 * (2.0 + 0.5 * 4.0)
-        got = agent_utility(1, x, state, two_node, MARKET, firm="a")
-        assert got == pytest.approx(expected)
-
     def test_best_response_maximizes(self, cp_graph):
+        # agent i's period payoff from consuming x of firm a's product:
+        # (alpha - p) x - x^2/2 + x * sum_j g_ij (own_j + beta other_j)
+        def utility(i, x, own, other):
+            social = cp_graph.to_dense()[i - 1] @ (own + MARKET.beta * other)
+            return (MARKET.alpha - MARKET.price) * x - 0.5 * x * x + x * social
+
         rng = np.random.default_rng(0)
-        state = ConsumptionState(rng.random(12), rng.random(12), k=0)
-        nxt = best_response_step(state, cp_graph, MARKET)
+        x_bar, x_under = rng.random(12), rng.random(12)
+        nxt_bar, _ = _step(x_bar, x_under, cp_graph, MARKET)
         for i in (1, 4, 7):
-            best = agent_utility(i, float(nxt.x_bar[i - 1]), state, cp_graph, MARKET)
+            best = utility(i, nxt_bar[i - 1], x_bar, x_under)
             for bump in (-0.05, 0.05):
-                worse = agent_utility(i, float(nxt.x_bar[i - 1]) + bump,
-                                      state, cp_graph, MARKET)
-                assert worse <= best
+                assert utility(i, nxt_bar[i - 1] + bump, x_bar, x_under) <= best
 
 
 class TestSimulate:
@@ -132,12 +123,6 @@ class TestSimulate:
         ref = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=5)
         assert np.array_equal(traj.discounted_bar, ref.discounted_bar)
 
-    def test_discounted_sums_property(self, two_node):
-        traj = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=4)
-        s_bar, s_under = traj.discounted_sums
-        assert np.array_equal(s_bar, traj.discounted_bar)
-        assert np.array_equal(s_under, traj.discounted_under)
-
     def test_seeding_size_mismatch(self, two_node):
         with pytest.raises(ValueError):
             simulate(two_node, MARKET, SeedingPair.zeros(3))
@@ -158,16 +143,16 @@ class TestSimulate:
     def test_same_bits_as_a_loop_of_best_response_steps(self, graph):
         seeding = nash_like_pair(graph.n, np.random.default_rng(13))
         traj = simulate(graph, MARKET, seeding)
-        state = ConsumptionState(seeding.s_bar, seeding.s_under, k=0)
-        states = [state]
+        x_bar, x_under = seeding.s_bar, seeding.s_under
+        states = [ConsumptionState(x_bar, x_under, k=0)]
         acc_bar, acc_under = np.zeros(graph.n), np.zeros(graph.n)
         discount = 1.0
-        for _ in range(traj.horizon):
-            state = best_response_step(state, graph, MARKET)
+        for k in range(1, traj.horizon + 1):
+            x_bar, x_under = _step(x_bar, x_under, graph, MARKET)
             discount *= MARKET.delta
-            acc_bar += discount * state.x_bar
-            acc_under += discount * state.x_under
-            states.append(state)
+            acc_bar += discount * x_bar
+            acc_under += discount * x_under
+            states.append(ConsumptionState(x_bar, x_under, k=k))
         assert [s.k for s in traj.states] == [s.k for s in states]
         for got, want in zip(traj.states, states):
             assert got.x_bar.tobytes() == want.x_bar.tobytes()

@@ -464,9 +464,10 @@ class TestDiscountedSolver:
         # above DIRECT_SOLVE_MAX_N a block holds whole stacked Anderson groups,
         # two of 5 columns (chunk 60) or four of one column (chunk 5 < n = 12),
         # so the gain has the bits it has at half the width, the width before.
-        # 252 samples make parts of 84, which end in no one-column block at
-        # either width: numpy sums a lone column pairwise, and the columns
-        # of a wider C-ordered Anderson block row by row
+        # 252 samples make parts of 84, which end in no short block at either
+        # width; parts of 83 (249 samples) end in a lone column at width 2,
+        # and parts of 86 (258 samples) at width 5, which the solver returns
+        # Fortran-ordered as it does a wider block, so both sum it alike
         import seedgame.centrality as centrality_mod
         import seedgame.game as game_mod
         monkeypatch.setattr(game_mod, "DIRECT_SOLVE_MAX_N", 1)
@@ -475,15 +476,35 @@ class TestDiscountedSolver:
         solver = DiscountedSolver(cp_graph, MARKET)
         narrow = max(2, chunk // cp_graph.n)
         assert solver.block_columns == 2 * narrow
-        for seed in range(4):
-            gains = []
-            for width in (2 * narrow, narrow):
-                solver.block_columns = width
-                gains.append(nash_deviation_check(cp_graph, MARKET, samples=252, seed=seed,
-                                                  bundle=bundle, solver=solver))
-            assert np.float64(gains[0]).tobytes() == np.float64(gains[1]).tobytes(), seed
+        for samples in (252, 249, 258):
+            for seed in range(4):
+                gains = []
+                for width in (2 * narrow, narrow):
+                    solver.block_columns = width
+                    gains.append(nash_deviation_check(cp_graph, MARKET, samples=samples,
+                                                      seed=seed, bundle=bundle, solver=solver))
+                assert (np.float64(gains[0]).tobytes()
+                        == np.float64(gains[1]).tobytes()), (samples, seed)
         assert solver._plus.method == "anderson" and solver._plus._lu is None
         assert solver._minus.method == "anderson" and solver._minus._lu is None
+
+    def test_anderson_gain_does_not_depend_on_the_width(self, monkeypatch, cp_graph):
+        # one-column Anderson groups (chunk 5 < n = 12) solve each candidate
+        # alone, so the width changes only which columns share a block: a
+        # lone (n, 1) column and the columns of a wider block sum alike
+        import seedgame.centrality as centrality_mod
+        import seedgame.game as game_mod
+        monkeypatch.setattr(game_mod, "DIRECT_SOLVE_MAX_N", 1)
+        monkeypatch.setattr(centrality_mod, "_DOT_CHUNK", 5)
+        bundle = biproduct_centrality(cp_graph, MARKET)
+        solver = DiscountedSolver(cp_graph, MARKET)
+        gains = set()
+        for width in (1, 2, 3, 4, 7):
+            solver.block_columns = width
+            gains.add(np.float64(nash_deviation_check(
+                cp_graph, MARKET, samples=250, seed=3, bundle=bundle, solver=solver)).tobytes())
+        assert len(gains) == 1
+        assert solver._plus.method == "anderson" and solver._plus._lu is None
 
     def test_deviation_check_wants_a_sample(self, cp_graph):
         for samples in (0, -5):

@@ -62,8 +62,8 @@ class TestWeightedDigraph:
         g = WeightedDigraph(3, [(1, 2, 0.5), (1, 3, 0.25), (2, 3, 1.0)])
         assert np.allclose(g.in_degrees, [0.75, 1.0, 0.0])
         assert np.allclose(g.out_degrees, [0.0, 0.5, 1.25])
-        assert g.in_degree(1) == pytest.approx(0.75)
-        assert g.out_degree(3) == pytest.approx(1.25)
+        assert g.in_degrees[1 - 1] == pytest.approx(0.75)
+        assert g.out_degrees[3 - 1] == pytest.approx(1.25)
 
     def test_edges_canonical_order(self):
         g = WeightedDigraph(3, [(2, 3, 1.0), (1, 3, 0.25), (1, 2, 0.5)])
@@ -312,8 +312,8 @@ class TestCorePeriphery:
         # every agent has exactly one influencer, weight g
         assert np.allclose(cp_graph.in_degrees, 0.5)
         # role models influence their m-1 peripheries plus the next role model
-        assert cp_graph.out_degree(4) == pytest.approx(0.5 * 4)
-        assert cp_graph.out_degree(1) == 0.0
+        assert cp_graph.out_degrees[4 - 1] == pytest.approx(0.5 * 4)
+        assert cp_graph.out_degrees[1 - 1] == 0.0
 
     def test_role_model_cycle_wraps(self):
         g = generate_core_periphery(CorePeripheryParams(chi=2, m=3, g=0.4))
