@@ -4,10 +4,12 @@ and record the results; or time one workload in pairs against another tree.
     python3 scripts/bench.py OUT [--seed N] [--seconds S]
     python3 scripts/bench.py OUT --against TREE --workload W --pairs K [--seed N] [--seconds S]
 
-Each workload runs twice, each time as its own ``perfbench/run.py
+Each workload runs four times, each time as its own ``perfbench/run.py
 --workload W --seed N --seconds S`` process (seed 101 and 25 s by default):
-with ``--trace 0`` for the end-to-end metrics, and with ``--trace 1`` for
-the per-layer metrics, read from ``.perfbench/<workload>/result-trace1.json``.
+three times (``REPEATS``) with ``--trace 0`` for the end-to-end metrics, each
+recorded as the median of the three runs with the three values in run order
+(``samples``), and once with ``--trace 1`` for the per-layer metrics, read
+from ``.perfbench/<workload>/result-trace1.json``.
 Then ``centrality`` and ``sparsify --epsilon-target 0.5`` each run as a
 fresh process on the 1,001,163-edge graph
 ``bounded-outdegree:n=200000,d=10,weight=0.1`` (seed 7), and ``centrality
@@ -18,8 +20,9 @@ kept.  The fresh processes run inside their work directory with relative
 paths, so the reports, which record --graph and --out, have the same size
 wherever the checkout sits.  OUT gets one JSON object: the commit of the
 checkout (and whether its tracked files differ from it), the settings, the
-environment line perfbench prints, per workload its ``correct``,
-``attempted`` and ``failed`` counts, the value and unit of each end-to-end
+environment line perfbench prints, per workload its ``correct`` (true
+when all three ``--trace 0`` runs are), its ``attempted`` and ``failed``
+counts summed over them, the median, unit and samples of each end-to-end
 metric, the per-layer metrics and the hooks the tracer could not install,
 and the three fresh-process rows (``fresh_centrality``, ``fresh_sparsify``
 and ``fresh_refusal``).  Exits nonzero if a run fails or a workload's
@@ -52,6 +55,7 @@ WORKLOADS = ("ingest-50k", "direct-2000", "near-critical", "core-periphery")
 ENVIRONMENT = "# environment "
 FRESH_GRAPH = ("bounded-outdegree:n=200000,d=10,weight=0.1", 7)
 FRESH_RUNS = 3
+REPEATS = 3  # --trace 0 runs per workload in the default mode
 
 
 def git(*args: str, tree: Path = ROOT) -> str:
@@ -78,6 +82,19 @@ def run_workload(name: str, seed: int, seconds: float, trace: int,
     environment = next(json.loads(line[len(ENVIRONMENT):]) for line in lines
                        if line.startswith(ENVIRONMENT))
     return json.loads(lines[-1]), environment
+
+
+def median_result(results: list[dict]) -> dict:
+    """One result from repeated runs of a workload: each end-to-end metric's
+    median and its values in run order, the counts summed."""
+    return {"correct": all(r["correct"] is True for r in results),
+            "attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "metrics": {key: {"value": statistics.median(r["metrics"][key]["value"]
+                                                         for r in results),
+                              "unit": metric["unit"],
+                              "samples": [r["metrics"][key]["value"] for r in results]}
+                        for key, metric in results[0]["metrics"].items()}}
 
 
 def seedgame(work: Path, *argv: str, expect: int = 0) -> tuple[float, float]:
@@ -191,9 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     record = {**checkout(ROOT),
               "command": "perfbench/run.py --workload W "
                          f"--seed {args.seed} --seconds {args.seconds:g} --trace 0|1",
-              "environment": None, "workloads": {}}
+              "repeats": REPEATS, "environment": None, "workloads": {}}
     for name in WORKLOADS:
-        result, record["environment"] = run_workload(name, args.seed, args.seconds, trace=0)
+        runs = [run_workload(name, args.seed, args.seconds, trace=0) for _ in range(REPEATS)]
+        result, record["environment"] = median_result([r for r, _ in runs]), runs[-1][1]
         traced_line, _ = run_workload(name, args.seed, args.seconds, trace=1)
         traced = json.loads((ROOT / ".perfbench" / name / "result-trace1.json")
                             .read_text(encoding="utf-8"))

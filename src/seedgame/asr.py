@@ -150,17 +150,9 @@ def _resolve_rule(rule, spec: FamilySpec, size: int, graph: WeightedDigraph,
     """The rule's seed set on the family's instance at this size: chi role
     models, or the k agents of largest c_new (ties to the lower id)."""
     if rule == "role_models":
-        if spec.kind != "core_periphery":
-            raise ValueError("role_models rule needs a core_periphery family")
         return SeedSet.of(CorePeripheryParams(spec.chi, size, spec.g).role_models(), graph.n)
-    if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "top_k":
-        k = int(rule[1])
-        if not 0 <= k <= graph.n:
-            raise ValueError(f"top_k size {k} outside 0..{graph.n}")
-        c2 = bundle.c_new ** 2
-        order = np.lexsort((np.arange(graph.n), -c2))
-        return SeedSet.of(order[:k] + 1, graph.n)
-    raise ValueError(f"unknown seeding rule {rule!r}")
+    order = np.lexsort((np.arange(graph.n), -bundle.c_new ** 2))
+    return SeedSet.of(order[:int(rule[1])] + 1, graph.n)
 
 
 def _fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
@@ -182,6 +174,16 @@ def scan_family(spec: FamilySpec, rule="role_models",
     size across the schedule (the sparse-seeding question is about O(1)
     sets); a validation failure at any size aborts the scan naming that size.
     """
+    # refuse a rule that cannot apply before any build; n only grows along the schedule
+    top_k = isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "top_k"
+    if rule != "role_models" and not top_k:
+        raise ValueError(f"unknown seeding rule {rule!r}")
+    if rule == "role_models" and spec.kind != "core_periphery":
+        raise ValueError("role_models rule needs a core_periphery family")
+    first = spec.schedule[0]
+    n = CorePeripheryParams(spec.chi, first, spec.g).n if spec.kind == "core_periphery" else first
+    if top_k and not 0 <= int(rule[1]) <= n:
+        raise ValueError(f"top_k size {int(rule[1])} outside 0..{n}")
     records: list[ScanRecord] = []
     for size in spec.schedule:
         graph = spec.build(size)

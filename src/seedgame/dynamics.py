@@ -23,6 +23,10 @@ from .reportio import format_distinct
 
 _DEFAULT_TAIL_TOL = 1e-10
 _MAX_AUTO_HORIZON = 10_000_000
+# write_trajectory_csv writes a state of at most n / _RUN_RATIO runs of identical
+# rows a run at a time: at 4 agents a run the two paths tie, at 3 the run path
+# is 7-10% slower and at 8 it is 13-17% faster (n = 2,000 and 10,000)
+_RUN_RATIO = 4
 
 
 class TailCertificationError(RuntimeError):
@@ -221,25 +225,38 @@ def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Export states as CSV rows (k, node, x_bar, x_under), 1-based nodes.
 
-    Values print as repr of the float, so they read back exactly.  Each
-    state is written with one join, and repr runs once per distinct value
-    of the state (reportio.format_distinct), so -0.0 still prints as -0.0
-    next to a 0.0.
+    Values print as repr of the float, so they read back exactly; repr runs
+    once per distinct value (reportio.format_distinct).  A state of few runs
+    of identical consecutive rows (core-periphery graphs) is written one join
+    per run, any other one join of six cells per row.  Values are told apart
+    by their bits, so -0.0 still prints as -0.0 next to a 0.0.
     """
     if not trajectory.states:
         raise ValueError("trajectory was simulated without stored states")
     n = trajectory.states[0].n
+    node_cells = [f",{node}," for node in range(1, n + 1)]
     # one row is the six cells k, ",node,", x_bar, ",", x_under, "\n"; the
     # node, separator and newline cells are the same in every state
     cells = [","] * (6 * n)
-    cells[1::6] = [f",{node}," for node in range(1, n + 1)]
+    cells[1::6] = node_cells
     cells[5::6] = ["\n"] * n
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("k,node,x_bar,x_under\n")
         for state in trajectory.states:
-            texts = format_distinct(np.concatenate((state.x_bar, state.x_under)),
+            k = str(state.k)
+            bits = np.stack((state.x_bar, state.x_under)).view(np.int64)
+            starts = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
+            runs = _RUN_RATIO * (starts.size + 1) <= n
+            heads = [0, *starts.tolist()] if runs else slice(None)  # the rows to format
+            texts = format_distinct(np.concatenate((state.x_bar[heads], state.x_under[heads])),
                                     lambda xs: list(map(repr, xs)))
-            cells[0::6] = [str(state.k)] * n
-            cells[2::6] = texts[:n]
-            cells[4::6] = texts[n:]
-            handle.write("".join(cells))
+            half = len(texts) // 2
+            if runs:
+                tails = [f"{bar},{under}\n" for bar, under in zip(texts[:half], texts[half:])]
+                handle.write("".join([k + (tail + k).join(node_cells[a:b]) + tail
+                                      for a, b, tail in zip(heads, heads[1:] + [n], tails)]))
+            else:
+                cells[0::6] = [k] * n
+                cells[2::6] = texts[:half]
+                cells[4::6] = texts[half:]
+                handle.write("".join(cells))

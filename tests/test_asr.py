@@ -139,6 +139,27 @@ class TestScanFamily:
             scan_family(spec)
 
 
+    @pytest.mark.parametrize("kind, rule, message", [
+        ("bounded_outdegree", "role_models", "role_models rule needs a core_periphery family"),
+        ("core_periphery", ("top_k", 13), "top_k size 13 outside 0..12"),
+        ("core_periphery", ("top_k", -1), "top_k size -1 outside 0..12"),
+        ("bounded_outdegree", ("top_k", 5), "top_k size 5 outside 0..4"),
+        ("core_periphery", ("bottom_k", 1), "unknown seeding rule"),
+    ])
+    def test_rule_refused_before_any_graph_is_built(self, monkeypatch, kind, rule, message):
+        # n = chi * m = 3 * 4, or the size itself, at the first size
+        def build(self, size):
+            raise AssertionError(f"built size {size}")
+
+        monkeypatch.setattr(FamilySpec, "build", build)
+        spec = FamilySpec(kind=kind, schedule=(4, 400000, 800000), market=MARKET, chi=3, d=2)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            scan_family(spec, rule=rule)
+
+    def test_top_k_of_the_first_size_scans(self):
+        spec = FamilySpec(kind="bounded_outdegree", schedule=(5, 10, 20), market=MARKET, d=2)
+        assert [r.set_size_bar for r in scan_family(spec, rule=("top_k", 5)).records] == [5] * 3
+
 class TestScanCsv:
     def test_layout(self, tmp_path):
         spec = FamilySpec(kind="core_periphery", schedule=(4, 10, 20),

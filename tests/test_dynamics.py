@@ -11,6 +11,7 @@ from seedgame import (ConsumptionState, CorePeripheryParams, DiscountedSolver,
                       write_trajectory_csv)
 from seedgame import dynamics
 from seedgame.dynamics import _step, _tail_certificate
+from seedgame.reportio import format_distinct
 
 from conftest import MARKET, choice_loop_family
 
@@ -412,6 +413,56 @@ class TestTrajectoryCsv:
                   for _ in range(data.draw(st.integers(1, 4)))]
         self.assert_reference_bytes(self.trajectory_of(states),
                                     tmp_path_factory.mktemp("csv"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_states_of_runs(self, tmp_path_factory, data):
+        # each state is drawn as runs of identical rows, short or long, so
+        # that some states take the run path and others the six-cell path
+        values = st.sampled_from([0.0, -0.0, 5e-324, 1e300, 1.5])
+        n = data.draw(st.integers(1, 40))
+        states = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            longest = data.draw(st.sampled_from([1, 3, 12]))
+            rows = []
+            while len(rows) < n:
+                rows += [(data.draw(values), data.draw(values))] * data.draw(
+                    st.integers(1, longest))
+            states.append(tuple(zip(*rows[:n])))
+        self.assert_reference_bytes(self.trajectory_of(states),
+                                    tmp_path_factory.mktemp("csv"))
+
+    @pytest.mark.parametrize("bar, under", [
+        ([1.0] * 8, [2.0] * 4 + [3.0] * 4),  # a run broken only in x_under
+        ([0.0] * 4 + [-0.0] * 4, [1.0] * 8),  # -0.0 next to 0.0
+        ([0.0] * 8, [0.0] * 8),  # one run
+        ([1.0], [2.0]),  # one agent
+        ([1.0, 2.0] + [4.0] * 10, [1.0, 2.0] + [4.0] * 10),  # a long run ends at agent n
+        ([4.0] * 11 + [5.0], [4.0] * 12),  # a one-row run at agent n
+    ])
+    def test_run_edges(self, tmp_path, bar, under):
+        self.assert_reference_bytes(self.trajectory_of([(bar, under)]), tmp_path)
+
+    def test_one_run_zero_seeding(self, cp_graph, tmp_path):
+        traj = simulate(cp_graph, MARKET, SeedingPair.zeros(12), horizon=3)
+        lines = self.assert_reference_bytes(traj, tmp_path)
+        assert lines[1:13] == [f"0,{node},0.0,0.0" for node in range(1, 13)]
+
+    def test_states_take_either_path_in_one_file(self, monkeypatch, tmp_path):
+        # format_distinct gets the run heads on the run path and every row
+        # on the six-cell path
+        formatted = []
+
+        def record(values, fmt):
+            formatted.append(values.size // 2)
+            return format_distinct(values, fmt)
+
+        monkeypatch.setattr(dynamics, "format_distinct", record)
+        distinct = np.arange(1.0, 9.0)
+        self.assert_reference_bytes(self.trajectory_of([
+            (distinct, distinct), ([0.5] * 6 + [0.25] * 2, [0.5] * 8),
+            (distinct, distinct[::-1]), ([-0.0] * 8, [0.0] * 8)]), tmp_path)
+        assert formatted == [8, 2, 8, 1]
 
     def test_requires_states(self, two_node, tmp_path):
         traj = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=3,
