@@ -138,7 +138,6 @@ class TestScanFamily:
         with pytest.raises(AssumptionError, match="size 2"):
             scan_family(spec)
 
-
     @pytest.mark.parametrize("kind, rule, message", [
         ("bounded_outdegree", "role_models", "role_models rule needs a core_periphery family"),
         ("core_periphery", ("top_k", 13), "top_k size 13 outside 0..12"),
@@ -159,6 +158,7 @@ class TestScanFamily:
     def test_top_k_of_the_first_size_scans(self):
         spec = FamilySpec(kind="bounded_outdegree", schedule=(5, 10, 20), market=MARKET, d=2)
         assert [r.set_size_bar for r in scan_family(spec, rule=("top_k", 5)).records] == [5] * 3
+
 
 class TestScanCsv:
     def test_layout(self, tmp_path):

@@ -435,7 +435,6 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("bar, under", [
         ([1.0] * 8, [2.0] * 4 + [3.0] * 4),  # a run broken only in x_under
         ([0.0] * 4 + [-0.0] * 4, [1.0] * 8),  # -0.0 next to 0.0
-        ([0.0] * 8, [0.0] * 8),  # one run
         ([1.0], [2.0]),  # one agent
         ([1.0, 2.0] + [4.0] * 10, [1.0, 2.0] + [4.0] * 10),  # a long run ends at agent n
         ([4.0] * 11 + [5.0], [4.0] * 12),  # a one-row run at agent n
