@@ -229,4 +229,16 @@ run generate-bo400-d200 generate --generate "bounded-outdegree:n=400,d=200,weigh
 run generate-bo400-d201 generate --generate "bounded-outdegree:n=400,d=201,weight=0.001" \
     --seed 3 --out bo400d201
 
+# asr-scan's refusal under --force (the family is inadmissible at its first
+# size), and two verdicts the paper's conditions decide where the epsilons
+# of a short schedule do not fall: a bounded-out-degree family under its
+# degree obstruction, and core-periphery at g = 0.01, whose epsilons still
+# rise at these sizes
+run refuse-asr-scan asr-scan --family "core-periphery:chi=3,g=1.5" --schedule 2,4,8 \
+    --force --out scanrefuse
+run asr-scan-bo-d10 asr-scan --family "bounded-outdegree:d=10,weight=0.1" \
+    --schedule 30,100,300 --rule top-k:5 --out boscan
+run asr-scan-cp-g0.01 asr-scan --family "core-periphery:chi=3,g=0.01" \
+    --schedule 10,31,100 --out cpweak
+
 finish

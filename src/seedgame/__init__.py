@@ -25,10 +25,10 @@ from .game import (DiscountedSolver, EpsilonReport, SeedSet, UtilityBreakdown,
 from .graph import (AssumptionError, CorePeripheryParams, DuplicateEdgeError,
                     EdgeListError, GraphError, MalformedLineError,
                     MarketParams, NegativeWeightError, PowerIterationError,
-                    SelfLoopError, ValidationCheck, ValidationReport,
-                    WeightedDigraph, generate_bounded_outdegree_family,
-                    generate_core_periphery, load_edge_list, save_edge_list,
-                    spectral_radius, validate_assumptions)
+                    SelfLoopError, ValidationReport, WeightedDigraph,
+                    generate_bounded_outdegree_family, generate_core_periphery,
+                    load_edge_list, save_edge_list, spectral_radius,
+                    validate_assumptions)
 from .reportio import dumps_report, format_real, write_report
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "WeightedDigraph", "MarketParams", "CorePeripheryParams",
     "GraphError", "EdgeListError", "MalformedLineError", "DuplicateEdgeError",
     "NegativeWeightError", "SelfLoopError", "AssumptionError",
-    "PowerIterationError", "ValidationCheck", "ValidationReport",
+    "PowerIterationError", "ValidationReport",
     "spectral_radius", "validate_assumptions",
     "generate_core_periphery", "generate_bounded_outdegree_family",
     "load_edge_list", "save_edge_list",

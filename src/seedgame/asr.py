@@ -3,8 +3,8 @@
 A family admits asymptotically vanishing epsilon with O(1) seed sets exactly
 when the centrality mass outside the seeded set vanishes relative to the
 total; these helpers compute that residual, closed forms for core-periphery
-graphs, scans over size schedules with finite-schedule verdict heuristics,
-and the degree-based obstructions to sparse seeding.
+graphs, scans over size schedules with the paper's asymptotic verdict on the
+family, and the degree-based obstructions to sparse seeding.
 """
 from __future__ import annotations
 
@@ -19,11 +19,6 @@ from .game import SeedSet, epsilon_for_sets
 from .graph import (_DEFAULT_TOL, AssumptionError, CorePeripheryParams, MarketParams,
                     WeightedDigraph, generate_bounded_outdegree_family,
                     generate_core_periphery)
-
-# Verdict heuristics for finite schedules (no asymptotic claim implied).
-DECAY_SLOPE_THRESHOLD = -0.5
-BOUNDED_AWAY_RATIO = 0.8
-
 
 def sparsity_residual(bundle: CentralityBundle, seed_set: SeedSet) -> float:
     """Fraction of squared bi-product centrality mass outside the seed set."""
@@ -131,12 +126,14 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class ASRScanResult:
-    """Scan records plus the finite-schedule verdict on the epsilon sequence.
+    """Scan records plus the family's verdict, decided by the paper's
+    conditions and not by the epsilons, which are finite-size data.
 
-    verdict is a heuristic over the observed sizes only:
-    'decreasing-toward-zero' when epsilon_paper is strictly decreasing and its
-    log-log decay slope is at most -0.5; 'bounded-away' when the minimum stays
-    within 80% of the maximum; 'inconclusive' otherwise.
+    On core-periphery: 'decreasing-toward-zero' when g > 0 and the rule's set
+    holds every role model at every scanned size, else 'bounded-away'.  On
+    bounded-out-degree: 'bounded-away' when delta * (1 + beta) * d * weight < 1
+    (the obstruction of check_necessary_condition), else 'inconclusive'.
+    decay_exponent is the log-log slope of epsilon_paper against n.
     """
 
     records: tuple[ScanRecord, ...]
@@ -166,8 +163,8 @@ def _fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 
 def scan_family(spec: FamilySpec, rule="role_models",
                 tol: float = _DEFAULT_TOL) -> ASRScanResult:
-    """Evaluate the seeding rule across the schedule and classify the epsilon
-    sequence.
+    """Evaluate the seeding rule across the schedule and give the family's
+    verdict (ASRScanResult).
 
     rule is "role_models" (the chi role models of a core_periphery family)
     or ("top_k", k) (k must lie in 0..n at every size), so the set has one
@@ -185,15 +182,18 @@ def scan_family(spec: FamilySpec, rule="role_models",
     if top_k and not 0 <= int(rule[1]) <= n:
         raise ValueError(f"top_k size {int(rule[1])} outside 0..{n}")
     records: list[ScanRecord] = []
+    holds_roles = True
     for size in spec.schedule:
         graph = spec.build(size)
         try:
             bundle = biproduct_centrality(graph, spec.market, tol)
         except AssumptionError as exc:
-            raise AssumptionError(
-                f"family instance at size {size} failed validation: {exc}",
-                rho=exc.rho, bound=exc.bound, report=exc.report) from exc
+            raise AssumptionError(f"{exc} at family size {size}", rho=exc.rho,
+                                  bound=exc.bound, report=exc.report) from exc
         seed_set = _resolve_rule(rule, spec, size, graph, bundle)
+        if spec.kind == "core_periphery":
+            roles = CorePeripheryParams(spec.chi, size, spec.g).role_models()
+            holds_roles = holds_roles and set(roles) <= set(seed_set.members)
         report = epsilon_for_sets(graph, spec.market, seed_set, seed_set,
                                   bundle=bundle, tol=tol)
         records.append(ScanRecord(
@@ -203,17 +203,12 @@ def scan_family(spec: FamilySpec, rule="role_models",
             epsilon_paper=report.epsilon_paper,
             epsilon_exact_a=report.epsilon_exact_a,
             epsilon_exact_b=report.epsilon_exact_b))
-    eps = [r.epsilon_paper for r in records]
-    ns = [r.n for r in records]
-    slope = _fit_loglog_slope(ns, eps)
-    decreasing = all(b < a for a, b in zip(eps, eps[1:]))
-    finite = all(np.isfinite(e) for e in eps)
-    if decreasing and finite and np.isfinite(slope) and slope <= DECAY_SLOPE_THRESHOLD:
-        verdict = "decreasing-toward-zero"
-    elif finite and min(eps) >= BOUNDED_AWAY_RATIO * max(eps):
-        verdict = "bounded-away"
+    slope = _fit_loglog_slope([r.n for r in records], [r.epsilon_paper for r in records])
+    if spec.kind == "core_periphery":
+        verdict = "decreasing-toward-zero" if spec.g > 0 and holds_roles else "bounded-away"
     else:
-        verdict = "inconclusive"
+        q = spec.market.delta * (1.0 + spec.market.beta) * spec.d * spec.weight
+        verdict = "bounded-away" if q < 1.0 else "inconclusive"
     return ASRScanResult(records=tuple(records), verdict=verdict,
                          decay_exponent=slope,
                          rule=rule if rule == "role_models" else f"top_k:{rule[1]}")

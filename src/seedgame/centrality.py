@@ -15,8 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import (_DEFAULT_TOL, AssumptionError, MarketParams, PowerIterationError,
-                    WeightedDigraph, _as_readonly, _collatz_wielandt, _power_iteration,
-                    validate_assumptions)
+                    ValidationReport, WeightedDigraph, _as_readonly, _collatz_wielandt,
+                    _power_iteration, validate_assumptions)
 
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
@@ -196,9 +196,9 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float, tol: float,
     """The Katz solve and its residual.  A positive x bounds rho(G) by the
     upper end of its outward-rounded Collatz-Wielandt bracket on G^T; the
     graph keeps the lowest such bound.  Solved or not, the graph is admitted
-    on that bound, else on a certified bracket decided against the bound
-    (validate_assumptions for a market, _power_iteration against 1 /
-    attenuation without one), or refused before a failed solve raises."""
+    on that bound, else on the ValidationReport of a certified bracket decided
+    against 1 / attenuation (validate_assumptions for a market, _power_iteration
+    without one), or refused with that report before a failed solve raises."""
     system = _AttenuatedSystem(graph._transpose, attenuation, tol)
     failure = None
     try:
@@ -209,18 +209,12 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float, tol: float,
     except RuntimeError as exc:  # a SolverError or a singular LU, raised once admitted
         failure = exc
     if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
-        if params is not None:
-            report = validate_assumptions(graph, params, tol)
-            if not report.passed:
-                names = ", ".join(c.name for c in report.failures())
-                raise AssumptionError(
-                    f"model assumptions violated ({names}):\n{report.summary()}",
-                    rho=report.rho, bound=report.bound, report=report)
-        elif (decided := _power_iteration(graph, tol, 1.0 / attenuation))[0] >= 1.0 / attenuation:
-            raise AssumptionError(
-                "attenuation {:.12g} times spectral radius {:.12g} in [{:.12g}, {:.12g}] is not "
-                "below 1; the walk series diverges".format(attenuation, *decided),
-                rho=decided[0], bound=1.0 / attenuation)
+        bound = 1.0 / attenuation
+        report = (validate_assumptions(graph, params, tol) if params is not None
+                  else ValidationReport(*_power_iteration(graph, tol, bound), bound))
+        if not report.passed:
+            raise AssumptionError(report.summary(), rho=report.rho, bound=report.bound,
+                                  report=report)
     if failure is not None:
         raise failure
     if float(x.min()) < 1.0 - 1e-8:

@@ -200,36 +200,14 @@ def _checked_market(config: RunConfig) -> MarketParams:
         raise UsageError(str(exc)) from None
 
 
-def _bundle(graph: WeightedDigraph, params: MarketParams, config: RunConfig,
-            out: Path) -> CentralityBundle:
-    """The run's one centrality bundle, which also validates the model
-    assumptions.  With --force an assumption failure first writes its
-    validation report to validation.json."""
-    try:
-        return biproduct_centrality(graph, params, config.tol)
-    except AssumptionError as exc:
-        report = exc.report
-        if config.force and report is not None:
-            _report(config, out / "validation.json", {
-                "passed": False,
-                "rho": report.rho,
-                "bound": report.bound,
-                "margin": report.margin,
-                "checks": [asdict(c) for c in report.checks],
-            })
-            print(f"assumption failure; diagnostics written to {out / 'validation.json'}",
-                  file=sys.stderr)
-        raise
-
-
 def _load_bundle(config: RunConfig) -> tuple[WeightedDigraph, MarketParams, Path,
                                              CentralityBundle]:
     """Shared front of the graph commands: load the graph, check the market,
-    create --out and compute the bundle."""
+    create --out and compute the bundle, which also admits the graph."""
     graph, _ = _load_graph(config)
     params = _checked_market(config)
     out = _ensure_out(config)
-    return graph, params, out, _bundle(graph, params, config, out)
+    return graph, params, out, biproduct_centrality(graph, params, config.tol)
 
 
 def _seeding_summary(graph: WeightedDigraph, c_new: np.ndarray,
@@ -516,7 +494,7 @@ def cmd_verify(config: RunConfig) -> int:
     checks: list[dict] = []
     rng = np.random.default_rng(config.seed)
     for name, graph, cp in _verify_graphs(config):
-        bundle = _bundle(graph, params, config, out)
+        bundle = biproduct_centrality(graph, params, config.tol)
         _verify_one(checks, name, graph, cp, params, bundle, config, rng)
     passed = all(c["passed"] for c in checks)
     _report(config, out / "verify.json", {"checks": checks, "passed": passed}, params)
@@ -545,7 +523,7 @@ _FLAGS = {
     "--out": {"help": "output directory"},
     "--seed": {"type": int},
     "--force": {"action": "store_true",
-                "help": "on assumption failure, still write diagnostics"},
+                "help": "on assumption failure, write its bracket to validation.json"},
     "--sets": {"help": "shared 1-based ids, e.g. 4,8,12 or @file"},
     "--sets-bar": {"help": "ids for the first firm"},
     "--sets-under": {"help": "ids for the second firm"},
@@ -607,7 +585,15 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value in (("--tol", config.tol), ("--tail-tol", config.tail_tol)):
             if not value > 0:
                 raise UsageError(f"{flag} must be positive, got {value}")
-        return _COMMANDS[config.command][0](config)
+        try:
+            return _COMMANDS[config.command][0](config)
+        except AssumptionError as exc:  # with --force, a refusal's bracket goes to disk first
+            if config.force and exc.report is not None:
+                path = _ensure_out(config) / "validation.json"
+                _report(config, path, {key: getattr(exc.report, key) for key in
+                                       ("passed", "rho", "lower", "upper", "bound", "margin")})
+                print(f"assumption failure; diagnostics written to {path}", file=sys.stderr)
+            raise
     except AssumptionError as exc:
         print(f"assumption failure: {exc}", file=sys.stderr)
         return 2

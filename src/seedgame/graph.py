@@ -378,53 +378,38 @@ def spectral_radius(graph: WeightedDigraph, tol: float = _DEFAULT_TOL,
 
 
 @dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the model-assumption checks for a (graph, params) pair."""
+    """The certified bracket [lower, upper] on rho(G) that decided admission
+    against bound, and rho, its end that decided (_power_iteration): the graph
+    is admitted exactly when rho < bound, so the margin's sign is the decision's."""
 
-    checks: tuple[ValidationCheck, ...]
     rho: float
+    lower: float
+    upper: float
     bound: float
-    margin: float
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.rho
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return self.rho < self.bound
 
     def summary(self) -> str:
-        lines = [f"{'pass' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in self.checks]
-        return "\n".join(lines)
+        return (f"spectral radius {self.rho:.12g} in [{self.lower:.12g}, {self.upper:.12g}] "
+                f"{'is' if self.passed else 'is not'} below the bound {self.bound:.12g} "
+                f"(margin {self.margin:.12g})")
 
 
 def validate_assumptions(graph: WeightedDigraph, params: MarketParams,
                          tol: float = _DEFAULT_TOL) -> ValidationReport:
-    """Report-only check of the assumptions the closed forms rely on: (i) alpha
-    >= price, (ii) spectral radius below 1 / (delta * (1 + beta)), decided by a
-    certified bracket whose deciding end is rho (_power_iteration), so the margin's
-    sign is the decision's, (iii) nonnegative finite weights.  (i) and (iii) pass
-    here: MarketParams and the edge check refuse a failing one first."""
+    """The one model assumption a graph can break, rho(G) < 1 / (delta * (1 +
+    beta)), decided by a certified bracket.  alpha >= price and nonnegative
+    weights are refused before a graph gets here, by MarketParams and the edge
+    check."""
     bound = params.spectral_bound
-    rho, lower, upper = _power_iteration(graph, tol, bound)
-    margin = bound - rho
-    checks = (
-        ValidationCheck(
-            "alpha_ge_price", True, f"alpha={params.alpha:.12g}, price={params.price:.12g}"),
-        ValidationCheck(
-            "spectral_radius_below_bound", rho < bound,
-            f"rho={rho:.12g} in [{lower:.12g}, {upper:.12g}], bound={bound:.12g}, "
-            f"margin={margin:.12g}"),
-        ValidationCheck("nonnegative_weights", True, f"{graph.edge_count} edges scanned"),
-    )
-    return ValidationReport(checks=checks, rho=rho, bound=bound, margin=margin)
+    return ValidationReport(*_power_iteration(graph, tol, bound), bound)
 
 
 def generate_core_periphery(params: CorePeripheryParams) -> WeightedDigraph:

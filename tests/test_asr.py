@@ -130,7 +130,26 @@ class TestScanFamily:
         result = scan_family(spec, rule=("top_k", 5))
         residuals = [r.residual_bar for r in result.records]
         assert all(b > a for a, b in zip(residuals, residuals[1:]))
-        assert result.verdict in ("bounded-away", "inconclusive")
+        assert result.verdict == "bounded-away"
+
+    @pytest.mark.parametrize("kind, schedule, values, rule, verdict", [
+        # core-periphery: the role models, at g > 0, decay
+        ("core_periphery", (10, 31, 100), {"g": 0.01}, "role_models",
+         "decreasing-toward-zero"),
+        ("core_periphery", (4, 8, 16), {"g": 0.5}, ("top_k", 3), "decreasing-toward-zero"),
+        # a set that misses a role model, or g = 0, is bounded away
+        ("core_periphery", (10, 31, 100), {"g": 0.5}, ("top_k", 2), "bounded-away"),
+        ("core_periphery", (10, 31, 100), {"g": 0.0}, "role_models", "bounded-away"),
+        # bounded-out-degree: delta (1 + beta) d weight = 0.75 < 1 obstructs;
+        # at 1.125 nothing is decided
+        ("bounded_outdegree", (30, 100, 300), {"d": 10, "weight": 0.1}, ("top_k", 5),
+         "bounded-away"),
+        ("bounded_outdegree", (30, 100, 300), {"d": 10, "weight": 0.15}, ("top_k", 5),
+         "inconclusive"),
+    ], ids=["cp-g0.01", "cp-top3", "cp-top2", "cp-g0", "bo-0.75", "bo-1.125"])
+    def test_verdict_follows_the_paper(self, kind, schedule, values, rule, verdict):
+        spec = FamilySpec(kind=kind, schedule=schedule, market=MARKET, chi=3, **values)
+        assert scan_family(spec, rule=rule).verdict == verdict
 
     def test_assumption_failure_names_size(self):
         spec = FamilySpec(kind="core_periphery", schedule=(2, 4, 8),

@@ -6,7 +6,6 @@ import dataclasses
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -357,8 +356,41 @@ class TestAssumptionFailures:
         report = read_json(tmp_path / "validation.json")
         assert report["passed"] is False
         assert report["rho"] == pytest.approx(1.5, abs=1e-9)
-        names = {c["name"]: c["passed"] for c in report["checks"]}
-        assert names["spectral_radius_below_bound"] is False
+        assert report["bound"] <= report["lower"] <= report["rho"] <= report["upper"]
+        assert report["margin"] < 0
+
+    HOT = "core-periphery:chi=3,m=4,g=1.5"
+
+    @pytest.mark.parametrize("argv", [
+        ("centrality", "--generate", HOT),
+        ("nash", "--generate", HOT),
+        ("epsilon", "--generate", HOT, "--sets", "1"),
+        ("sparsify", "--generate", HOT, "--epsilon-target", "0.5"),
+        ("simulate", "--generate", HOT),
+        ("verify", "--generate", HOT),
+        ("asr-scan", "--family", "core-periphery:chi=3,g=1.5", "--schedule", "4,8,16"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("force", [True, False], ids=["force", "no-force"])
+    def test_every_refusal_reports_its_bracket(self, tmp_path, argv, force):
+        # rho = 1.5 against the bound 4 / 3: one failure line, and with
+        # --force the bracket it was decided on in validation.json
+        path = tmp_path / "validation.json"
+        code, out, err = run(*argv, *(("--force",) if force else ()), "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        failure = ("assumption failure: spectral radius 1.5 in [1.5, 1.5] is not below the "
+                   "bound 1.33333333333 (margin -0.166666666667)"
+                   + (" at family size 4" if argv[0] == "asr-scan" else "") + "\n")
+        if not force:
+            assert err == failure and not path.exists()
+            return
+        assert err == f"assumption failure; diagnostics written to {path}\n" + failure
+        report = read_json(path)
+        assert list(report)[2:] == ["passed", "rho", "lower", "upper", "bound", "margin"]
+        assert report["passed"] is False
+        assert report["lower"] <= report["rho"] <= report["upper"]
+        assert report["rho"] == pytest.approx(1.5, rel=1e-12)
+        assert report["bound"] == pytest.approx(4 / 3, rel=1e-15)
+        assert report["margin"] < 0
 
     def test_alpha_below_price_exits_two(self, tmp_path):
         code, _, err = run("nash", "--generate", CP_SPEC, "--alpha", "0.5",
@@ -373,11 +405,6 @@ def write_cycle(path, weights):
                           for i, w in enumerate(weights, start=1)]
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def bracket_of(text):
-    """The two ends of the first bracket "[lower, upper]" in text."""
-    return tuple(map(float, re.search(r"\[([^],]+), ([^]]+)\]", text).groups()))
 
 
 def weighted_cycle(n, low, high, seed):
@@ -503,10 +530,8 @@ class TestRefusals:
         assert any(line.startswith("assumption failure: ") for line in err.splitlines())
         report = read_json(tmp_path / "validation.json")
         assert report["passed"] is False
-        detail = next(c["detail"] for c in report["checks"]
-                      if c["name"] == "spectral_radius_below_bound")
-        lower, upper = bracket_of(detail)
-        assert 4 / 3 <= lower == pytest.approx(report["rho"], rel=1e-11)
+        lower, upper = report["lower"], report["upper"]
+        assert 4 / 3 <= lower == report["rho"]
         assert lower <= 1.6 <= upper and report["margin"] < 0
 
     @pytest.mark.parametrize("name, steps", [("cycle200", 100), ("cycle3000", 1000)])
@@ -542,10 +567,13 @@ class TestRefusals:
         weights *= 1.2 / (0.75 * np.exp(np.log(weights).mean()))
         graph = WeightedDigraph(200, [(i + 1, (i + 1) % 200 + 1, float(w))
                                       for i, w in enumerate(weights)])
-        with pytest.raises(AssumptionError, match="is not below 1") as info:
+        with pytest.raises(AssumptionError) as info:
             katz_bonacich(graph, 0.75)
-        lower, upper = bracket_of(str(info.value))
-        assert 4 / 3 <= lower == pytest.approx(info.value.rho, rel=1e-11)
+        report = info.value.report
+        assert str(info.value) == report.summary()
+        assert report.bound == info.value.bound == 1 / 0.75 and not report.passed
+        lower, upper = report.lower, report.upper
+        assert 4 / 3 <= lower == info.value.rho
         assert lower <= 1.6 <= upper
 
 
