@@ -142,12 +142,12 @@ class ASRScanResult:
     rule: str
 
 
-def _resolve_rule(rule, spec: FamilySpec, size: int, graph: WeightedDigraph,
+def _resolve_rule(rule, roles: tuple[int, ...], graph: WeightedDigraph,
                   bundle: CentralityBundle) -> SeedSet:
-    """The rule's seed set on the family's instance at this size: chi role
-    models, or the k agents of largest c_new (ties to the lower id)."""
+    """The rule's seed set on the family's instance: its role models, or the
+    k agents of largest c_new (ties to the lower id)."""
     if rule == "role_models":
-        return SeedSet.of(CorePeripheryParams(spec.chi, size, spec.g).role_models(), graph.n)
+        return SeedSet.of(roles, graph.n)
     order = np.lexsort((np.arange(graph.n), -bundle.c_new ** 2))
     return SeedSet.of(order[:int(rule[1])] + 1, graph.n)
 
@@ -190,10 +190,10 @@ def scan_family(spec: FamilySpec, rule="role_models",
         except AssumptionError as exc:
             raise AssumptionError(f"{exc} at family size {size}", rho=exc.rho,
                                   bound=exc.bound, report=exc.report) from exc
-        seed_set = _resolve_rule(rule, spec, size, graph, bundle)
-        if spec.kind == "core_periphery":
-            roles = CorePeripheryParams(spec.chi, size, spec.g).role_models()
-            holds_roles = holds_roles and set(roles) <= set(seed_set.members)
+        roles = (CorePeripheryParams(spec.chi, size, spec.g).role_models()
+                 if spec.kind == "core_periphery" else ())
+        seed_set = _resolve_rule(rule, roles, graph, bundle)
+        holds_roles = holds_roles and set(roles) <= set(seed_set.members)
         report = epsilon_for_sets(graph, spec.market, seed_set, seed_set,
                                   bundle=bundle, tol=tol)
         records.append(ScanRecord(

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .graph import (_DEFAULT_TOL, AssumptionError, MarketParams, PowerIterationError,
                     ValidationReport, WeightedDigraph, _as_readonly, _collatz_wielandt,
-                    _power_iteration, validate_assumptions)
+                    _power_iteration)
 
 _ANDERSON_DEPTH = 10
 _ANDERSON_WINDOW = 100  # iterations over which the residual must fall tenfold
@@ -191,14 +191,14 @@ class _AttenuatedSystem:
             f_prev, g_prev = f, g
 
 
-def _katz_with_residual(graph: WeightedDigraph, attenuation: float, tol: float,
-                        params: MarketParams | None = None) -> tuple[np.ndarray, float]:
+def _katz_with_residual(graph: WeightedDigraph, attenuation: float,
+                        tol: float) -> tuple[np.ndarray, float]:
     """The Katz solve and its residual.  A positive x bounds rho(G) by the
     upper end of its outward-rounded Collatz-Wielandt bracket on G^T; the
     graph keeps the lowest such bound.  Solved or not, the graph is admitted
     on that bound, else on the ValidationReport of a certified bracket decided
-    against 1 / attenuation (validate_assumptions for a market, _power_iteration
-    without one), or refused with that report before a failed solve raises."""
+    against 1 / attenuation, or refused with that report before a failed solve
+    raises."""
     system = _AttenuatedSystem(graph._transpose, attenuation, tol)
     failure = None
     try:
@@ -210,8 +210,7 @@ def _katz_with_residual(graph: WeightedDigraph, attenuation: float, tol: float,
         failure = exc
     if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
         bound = 1.0 / attenuation
-        report = (validate_assumptions(graph, params, tol) if params is not None
-                  else ValidationReport(*_power_iteration(graph, tol, bound), bound))
+        report = ValidationReport(*_power_iteration(graph, tol, bound), bound)
         if not report.passed:
             raise AssumptionError(report.summary(), rho=report.rho, bound=report.bound,
                                   report=report)
@@ -230,7 +229,7 @@ def _admit(graph: WeightedDigraph, params: MarketParams, tol: float) -> None:
     attenuation = params.delta * (1.0 + params.beta)
     if not attenuation * graph._rho_cache.get("upper", np.inf) < 1.0:
         try:
-            _katz_with_residual(graph, attenuation, tol, params)
+            _katz_with_residual(graph, attenuation, tol)
         except RuntimeError as exc:  # a SolverError or a singular LU is let pass
             if isinstance(exc, (AssumptionError, PowerIterationError)):
                 raise
@@ -260,7 +259,7 @@ def biproduct_centrality(graph: WeightedDigraph, params: MarketParams,
     """
     att_low = params.delta * (1.0 - params.beta)
     att_high = params.delta * (1.0 + params.beta)
-    b, res_b = _katz_with_residual(graph, att_high, tol, params)
+    b, res_b = _katz_with_residual(graph, att_high, tol)
     if params.beta == 0.0:
         a, res_a = b, res_b
     else:

@@ -335,14 +335,18 @@ def _power_iteration(graph: WeightedDigraph, tol: float, bound: float = np.nan,
     connected component with a cycle (G's spectrum is the union of theirs) a
     shifted, so aperiodic, power iteration from all ones runs until its bracket
     is 2 * tol wide (then, if it holds bound, no admission can be certified),
-    its upper end is below bound, or its lower end is not; a refusal returns."""
-    cap = float(min(graph.in_degrees.max(), graph.out_degrees.max()))  # named on a failure
+    its upper end is below bound, or its lower end is not; a refusal returns, its
+    upper end raised to the row/column-sum cap while components are left."""
+    # the row/column-sum cap on rho(G), rounded outward as _collatz_wielandt rounds
+    cap = float(np.nextafter(min(graph.in_degrees.max(), graph.out_degrees.max())
+                             * (1.0 + (graph.n + 1) * np.finfo(float).eps), np.inf))
     from scipy.sparse.csgraph import connected_components  # off the success path
     _, labels = connected_components(graph.matrix, directed=True, connection="strong")
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.r_[True, np.diff(labels[order]) != 0, True])  # between components
     lower = upper = 0.0
-    for members in (order[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b - a >= 2):
+    cyclic = [order[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b - a >= 2]
+    for left, members in enumerate(cyclic, 1 - len(cyclic)):  # left < 0: more to come
         sub = graph.matrix[members][:, members].tocsr()
         shift = 0.05 * max(float(np.asarray(sub.sum(axis=1)).max()), 1e-300)
         terms, x, lo, hi = int(np.diff(sub.indptr).max()), np.ones(members.size), 0.0, np.inf
@@ -358,7 +362,7 @@ def _power_iteration(graph: WeightedDigraph, tol: float, bound: float = np.nan,
                 f"power iteration did not converge in {max_iter} steps "
                 f"(bracket [{lo:.6g}, {hi:.6g}], cap {cap:.6g})", lower=lo, upper=hi)
         if hi >= bound:
-            return (lo if lo >= bound else hi), lo, hi
+            return (lo if lo >= bound else hi), lo, max(hi, cap) if left else hi
         lower, upper = max(lower, lo), max(upper, hi)
     return upper, lower, upper
 

@@ -624,7 +624,7 @@ class TestCallCounts:
             return wrapper
 
         modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "seedgame"]
-        for name, func in (("validate", graph_mod.validate_assumptions),
+        for name, func in (("validate", graph_mod._power_iteration),
                            ("spectral_radius", graph_mod.spectral_radius),
                            ("bundle", biproduct_centrality)):
             wrapper = counting(name, func)

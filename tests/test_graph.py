@@ -206,6 +206,15 @@ class TestValidation:
         assert report.bound <= report.rho == report.lower <= 1.5 <= report.upper
         assert report.margin == report.bound - report.rho < 0
 
+    def test_refusal_bracket_bounds_components_left_unvisited(self):
+        # the cooler 2-cycle (1.5) comes first and refuses; the hotter one (3)
+        # is never iterated, so the row/column-sum cap bounds it from above
+        g = WeightedDigraph(4, [(1, 2, 1.5), (2, 1, 1.5), (3, 4, 3.0), (4, 3, 3.0)])
+        report = validate_assumptions(g, MARKET)
+        assert not report.passed
+        assert report.bound <= report.rho == report.lower <= 1.5
+        assert 3.0 <= report.upper <= 3.0 * (1 + 1e-12)
+
     def test_summary_mentions_all_checks(self, cp_graph):
         report = validate_assumptions(cp_graph, MARKET)
         assert report.passed and report.rho == report.upper
@@ -279,10 +288,9 @@ class TestValidation:
         assert report.passed is (c_rho < 1.0), report.summary()
         rho, lower, upper = graph_mod._power_iteration(graph, 1e-10, MARKET.spectral_bound)
         assert report.rho == rho == (upper if report.passed else lower)
-        # the lower end bounds rho(G); the upper end does on an admission, and
-        # a refusal stops at its block
+        # the bracket holds rho(G), on a refusal too
         assert lower <= c_rho / 0.75 * (1 + 1e-6)
-        assert not report.passed or upper >= c_rho / 0.75 * (1 - 1e-6)
+        assert upper >= c_rho / 0.75 * (1 - 1e-6)
 
 
 def _dense_radius(weights: np.ndarray) -> float:
