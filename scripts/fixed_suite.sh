@@ -241,4 +241,11 @@ run asr-scan-bo-d10 asr-scan --family "bounded-outdegree:d=10,weight=0.1" \
 run asr-scan-cp-g0.01 asr-scan --family "core-periphery:chi=3,g=0.01" \
     --schedule 10,31,100 --out cpweak
 
+# simulate's flags are checked before the graph loads: a horizon above the
+# 10^7 cap, and --sets without --seeding restricted, exit 1 and write nothing
+run simulate-horizon-cap simulate --graph demo/graph.edges --horizon 10000001 \
+    --out horizoncap
+run simulate-nash-sets simulate --graph demo/graph.edges --seeding nash --sets 4,8,12 \
+    --out nashsets
+
 finish

@@ -14,7 +14,7 @@ from .asr import (ASRScanResult, CorePeripheryAnalytics, FamilySpec,
                   write_scan_csv)
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          katz_bonacich, neumann_oracle, neumann_tail_bound)
-from .dynamics import (ConsumptionOverflowError, ConsumptionState, NegativeStateError,
+from .dynamics import (ConsumptionOverflowError, NegativeStateError,
                        SeedingPair, TailCertificationError, Trajectory, auto_horizon,
                        simulate, write_trajectory_csv)
 from .game import (DiscountedSolver, EpsilonReport, SeedSet, UtilityBreakdown,
@@ -47,7 +47,7 @@ __all__ = [
     "CentralityBundle", "SolverError", "katz_bonacich", "biproduct_centrality",
     "neumann_oracle", "neumann_tail_bound",
     # dynamics
-    "SeedingPair", "ConsumptionState", "Trajectory", "NegativeStateError",
+    "SeedingPair", "Trajectory", "NegativeStateError",
     "ConsumptionOverflowError", "TailCertificationError", "auto_horizon",
     "simulate", "write_trajectory_csv",
     # game

@@ -80,9 +80,8 @@ class _AttenuatedSystem:
     sparse LU (_factor, which a caller may also run up front) and refines,
     and later solves reuse that factorization.
 
-    method ("anderson", "lu" or "identity") and iterations (Anderson
-    iterations, the most over the stacked groups, or LU refinement steps)
-    describe the last solve.
+    method ("anderson" or "lu") and iterations (Anderson iterations, the most
+    over the stacked groups, or LU refinement steps) describe the last solve.
     """
 
     def __init__(self, matrix: sp.csr_matrix, coeff: float, tol: float):
@@ -101,9 +100,6 @@ class _AttenuatedSystem:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """The solution and its residual in the max norm over all entries."""
         rhs = np.asarray(rhs, dtype=float)
-        if self.coeff == 0.0:
-            self.method, self.iterations = "identity", 0
-            return rhs.copy(), 0.0
         if self._lu is None:
             step = max(1, _DOT_CHUNK // rhs.shape[0])  # whole columns per group
             groups = ([rhs] if rhs.ndim == 1

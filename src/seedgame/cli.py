@@ -22,7 +22,7 @@ from .asr import FamilySpec, analytic_core_periphery, scan_family, write_scan_cs
 from .centrality import (CentralityBundle, SolverError, biproduct_centrality,
                          certified_neumann_series)
 from .dynamics import (ConsumptionOverflowError, SeedingPair, TailCertificationError,
-                       simulate, write_trajectory_csv)
+                       check_horizon, simulate, write_trajectory_csv)
 from .game import (DiscountedSolver, SeedSet, check_epsilon_target,
                    epsilon_for_sets, firm_utility, nash_deviation_check, nash_seeding,
                    restricted_nash_seeding, sparsify, utility_gradient)
@@ -164,14 +164,19 @@ def _parse_id_list(text: str, n: int, label: str) -> SeedSet:
         raise UsageError(f"{label}: {exc}") from None
 
 
-def _resolve_sets(config: RunConfig, n: int) -> tuple[SeedSet, SeedSet]:
+def _check_set_flags(config: RunConfig) -> None:
     if config.sets is not None:
         if config.sets_bar is not None or config.sets_under is not None:
             raise UsageError("--sets is exclusive with --sets-bar/--sets-under")
+    elif config.sets_bar is None or config.sets_under is None:
+        raise UsageError("provide --sets, or both --sets-bar and --sets-under")
+
+
+def _resolve_sets(config: RunConfig, n: int) -> tuple[SeedSet, SeedSet]:
+    _check_set_flags(config)
+    if config.sets is not None:
         shared = _parse_id_list(config.sets, n, "--sets")
         return shared, shared
-    if config.sets_bar is None or config.sets_under is None:
-        raise UsageError("provide --sets, or both --sets-bar and --sets-under")
     return (_parse_id_list(config.sets_bar, n, "--sets-bar"),
             _parse_id_list(config.sets_under, n, "--sets-under"))
 
@@ -320,17 +325,21 @@ def cmd_sparsify(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
+    # the flags are checked before the graph loads and --out is made
+    check_horizon(config.horizon)
+    if config.seeding == "restricted":
+        _check_set_flags(config)
+    elif config.seeding not in ("zero", "nash"):
+        raise UsageError(f"unknown --seeding {config.seeding!r} (expected zero, nash, or restricted)")
+    elif (config.sets, config.sets_bar, config.sets_under) != (None, None, None):
+        raise UsageError("--sets, --sets-bar and --sets-under need --seeding restricted")
     graph, params, out, bundle = _load_bundle(config)
-    if config.seeding == "zero":
-        seeding = SeedingPair.zeros(graph.n)
+    if config.seeding == "restricted":
+        seeding = restricted_nash_seeding(params, bundle, *_resolve_sets(config, graph.n))
     elif config.seeding == "nash":
         seeding = nash_seeding(graph, params, bundle=bundle)
-    elif config.seeding == "restricted":
-        set_bar, set_under = _resolve_sets(config, graph.n)
-        seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
     else:
-        raise UsageError(f"unknown --seeding {config.seeding!r} "
-                         f"(expected zero, nash, or restricted)")
+        seeding = SeedingPair.zeros(graph.n)
     trajectory = simulate(graph, params, seeding, horizon=config.horizon,
                           tail_tol=config.tail_tol, tol=config.tol)
     csv_path = out / "trajectory.csv"
@@ -421,8 +430,7 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
     # strictly positive so central differences below stay inside the domain
     seeding = SeedingPair(s_bar=params.price * bundle.c_new * (0.25 + rng.random(graph.n)),
                           s_under=params.price * (0.25 + rng.random(graph.n)))
-    trajectory = simulate(graph, params, seeding, tail_tol=config.tail_tol,
-                          store_states=False, tol=config.tol)
+    trajectory = simulate(graph, params, seeding, tail_tol=config.tail_tol, tol=config.tol)
     y_bar, y_under = solver.consumption(seeding)
     gap = max(float(np.abs(trajectory.discounted_bar - y_bar).max()),
               float(np.abs(trajectory.discounted_under - y_under).max()))
@@ -528,7 +536,7 @@ _FLAGS = {
     "--sets-bar": {"help": "ids for the first firm"},
     "--sets-under": {"help": "ids for the second firm"},
     "--epsilon-target": {"type": float},
-    "--horizon": {"type": int, "help": "periods to simulate (default: auto)"},
+    "--horizon": {"type": int, "help": "periods to simulate, 1 to 10000000 (default: auto)"},
     "--tail-tol": {"type": float,
                    "help": "target certified tail bound for the auto horizon"},
     "--seeding": {"help": "zero, nash, or restricted (with --sets)"},

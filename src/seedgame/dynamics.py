@@ -11,9 +11,11 @@ a certified bound on the omitted mass.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .graph import _DEFAULT_TOL, MarketParams, WeightedDigraph, _as_readonly
 from .reportio import format_distinct
 
 _DEFAULT_TAIL_TOL = 1e-10
-_MAX_AUTO_HORIZON = 10_000_000
+_MAX_HORIZON = 10_000_000
 # write_trajectory_csv writes a state of at most n / _RUN_RATIO runs of identical
 # rows a run at a time: at 4 agents a run the two paths tie, at 3 the run path
 # is 7-10% slower and at 8 it is 13-17% faster (n = 2,000 and 10,000)
@@ -38,18 +40,7 @@ class ConsumptionOverflowError(ValueError):
 
 
 class NegativeStateError(ValueError):
-    """Consumption states must be entrywise nonnegative."""
-
-
-def _validated_vector(values, n: int, label: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{label} must have shape ({n},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{label} contains non-finite entries")
-    if (arr < 0).any():
-        raise NegativeStateError(f"{label} has negative entries")
-    return _as_readonly(arr)
+    """Seedings must be entrywise nonnegative."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +55,15 @@ class SeedingPair:
         n = s_bar.shape[0] if s_bar.ndim == 1 else -1
         if n < 1:
             raise ValueError("seedings must be nonempty 1-d vectors")
-        object.__setattr__(self, "s_bar", _validated_vector(self.s_bar, n, "s_bar"))
-        object.__setattr__(self, "s_under", _validated_vector(self.s_under, n, "s_under"))
+        for label in ("s_bar", "s_under"):
+            arr = np.asarray(getattr(self, label), dtype=float)
+            if arr.shape != (n,):
+                raise ValueError(f"{label} must have shape ({n},), got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{label} contains non-finite entries")
+            if (arr < 0).any():
+                raise NegativeStateError(f"{label} has negative entries")
+            object.__setattr__(self, label, _as_readonly(arr))
 
     @classmethod
     def zeros(cls, n: int) -> "SeedingPair":
@@ -77,47 +75,25 @@ class SeedingPair:
 
 
 @dataclass(frozen=True)
-class ConsumptionState:
-    """Consumption profile of both products at period k."""
-
-    x_bar: np.ndarray
-    x_under: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        x_bar = np.asarray(self.x_bar, dtype=float)
-        n = x_bar.shape[0] if x_bar.ndim == 1 else -1
-        if n < 1:
-            raise ValueError("states must be nonempty 1-d vectors")
-        object.__setattr__(self, "x_bar", _validated_vector(self.x_bar, n, "x_bar"))
-        object.__setattr__(self, "x_under", _validated_vector(self.x_under, n, "x_under"))
-        if self.k < 0:
-            raise ValueError(f"period index must be nonnegative, got {self.k}")
-
-    @classmethod
-    def _unchecked(cls, x_bar: np.ndarray, x_under: np.ndarray, k: int) -> "ConsumptionState":
-        """A state from two finite, nonnegative vectors of one length, made
-        read-only without the checks."""
-        state = object.__new__(cls)
-        state.__dict__.update(x_bar=_as_readonly(x_bar), x_under=_as_readonly(x_under), k=k)
-        return state
-
-    @property
-    def n(self) -> int:
-        return self.x_bar.shape[0]
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Simulated path up to the horizon, with truncated discounted sums
-    sum_{k=1..T} delta^k x(k) per product and a certified tail bound on the
-    omitted k > T mass (max norm, per entry)."""
+    """A simulated run: the graph, market and seeding it ran from, the
+    truncated discounted sums sum_{k=1..T} delta^k x(k) per product and a
+    certified tail bound on the omitted k > T mass (max norm, per entry).
+    The states are not kept; states() steps them again."""
 
-    states: tuple[ConsumptionState, ...]
+    graph: WeightedDigraph
+    params: MarketParams
+    seeding: SeedingPair
     discounted_bar: np.ndarray
     discounted_under: np.ndarray
     tail_bound: float
     horizon: int
+
+    def states(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(x_bar, x_under) for k = 0..horizon, read-only, with the bits
+        simulate summed."""
+        return itertools.islice(_periods(self.graph, self.params, self.seeding),
+                                self.horizon + 1)
 
 
 def _step(x_bar: np.ndarray, x_under: np.ndarray, graph: WeightedDigraph,
@@ -128,6 +104,15 @@ def _step(x_bar: np.ndarray, x_under: np.ndarray, graph: WeightedDigraph,
     g_bar = matrix @ x_bar
     g_under = matrix @ x_under
     return base + g_bar + params.beta * g_under, base + g_under + params.beta * g_bar
+
+
+def _periods(graph: WeightedDigraph, params: MarketParams,
+             seeding: SeedingPair) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """x(0), x(1), ... as read-only (x_bar, x_under) pairs, without end."""
+    x_bar, x_under = seeding.s_bar, seeding.s_under
+    while True:
+        yield x_bar, x_under
+        x_bar, x_under = map(_as_readonly, _step(x_bar, x_under, graph, params))
 
 
 def _tail_certificate(graph: WeightedDigraph, params: MarketParams,
@@ -166,9 +151,9 @@ def auto_horizon(graph: WeightedDigraph, params: MarketParams, seeding: SeedingP
     hi = 1
     while _tail_certificate(graph, params, seeding, hi) > tail_tol:
         hi *= 2
-        if hi > _MAX_AUTO_HORIZON:
+        if hi > _MAX_HORIZON:
             raise TailCertificationError(
-                f"tail bound stays above {tail_tol:.3g} below horizon {_MAX_AUTO_HORIZON}")
+                f"tail bound stays above {tail_tol:.3g} below horizon {_MAX_HORIZON}")
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -179,51 +164,50 @@ def auto_horizon(graph: WeightedDigraph, params: MarketParams, seeding: SeedingP
     return hi
 
 
+def check_horizon(horizon: int | None) -> None:
+    """Refuse a horizon outside [1, _MAX_HORIZON]; None is the auto horizon."""
+    if horizon is not None and not 1 <= horizon <= _MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, {_MAX_HORIZON}], got {horizon}")
+
+
 def simulate(graph: WeightedDigraph, params: MarketParams, seeding: SeedingPair,
              horizon: int | None = None, tail_tol: float = _DEFAULT_TAIL_TOL,
-             store_states: bool = True, tol: float = _DEFAULT_TOL) -> Trajectory:
+             tol: float = _DEFAULT_TOL) -> Trajectory:
     """Run the best-response dynamics from the given seedings.
 
-    The graph is admitted at tol first (centrality._admit).  With horizon=None the
-    horizon is chosen so the certified tail bound drops to tail_tol.  States
-    are stored unless store_states=False (sums-only streaming for large
-    runs); discounted sums always cover k = 1..horizon.
+    The horizon is checked first (check_horizon), then the graph is admitted
+    at tol (centrality._admit).  With horizon=None the horizon is chosen so
+    the certified tail bound drops to tail_tol.  The discounted sums cover
+    k = 1..horizon; the states are summed as they are stepped, not kept.
     """
+    check_horizon(horizon)
     _admit(graph, params, tol)
     if seeding.n != graph.n:
         raise ValueError(f"seeding has {seeding.n} agents, graph has {graph.n}")
     if horizon is None:
         horizon = auto_horizon(graph, params, seeding, tail_tol)
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
     # the states stay nonnegative, as the seeds, weights and alpha - price
-    # are, so they are built without ConsumptionState's checks; an overflow
-    # shows in the sums, which stay non-finite once they are, and raises at
-    # the first period it shows in instead of warning
-    x_bar, x_under = seeding.s_bar, seeding.s_under
-    states = [ConsumptionState(x_bar=x_bar, x_under=x_under, k=0)] if store_states else []
-    acc_bar = np.zeros(graph.n)
-    acc_under = np.zeros(graph.n)
+    # are; an overflow shows in the sums, which stay non-finite once they
+    # are, and raises at the first period it shows in instead of warning
+    acc_bar, acc_under = np.zeros(graph.n), np.zeros(graph.n)
     discount = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, horizon + 1):
-            x_bar, x_under = _step(x_bar, x_under, graph, params)
+        for x_bar, x_under in itertools.islice(_periods(graph, params, seeding), 1, horizon + 1):
             discount *= params.delta
             acc_bar += discount * x_bar
             acc_under += discount * x_under
             if not (math.isfinite(acc_bar.max()) and math.isfinite(acc_under.max())):
                 raise ConsumptionOverflowError(f"consumption overflows within horizon {horizon}")
-            if store_states:
-                states.append(ConsumptionState._unchecked(x_bar, x_under, k))
-    tail = _tail_certificate(graph, params, seeding, horizon)
-    return Trajectory(states=tuple(states),
+    return Trajectory(graph=graph, params=params, seeding=seeding,
                       discounted_bar=_as_readonly(acc_bar),
                       discounted_under=_as_readonly(acc_under),
-                      tail_bound=float(tail), horizon=int(horizon))
+                      tail_bound=float(_tail_certificate(graph, params, seeding, horizon)),
+                      horizon=int(horizon))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Export states as CSV rows (k, node, x_bar, x_under), 1-based nodes.
+    """Export the states as CSV rows (k, node, x_bar, x_under), 1-based
+    nodes, one period at a time as Trajectory.states steps them again.
 
     Values print as repr of the float, so they read back exactly; repr runs
     once per distinct value (reportio.format_distinct).  A state of few runs
@@ -231,9 +215,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     per run, any other one join of six cells per row.  Values are told apart
     by their bits, so -0.0 still prints as -0.0 next to a 0.0.
     """
-    if not trajectory.states:
-        raise ValueError("trajectory was simulated without stored states")
-    n = trajectory.states[0].n
+    n = trajectory.seeding.n
     node_cells = [f",{node}," for node in range(1, n + 1)]
     # one row is the six cells k, ",node,", x_bar, ",", x_under, "\n"; the
     # node, separator and newline cells are the same in every state
@@ -242,13 +224,13 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     cells[5::6] = ["\n"] * n
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write("k,node,x_bar,x_under\n")
-        for state in trajectory.states:
-            k = str(state.k)
-            bits = np.stack((state.x_bar, state.x_under)).view(np.int64)
+        for k, (x_bar, x_under) in enumerate(trajectory.states()):
+            k = str(k)
+            bits = np.stack((x_bar, x_under)).view(np.int64)
             starts = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
             runs = _RUN_RATIO * (starts.size + 1) <= n
             heads = [0, *starts.tolist()] if runs else slice(None)  # the rows to format
-            texts = format_distinct(np.concatenate((state.x_bar[heads], state.x_under[heads])),
+            texts = format_distinct(np.concatenate((x_bar[heads], x_under[heads])),
                                     lambda xs: list(map(repr, xs)))
             half = len(texts) // 2
             if runs:

@@ -36,7 +36,7 @@ def test_criterion_1_simulation_matches_closed_form(random_suite, cp_graph):
     worst_gap, worst_tail = 0.0, 0.0
     for graph in graphs:
         seeding = SeedingPair(2.0 * rng.random(graph.n), 2.0 * rng.random(graph.n))
-        traj = simulate(graph, MARKET, seeding, tail_tol=1e-10, store_states=False)
+        traj = simulate(graph, MARKET, seeding, tail_tol=1e-10)
         y_bar, y_under = discounted_consumption(graph, MARKET, seeding)
         gap = max(np.abs(traj.discounted_bar - y_bar).max(),
                   np.abs(traj.discounted_under - y_under).max())

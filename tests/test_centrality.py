@@ -41,8 +41,12 @@ class TestKatzBonacich:
         assert np.allclose(katz_bonacich(two_node, 0.25), TWO_NODE_A, atol=1e-12)
         assert np.allclose(katz_bonacich(two_node, 0.75), TWO_NODE_B, atol=1e-12)
 
-    def test_zero_attenuation_is_ones(self, cp_graph):
-        assert np.array_equal(katz_bonacich(cp_graph, 0.0), np.ones(cp_graph.n))
+    def test_zero_attenuation_is_ones(self, test_suite):
+        # the fixed-point iteration returns the right-hand side at once
+        for name, graph in [*test_suite, ("empty-3", WeightedDigraph.empty(3))]:
+            x = katz_bonacich(graph, 0.0)
+            assert x.tobytes() == np.ones(graph.n).tobytes(), name
+            assert not x.flags.writeable, name
 
     def test_empty_graph_is_ones(self):
         g = WeightedDigraph.empty(5)

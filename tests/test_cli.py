@@ -264,6 +264,29 @@ class TestSimulate:
                            "--out", str(tmp_path))
         assert code == 1 and "waves" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--horizon", "0"), "horizon must lie in [1, 10000000], got 0"),
+        (("--horizon", "10000001"), "horizon must lie in [1, 10000000], got 10000001"),
+        (("--seeding", "waves"),
+         "unknown --seeding 'waves' (expected zero, nash, or restricted)"),
+        (("--seeding", "nash", "--sets", "4,8,12"),
+         "--sets, --sets-bar and --sets-under need --seeding restricted"),
+        (("--sets-bar", "4"), "--sets, --sets-bar and --sets-under need --seeding restricted"),
+        (("--seeding", "restricted"), "provide --sets, or both --sets-bar and --sets-under"),
+        (("--seeding", "restricted", "--sets-under", "4"),
+         "provide --sets, or both --sets-bar and --sets-under"),
+        (("--seeding", "restricted", "--sets", "4", "--sets-bar", "8"),
+         "--sets is exclusive with --sets-bar/--sets-under"),
+    ])
+    def test_bad_flags_refused_before_the_graph_loads(self, tmp_path, monkeypatch,
+                                                      argv, message):
+        loads = []
+        monkeypatch.setattr(cli, "_load_graph", lambda config: loads.append(config))
+        out_dir = tmp_path / "out"
+        code, out, err = run("simulate", "--generate", CP_SPEC, *argv, "--out", str(out_dir))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert loads == [] and not out_dir.exists()
+
 
     @pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
     @pytest.mark.parametrize("value", ["nan", "0", "-1.0"])
@@ -762,16 +785,6 @@ class TestVerify:
             "PASS  input: analytic_core_periphery_matches_solve "
             "(worst relative gap 0.000e+00)\n"
             "all checks passed (6/6)\n")
-
-    def test_verify_keeps_no_states(self, tmp_path, monkeypatch):
-        # verify reads only the trajectory's sums and tail bound
-        calls = []
-        monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs:
-                            calls.append(kwargs) or simulate(*args, **kwargs))
-        code, _, _ = run("verify", "--generate", CP_SPEC, "--samples", "200",
-                         "--out", str(tmp_path))
-        assert code == 0
-        assert [kwargs.get("store_states", True) for kwargs in calls] == [False]
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_needs_at_least_one_sample(self, tmp_path, samples):

@@ -1,14 +1,16 @@
+import os
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from seedgame import (ConsumptionState, CorePeripheryParams, DiscountedSolver,
-                      MarketParams, SeedingPair, TailCertificationError, Trajectory,
-                      WeightedDigraph, auto_horizon, generate_bounded_outdegree_family,
-                      generate_core_periphery, nash_seeding, simulate,
-                      write_trajectory_csv)
+from seedgame import (CorePeripheryParams, DiscountedSolver, MarketParams, SeedingPair,
+                      TailCertificationError, WeightedDigraph, auto_horizon,
+                      generate_bounded_outdegree_family, generate_core_periphery,
+                      nash_seeding, simulate, write_trajectory_csv)
 from seedgame import dynamics
 from seedgame.dynamics import _step, _tail_certificate
 from seedgame.reportio import format_distinct
@@ -111,18 +113,47 @@ class TestSimulate:
                       np.abs(traj.discounted_under - exact_under).max())
             assert gap <= traj.tail_bound + 1e-12
 
-    def test_states_stored_and_indexed(self, two_node):
-        traj = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=5)
+    def test_states_are_stepped_again_with_the_same_bits(self, cp_graph, tmp_path):
+        traj = simulate(cp_graph, MARKET, nash_like_pair(12, np.random.default_rng(5)),
+                        horizon=5)
         assert traj.horizon == 5
-        assert len(traj.states) == 6
-        assert [s.k for s in traj.states] == list(range(6))
+        passes = [list(traj.states()) for _ in range(2)]
+        assert len(passes[0]) == 6
+        for (bar, under), (bar2, under2) in zip(*passes):
+            assert not (bar.flags.writeable or under.flags.writeable)
+            assert (bar.tobytes(), under.tobytes()) == (bar2.tobytes(), under2.tobytes())
+        for name in ("first.csv", "second.csv"):
+            write_trajectory_csv(traj, tmp_path / name)
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
-    def test_store_states_off(self, two_node):
-        traj = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=5,
-                        store_states=False)
-        assert traj.states == ()
-        ref = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=5)
-        assert np.array_equal(traj.discounted_bar, ref.discounted_bar)
+    @pytest.mark.parametrize("horizon", [0, -3, dynamics._MAX_HORIZON + 1])
+    def test_horizon_out_of_range_refused_at_once(self, monkeypatch, horizon):
+        admitted = []
+        monkeypatch.setattr(dynamics, "_admit", lambda *args: admitted.append(args))
+        with pytest.raises(ValueError, match=r"horizon must lie in \[1, 10000000\]"):
+            simulate(WeightedDigraph.empty(2), MARKET, SeedingPair.zeros(2), horizon=horizon)
+        assert admitted == []
+        for horizon in (None, 1, dynamics._MAX_HORIZON):
+            dynamics.check_horizon(horizon)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # the sums and the CSV step the states one period at a time, so ten
+        # times the horizon takes about the same memory (a stored path would
+        # take horizon * 2n * 8 bytes: 6.7 MB at horizon 20, 64 MB at 200)
+        graph = generate_core_periphery(CorePeripheryParams(chi=10, m=2000, g=0.5))
+        seeding = nash_seeding(graph, MARKET)
+        simulate(graph, MARKET, seeding, horizon=1)  # admits the graph once
+
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(simulate(graph, MARKET, seeding, horizon=horizon),
+                                     os.devnull)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200) <= 1.5 * peak(20)
 
     def test_seeding_size_mismatch(self, two_node):
         with pytest.raises(ValueError):
@@ -133,9 +164,9 @@ class TestSimulate:
         for name, graph in test_suite[:8]:
             seeding = nash_like_pair(graph.n, rng)
             traj = simulate(graph, MARKET, seeding, horizon=20)
-            for state in traj.states:
-                assert state.x_bar.min() >= 0, name
-                assert state.x_under.min() >= 0, name
+            for x_bar, x_under in traj.states():
+                assert x_bar.min() >= 0, name
+                assert x_under.min() >= 0, name
 
     @pytest.mark.parametrize("graph", [
         generate_core_periphery(CorePeripheryParams(chi=3, m=4, g=0.5)),
@@ -145,20 +176,21 @@ class TestSimulate:
         seeding = nash_like_pair(graph.n, np.random.default_rng(13))
         traj = simulate(graph, MARKET, seeding)
         x_bar, x_under = seeding.s_bar, seeding.s_under
-        states = [ConsumptionState(x_bar, x_under, k=0)]
+        states = [(x_bar, x_under)]
         acc_bar, acc_under = np.zeros(graph.n), np.zeros(graph.n)
         discount = 1.0
-        for k in range(1, traj.horizon + 1):
+        for _ in range(traj.horizon):
             x_bar, x_under = _step(x_bar, x_under, graph, MARKET)
             discount *= MARKET.delta
             acc_bar += discount * x_bar
             acc_under += discount * x_under
-            states.append(ConsumptionState(x_bar, x_under, k=k))
-        assert [s.k for s in traj.states] == [s.k for s in states]
-        for got, want in zip(traj.states, states):
-            assert got.x_bar.tobytes() == want.x_bar.tobytes()
-            assert got.x_under.tobytes() == want.x_under.tobytes()
-            assert not (got.x_bar.flags.writeable or got.x_under.flags.writeable)
+            states.append((x_bar, x_under))
+        got = list(traj.states())
+        assert len(got) == len(states) == traj.horizon + 1
+        for (got_bar, got_under), (want_bar, want_under) in zip(got, states):
+            assert got_bar.tobytes() == want_bar.tobytes()
+            assert got_under.tobytes() == want_under.tobytes()
+            assert not (got_bar.flags.writeable or got_under.flags.writeable)
         assert traj.discounted_bar.tobytes() == acc_bar.tobytes()
         assert traj.discounted_under.tobytes() == acc_under.tobytes()
 
@@ -325,21 +357,20 @@ class TestTrajectoryCsv:
         path = tmp_path / "t.csv"
         write_trajectory_csv(traj, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        for state in traj.states:
+        for step, (bar, under) in enumerate(traj.states()):
             for idx in range(12):
-                k, node, x_bar, x_under = rows[state.k * 12 + idx]
-                assert int(k) == state.k and int(node) == idx + 1
-                assert float(x_bar) == state.x_bar[idx]
-                assert float(x_under) == state.x_under[idx]
+                k, node, x_bar, x_under = rows[step * 12 + idx]
+                assert int(k) == step and int(node) == idx + 1
+                assert float(x_bar) == bar[idx]
+                assert float(x_under) == under[idx]
 
     @staticmethod
     def reference_csv(trajectory, path):
         """The value-by-value writer the streamed one replaced."""
         lines = ["k,node,x_bar,x_under"]
-        for state in trajectory.states:
-            for idx in range(state.n):
-                lines.append(f"{state.k},{idx + 1},"
-                             f"{float(state.x_bar[idx])!r},{float(state.x_under[idx])!r}")
+        for k, (x_bar, x_under) in enumerate(trajectory.states()):
+            for idx in range(trajectory.seeding.n):
+                lines.append(f"{k},{idx + 1},{float(x_bar[idx])!r},{float(x_under[idx])!r}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def test_same_bytes_as_the_reference_writer(self, tmp_path):
@@ -364,19 +395,18 @@ class TestTrajectoryCsv:
 
     @staticmethod
     def trajectory_of(states):
-        """A Trajectory holding the given (x_bar, x_under) states as k = 0, 1, ..."""
-        states = tuple(ConsumptionState(np.asarray(bar, dtype=float),
-                                        np.asarray(under, dtype=float), k)
-                       for k, (bar, under) in enumerate(states))
-        zeros = np.zeros(states[0].n)
-        return Trajectory(states=states, discounted_bar=zeros, discounted_under=zeros,
-                          tail_bound=0.0, horizon=len(states) - 1)
+        """A stand-in for a Trajectory whose states() yields the given
+        (x_bar, x_under) states as k = 0, 1, ...: what the writer reads."""
+        states = [(np.asarray(bar, dtype=float), np.asarray(under, dtype=float))
+                  for bar, under in states]
+        return types.SimpleNamespace(seeding=types.SimpleNamespace(n=states[0][0].size),
+                                     states=lambda: iter(states))
 
     def test_core_periphery_nash_same_bytes_as_the_reference_writer(self, tmp_path):
         # every periphery agent of a community shares one state: values repeat
         graph = generate_core_periphery(CorePeripheryParams(chi=10, m=30, g=0.5))
         traj = simulate(graph, MARKET, nash_seeding(graph, MARKET))
-        assert len(np.unique(traj.states[-1].x_bar)) < graph.n // 10
+        assert len(np.unique(list(traj.states())[-1][0])) < graph.n // 10
         lines = self.assert_reference_bytes(traj, tmp_path)
         assert len(lines) == 1 + (traj.horizon + 1) * graph.n
 
@@ -462,9 +492,3 @@ class TestTrajectoryCsv:
             (distinct, distinct), ([0.5] * 6 + [0.25] * 2, [0.5] * 8),
             (distinct, distinct[::-1]), ([-0.0] * 8, [0.0] * 8)]), tmp_path)
         assert formatted == [8, 2, 8, 1]
-
-    def test_requires_states(self, two_node, tmp_path):
-        traj = simulate(two_node, MARKET, SeedingPair.zeros(2), horizon=3,
-                        store_states=False)
-        with pytest.raises(ValueError):
-            write_trajectory_csv(traj, tmp_path / "t.csv")
