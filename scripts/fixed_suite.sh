@@ -248,4 +248,11 @@ run simulate-horizon-cap simulate --graph demo/graph.edges --horizon 10000001 \
 run simulate-nash-sets simulate --graph demo/graph.edges --seeding nash --sets 4,8,12 \
     --out nashsets
 
+# every command checks its flags before it loads a graph or makes --out: epsilon
+# without --sets, alpha below the price under --force (a usage error, so no
+# validation.json) and verify's negative --seed exit 1 and write nothing
+run epsilon-no-sets epsilon --graph demo/graph.edges --out nosets
+run nash-alpha-force nash --graph demo/graph.edges --alpha 0.5 --force --out alphaforce
+run verify-negative-seed verify --seed -1 --out negativeseed
+
 finish

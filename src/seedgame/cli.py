@@ -81,10 +81,13 @@ _SPECS = {
 }
 
 
-def _split_spec(spec: str, label: str) -> tuple[str, dict[str, str]]:
-    """`kind:key=value,...` as its lower-cased kind and raw values; the
-    whitespace around the kind, keys and values is dropped."""
+def _parse_spec(spec: str, family: bool = False) -> tuple[str, dict]:
+    """Kind and typed values of a generator spec, or of a family spec:
+    `kind:key=value,...`, the kind case-insensitive, and the whitespace
+    around the kind, keys and values dropped."""
+    label = "family" if family else "generator"
     kind, _, rest = spec.partition(":")
+    kind = kind.strip().lower()
     fields: dict[str, str] = {}
     for item in rest.split(",") if rest.strip() else ():
         key, sep, value = item.partition("=")
@@ -92,13 +95,6 @@ def _split_spec(spec: str, label: str) -> tuple[str, dict[str, str]]:
             raise UsageError(f"bad {label} entry {item!r} in {spec!r} "
                              f"(expected key=value)")
         fields[key.strip()] = value.strip()
-    return kind.strip().lower(), fields
-
-
-def _parse_spec(spec: str, family: bool = False) -> tuple[str, dict]:
-    """Kind and typed values of a generator spec, or of a family spec."""
-    label = "family" if family else "generator"
-    kind, fields = _split_spec(spec, label)
     if kind not in _SPECS:
         raise UsageError(f"unknown {label} kind {kind!r} "
                          f"(expected core-periphery or bounded-outdegree)")
@@ -172,11 +168,29 @@ def _check_set_flags(config: RunConfig) -> None:
         raise UsageError("provide --sets, or both --sets-bar and --sets-under")
 
 
-def _resolve_sets(config: RunConfig, n: int) -> tuple[SeedSet, SeedSet]:
-    _check_set_flags(config)
+def _check_seeding(config: RunConfig) -> None:
+    """--seeding is zero, nash or restricted; the --sets flags need restricted."""
+    if config.seeding == "restricted":
+        _check_set_flags(config)
+    elif config.seeding not in ("zero", "nash"):
+        raise UsageError(f"unknown --seeding {config.seeding!r} (expected zero, nash, or restricted)")
+    elif (config.sets, config.sets_bar, config.sets_under) != (None, None, None):
+        raise UsageError("--sets, --sets-bar and --sets-under need --seeding restricted")
+
+
+def _check_verify_counts(config: RunConfig) -> None:
+    """--samples is at least 1, and --seed at least 0 as numpy's seeds are."""
+    for flag, value, low in (("--samples", config.samples, 1), ("--seed", config.seed, 0)):
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
+def _resolve_sets(config: RunConfig, n: int) -> tuple[SeedSet, SeedSet] | None:
+    """The bar and under sets the --sets flags name, None when none is given."""
     if config.sets is not None:
-        shared = _parse_id_list(config.sets, n, "--sets")
-        return shared, shared
+        return (_parse_id_list(config.sets, n, "--sets"),) * 2
+    if config.sets_bar is None:
+        return None
     return (_parse_id_list(config.sets_bar, n, "--sets-bar"),
             _parse_id_list(config.sets_under, n, "--sets-under"))
 
@@ -196,23 +210,14 @@ def _report(config: RunConfig, path: Path, body: dict,
     write_report(head | body, path)
 
 
-def _checked_market(config: RunConfig) -> MarketParams:
-    try:
-        return config.market()
-    except ValueError as exc:
-        if "alpha must be at least price" in str(exc):
-            raise AssumptionError(str(exc)) from None
-        raise UsageError(str(exc)) from None
-
-
-def _load_bundle(config: RunConfig) -> tuple[WeightedDigraph, MarketParams, Path,
-                                             CentralityBundle]:
-    """Shared front of the graph commands: load the graph, check the market,
-    create --out and compute the bundle, which also admits the graph."""
+def _load_bundle(config: RunConfig) -> tuple:
+    """Shared front of the graph commands: the graph, the market, the --sets pair
+    (_resolve_sets), the bundle, whose solve admits the graph, and --out, made last."""
     graph, _ = _load_graph(config)
-    params = _checked_market(config)
-    out = _ensure_out(config)
-    return graph, params, out, biproduct_centrality(graph, params, config.tol)
+    pair = _resolve_sets(config, graph.n)
+    params = config.market()
+    bundle = biproduct_centrality(graph, params, config.tol)
+    return graph, params, pair, bundle, _ensure_out(config)
 
 
 def _seeding_summary(graph: WeightedDigraph, c_new: np.ndarray,
@@ -249,7 +254,7 @@ def cmd_generate(config: RunConfig) -> int:
 
 
 def cmd_centrality(config: RunConfig) -> int:
-    graph, params, out, bundle = _load_bundle(config)
+    graph, _, _, bundle, out = _load_bundle(config)
     _report(config, out / "centrality.json", {
         "n": graph.n,
         "attenuations": list(bundle.attenuations),
@@ -279,16 +284,15 @@ def _epsilon_dict(report) -> dict:
     }
 
 
-def cmd_nash(config: RunConfig, sets: bool = False) -> int:
-    """The Nash seeding and payoffs; with sets (the epsilon command) the
-    payoffs of the restricted equilibrium on --sets and its epsilon."""
-    graph, params, out, bundle = _load_bundle(config)
+def cmd_nash(config: RunConfig) -> int:
+    """The Nash seeding and payoffs; given --sets (the epsilon command), the
+    payoffs of the restricted equilibrium on them and its epsilon."""
+    graph, params, pair, bundle, out = _load_bundle(config)
     nash = seeding = nash_seeding(graph, params, bundle=bundle)
     epsilon = None
-    if sets:
-        set_bar, set_under = _resolve_sets(config, graph.n)
-        eps = epsilon_for_sets(graph, params, set_bar, set_under, bundle=bundle)
-        seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
+    if pair is not None:
+        eps = epsilon_for_sets(graph, params, *pair, bundle=bundle)
+        seeding = restricted_nash_seeding(params, bundle, *pair)
         epsilon = _epsilon_dict(eps)
     firm_a, firm_b = firm_utility(graph, params, seeding, bundle=bundle)
     _report(config, out / "equilibrium.json", {
@@ -298,7 +302,7 @@ def cmd_nash(config: RunConfig, sets: bool = False) -> int:
         "epsilon": epsilon,
     }, params)
     print(_seeding_summary(graph, bundle.c_new, seeding))
-    if sets:
+    if pair is not None:
         print(f"epsilon_paper={eps.epsilon_paper:.6g} "
               f"(tau_bar={eps.tau_bar:.6g}, tau_under={eps.tau_under:.6g})")
     print(f"wrote {out / 'equilibrium.json'}")
@@ -306,8 +310,7 @@ def cmd_nash(config: RunConfig, sets: bool = False) -> int:
 
 
 def cmd_sparsify(config: RunConfig) -> int:
-    check_epsilon_target(config.epsilon_target)
-    graph, params, out, bundle = _load_bundle(config)
+    graph, params, _, bundle, out = _load_bundle(config)
     set_bar, set_under, eps = sparsify(graph, params, config.epsilon_target, bundle=bundle)
     seeding = restricted_nash_seeding(params, bundle, set_bar, set_under)
     _report(config, out / "sparsify.json", {
@@ -325,17 +328,9 @@ def cmd_sparsify(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    # the flags are checked before the graph loads and --out is made
-    check_horizon(config.horizon)
+    graph, params, pair, bundle, out = _load_bundle(config)
     if config.seeding == "restricted":
-        _check_set_flags(config)
-    elif config.seeding not in ("zero", "nash"):
-        raise UsageError(f"unknown --seeding {config.seeding!r} (expected zero, nash, or restricted)")
-    elif (config.sets, config.sets_bar, config.sets_under) != (None, None, None):
-        raise UsageError("--sets, --sets-bar and --sets-under need --seeding restricted")
-    graph, params, out, bundle = _load_bundle(config)
-    if config.seeding == "restricted":
-        seeding = restricted_nash_seeding(params, bundle, *_resolve_sets(config, graph.n))
+        seeding = restricted_nash_seeding(params, bundle, *pair)
     elif config.seeding == "nash":
         seeding = nash_seeding(graph, params, bundle=bundle)
     else:
@@ -369,15 +364,12 @@ def _parse_rule(text: str):
 
 
 def cmd_asr_scan(config: RunConfig) -> int:
-    # the family's entry syntax is checked first, its kind and keys after
-    # the schedule and the market, so a bad market wins over a bad kind
-    _split_spec(config.family, "family")
+    kind, values = _parse_spec(config.family, family=True)
     try:
         schedule = tuple(int(t) for t in config.schedule.replace(",", " ").split())
     except ValueError:
         raise UsageError(f"bad --schedule {config.schedule!r}") from None
-    params = _checked_market(config)
-    kind, values = _parse_spec(config.family, family=True)
+    params = config.market()
     spec = FamilySpec(kind=kind.replace("-", "_"), schedule=schedule,
                       market=params, seed=config.seed, **values)
     result = scan_family(spec, rule=_parse_rule(config.rule), tol=config.tol)
@@ -495,17 +487,15 @@ def _verify_one(checks: list, name: str, graph: WeightedDigraph,
 
 
 def cmd_verify(config: RunConfig) -> int:
-    if config.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {config.samples}")
-    params = _checked_market(config)
-    out = _ensure_out(config)
+    params = config.market()
     checks: list[dict] = []
     rng = np.random.default_rng(config.seed)
     for name, graph, cp in _verify_graphs(config):
         bundle = biproduct_centrality(graph, params, config.tol)
         _verify_one(checks, name, graph, cp, params, bundle, config, rng)
     passed = all(c["passed"] for c in checks)
-    _report(config, out / "verify.json", {"checks": checks, "passed": passed}, params)
+    _report(config, _ensure_out(config) / "verify.json",
+            {"checks": checks, "passed": passed}, params)
     print(f"{'all checks passed' if passed else 'VERIFICATION FAILED'} "
           f"({sum(c['passed'] for c in checks)}/{len(checks)})")
     if not passed:
@@ -549,21 +539,25 @@ _MARKET = ("--alpha", "--price", "--beta", "--delta", "--tol", "--out", "--seed"
 _INPUT = ("--graph", "--generate", *_MARKET)
 _SETS = ("--sets", "--sets-bar", "--sets-under")
 
-# subcommand -> (handler, help, its flags in order); a flag ending in "!" is required
+# subcommand -> (handler, help, its flags in order, its checks in order); a flag
+# ending in "!" is required.  main runs every check before the handler's work
 _COMMANDS = {
     "generate": (cmd_generate, "write a generated graph as an edge list",
-                 (*_MARKET, "--generate!")),
-    "centrality": (cmd_centrality, "emit the centrality bundle", _INPUT),
-    "nash": (cmd_nash, "emit the Nash seeding and payoffs", _INPUT),
-    "epsilon": (functools.partial(cmd_nash, sets=True),
-                "epsilon certificate for given seed sets", (*_INPUT, *_SETS)),
+                 (*_MARKET, "--generate!"), ()),
+    "centrality": (cmd_centrality, "emit the centrality bundle", _INPUT, ()),
+    "nash": (cmd_nash, "emit the Nash seeding and payoffs", _INPUT, ()),
+    "epsilon": (cmd_nash, "epsilon certificate for given seed sets", (*_INPUT, *_SETS),
+                (_check_set_flags,)),
     "sparsify": (cmd_sparsify, "smallest greedy set meeting a target epsilon",
-                 (*_INPUT, "--epsilon-target!")),
+                 (*_INPUT, "--epsilon-target!"),
+                 (lambda config: check_epsilon_target(config.epsilon_target),)),
     "simulate": (cmd_simulate, "run the consumption dynamics",
-                 (*_INPUT, "--horizon", "--tail-tol", "--seeding", *_SETS)),
+                 (*_INPUT, "--horizon", "--tail-tol", "--seeding", *_SETS),
+                 (lambda config: check_horizon(config.horizon), _check_seeding)),
     "asr-scan": (cmd_asr_scan, "scan a family for sparse-seeding decay",
-                 (*_MARKET, "--family!", "--schedule!", "--rule")),
-    "verify": (cmd_verify, "run the cross-check suite", (*_INPUT, "--samples", "--tail-tol")),
+                 (*_MARKET, "--family!", "--schedule!", "--rule"), ()),
+    "verify": (cmd_verify, "run the cross-check suite", (*_INPUT, "--samples", "--tail-tol"),
+               (_check_verify_counts,)),
 }
 
 
@@ -573,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Two-firm seeding competition on influence networks.")
     parser.add_argument("--version", action="version", version=f"seedgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, flags) in _COMMANDS.items():
+    for command, (_, text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
         for flag in flags:
             name = flag.rstrip("!")
@@ -589,12 +583,15 @@ _main_parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(**vars(_main_parser().parse_args(argv)))
+        handler, _, _, checks = _COMMANDS[config.command]
         # written as "not > 0" so that NaN, which certifies nothing, is refused too
         for flag, value in (("--tol", config.tol), ("--tail-tol", config.tail_tol)):
             if not value > 0:
                 raise UsageError(f"{flag} must be positive, got {value}")
+        for check in (RunConfig.market, *checks):  # any market range error exits 1
+            check(config)
         try:
-            return _COMMANDS[config.command][0](config)
+            return handler(config)
         except AssumptionError as exc:  # with --force, a refusal's bracket goes to disk first
             if config.force and exc.report is not None:
                 path = _ensure_out(config) / "validation.json"

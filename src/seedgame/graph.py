@@ -580,7 +580,9 @@ def _read_edges_bulk(body: str | Path, n: int, skiprows: int = 0) -> WeightedDig
         rows = np.loadtxt(str(body) if isinstance(body, Path) else io.StringIO(body),
                           comments="#", dtype=_BULK_DTYPE, ndmin=1, skiprows=skiprows,
                           encoding="utf-8")
-    return WeightedDigraph(n, _columns=(rows["i"], rows["j"], rows["w"]))
+    # the edge check reads each column several times: contiguous copies, the records dropped
+    rows = tuple(rows[name].copy() for name in ("i", "j", "w"))
+    return WeightedDigraph(n, _columns=rows)
 
 
 def _read_edge_lines(n: int, content: Iterable[tuple[int, str]]) -> WeightedDigraph:

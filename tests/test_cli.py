@@ -24,6 +24,8 @@ from seedgame.cli import RunConfig, build_parser, main
 from conftest import MARKET
 
 CP_SPEC = "core-periphery:chi=3,m=4,g=0.5"
+HOT = "core-periphery:chi=3,m=4,g=1.5"  # rho = 1.5 against the bound 4 / 3
+ALPHA_BELOW_PRICE = "alpha must be at least price (alpha=0.5, price=1.0)"
 
 
 def run(*argv):
@@ -198,10 +200,15 @@ class TestEpsilon:
         code, _, err = run("epsilon", "--generate", CP_SPEC, "--out", str(tmp_path))
         assert code == 1 and "--sets" in err
 
-    def test_bad_ids_exit_one(self, tmp_path):
+    def test_bad_ids_exit_one(self, tmp_path, monkeypatch):
+        # the ids are checked on the loaded graph, before the bundle's solve
+        def solve(*args, **kwargs):
+            raise AssertionError("the bundle was solved before the refusal")
+        monkeypatch.setattr(cli, "biproduct_centrality", solve)
         code, _, err = run("epsilon", "--generate", CP_SPEC, "--sets", "4,99",
-                           "--out", str(tmp_path))
+                           "--out", str(tmp_path / "out"))
         assert code == 1 and "99" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSparsify:
@@ -219,16 +226,6 @@ class TestSparsify:
         code, _, err = run("sparsify", "--generate", CP_SPEC,
                            "--out", str(tmp_path))
         assert code == 1
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-    def test_bad_target_refused_before_the_graph_loads(self, tmp_path, monkeypatch, value):
-        loads = []
-        monkeypatch.setattr(cli, "_load_graph", lambda config: loads.append(config))
-        code, out, err = run("sparsify", "--generate", CP_SPEC,
-                             "--epsilon-target", value, "--out", str(tmp_path))
-        assert code == 1
-        assert err == f"error: epsilon_target must be a nonnegative real, got {float(value)}\n"
-        assert out == "" and loads == [] and not any(tmp_path.iterdir())
 
 
 class TestSimulate:
@@ -263,30 +260,6 @@ class TestSimulate:
         code, _, err = run("simulate", "--generate", CP_SPEC, "--seeding", "waves",
                            "--out", str(tmp_path))
         assert code == 1 and "waves" in err
-
-    @pytest.mark.parametrize("argv, message", [
-        (("--horizon", "0"), "horizon must lie in [1, 10000000], got 0"),
-        (("--horizon", "10000001"), "horizon must lie in [1, 10000000], got 10000001"),
-        (("--seeding", "waves"),
-         "unknown --seeding 'waves' (expected zero, nash, or restricted)"),
-        (("--seeding", "nash", "--sets", "4,8,12"),
-         "--sets, --sets-bar and --sets-under need --seeding restricted"),
-        (("--sets-bar", "4"), "--sets, --sets-bar and --sets-under need --seeding restricted"),
-        (("--seeding", "restricted"), "provide --sets, or both --sets-bar and --sets-under"),
-        (("--seeding", "restricted", "--sets-under", "4"),
-         "provide --sets, or both --sets-bar and --sets-under"),
-        (("--seeding", "restricted", "--sets", "4", "--sets-bar", "8"),
-         "--sets is exclusive with --sets-bar/--sets-under"),
-    ])
-    def test_bad_flags_refused_before_the_graph_loads(self, tmp_path, monkeypatch,
-                                                      argv, message):
-        loads = []
-        monkeypatch.setattr(cli, "_load_graph", lambda config: loads.append(config))
-        out_dir = tmp_path / "out"
-        code, out, err = run("simulate", "--generate", CP_SPEC, *argv, "--out", str(out_dir))
-        assert (code, out, err) == (1, "", f"error: {message}\n")
-        assert loads == [] and not out_dir.exists()
-
 
     @pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
     @pytest.mark.parametrize("value", ["nan", "0", "-1.0"])
@@ -339,6 +312,14 @@ class TestAsrScan:
         assert (code, err) == (1, f"error: {message}\n")
         assert not (tmp_path / "asr_scan.csv").exists()
 
+    def test_negative_seed_answers(self, tmp_path):
+        # its graphs draw from seed + size, so only verify refuses a negative --seed
+        code, _, err = run("asr-scan", "--family", "bounded-outdegree:d=2,weight=0.1",
+                           "--schedule", "10,20,30", "--rule", "top-k:2", "--seed", "-3",
+                           "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert read_json(tmp_path / "asr_verdict.json")["config"]["seed"] == -3
+
     def test_bad_schedule_exits_one(self, tmp_path):
         code, _, err = run("asr-scan", "--family", "core-periphery:chi=3,g=0.5",
                            "--schedule", "10,10,100", "--out", str(tmp_path))
@@ -354,23 +335,23 @@ class TestAsrScan:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("family, expected", [
-        ("mystery:x=1", 2),          # the market is checked before the family's kind
-        ("core-periphery:chi", 1),   # but after the family's entry syntax
-    ])
-    def test_market_and_family_precedence(self, tmp_path, family, expected):
-        code, _, _ = run("asr-scan", "--family", family, "--schedule", "10,31,100",
-                         "--alpha", "0.5", "--out", str(tmp_path))
-        assert code == expected
+    @pytest.mark.parametrize("family", ["mystery:x=1", "core-periphery:chi"],
+                             ids=["bad-kind", "bad-entry"])
+    def test_market_and_family_precedence(self, tmp_path, family):
+        # the market is checked before the family, whatever is wrong with it
+        code, _, err = run("asr-scan", "--family", family, "--schedule", "10,31,100",
+                           "--alpha", "0.5", "--out", str(tmp_path))
+        assert (code, err) == (1, f"error: {ALPHA_BELOW_PRICE}\n")
 
 
 class TestAssumptionFailures:
     def test_spectral_violation_exits_two(self, tmp_path):
+        # --out is made after the bundle's solve admits the graph
         code, _, err = run("nash", "--generate", "core-periphery:chi=3,m=4,g=1.5",
-                           "--out", str(tmp_path))
+                           "--out", str(tmp_path / "out"))
         assert code == 2
         assert "assumption" in err.lower()
-        assert not (tmp_path / "validation.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_force_writes_diagnostics(self, tmp_path):
         code, _, err = run("nash", "--generate", "core-periphery:chi=3,m=4,g=1.5",
@@ -381,8 +362,6 @@ class TestAssumptionFailures:
         assert report["rho"] == pytest.approx(1.5, abs=1e-9)
         assert report["bound"] <= report["lower"] <= report["rho"] <= report["upper"]
         assert report["margin"] < 0
-
-    HOT = "core-periphery:chi=3,m=4,g=1.5"
 
     @pytest.mark.parametrize("argv", [
         ("centrality", "--generate", HOT),
@@ -415,10 +394,73 @@ class TestAssumptionFailures:
         assert report["bound"] == pytest.approx(4 / 3, rel=1e-15)
         assert report["margin"] < 0
 
-    def test_alpha_below_price_exits_two(self, tmp_path):
+    def test_alpha_below_price_exits_one(self, tmp_path):
+        # a range error of the market, as a bad --beta or --delta is
         code, _, err = run("nash", "--generate", CP_SPEC, "--alpha", "0.5",
                            "--out", str(tmp_path))
-        assert code == 2
+        assert (code, err) == (1, f"error: {ALPHA_BELOW_PRICE}\n")
+
+
+NO_SETS = "provide --sets, or both --sets-bar and --sets-under"
+SETS_NEED_RESTRICTED = "--sets, --sets-bar and --sets-under need --seeding restricted"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=name) for name, argv, message in [
+        ("generate-alpha", ("generate", "--generate", CP_SPEC, "--alpha", "0.5"),
+         ALPHA_BELOW_PRICE),
+        ("centrality-tol", ("centrality", "--generate", CP_SPEC, "--tol", "0"),
+         "--tol must be positive, got 0.0"),
+        ("nash-alpha", ("nash", "--generate", CP_SPEC, "--alpha", "0.5"), ALPHA_BELOW_PRICE),
+        ("nash-alpha-force", ("nash", "--generate", CP_SPEC, "--alpha", "0.5", "--force"),
+         ALPHA_BELOW_PRICE),
+        ("epsilon-no-sets", ("epsilon", "--generate", CP_SPEC), NO_SETS),
+        ("epsilon-no-sets-inadmissible", ("epsilon", "--generate", HOT), NO_SETS),
+        ("epsilon-sets-bar-alone", ("epsilon", "--generate", CP_SPEC, "--sets-bar", "4"),
+         NO_SETS),
+        ("epsilon-sets-and-sets-bar",
+         ("epsilon", "--generate", CP_SPEC, "--sets", "4", "--sets-bar", "8"),
+         "--sets is exclusive with --sets-bar/--sets-under"),
+        *[(f"sparsify-target-{value}",
+           ("sparsify", "--generate", CP_SPEC, "--epsilon-target", value),
+           f"epsilon_target must be a nonnegative real, got {float(value)}")
+          for value in ("nan", "inf", "-0.5")],
+        *[(f"simulate-{name}", ("simulate", "--generate", CP_SPEC, *argv), message)
+          for name, argv, message in [
+              ("horizon-0", ("--horizon", "0"), "horizon must lie in [1, 10000000], got 0"),
+              ("horizon-above-cap", ("--horizon", "10000001"),
+               "horizon must lie in [1, 10000000], got 10000001"),
+              ("unknown-seeding", ("--seeding", "waves"),
+               "unknown --seeding 'waves' (expected zero, nash, or restricted)"),
+              ("nash-sets", ("--seeding", "nash", "--sets", "4,8,12"), SETS_NEED_RESTRICTED),
+              ("sets-bar-alone", ("--sets-bar", "4"), SETS_NEED_RESTRICTED),
+              ("restricted-no-sets", ("--seeding", "restricted"), NO_SETS),
+              ("restricted-sets-under-alone",
+               ("--seeding", "restricted", "--sets-under", "4"), NO_SETS),
+              ("restricted-sets-and-sets-bar",
+               ("--seeding", "restricted", "--sets", "4", "--sets-bar", "8"),
+               "--sets is exclusive with --sets-bar/--sets-under"),
+          ]],
+        ("asr-scan-alpha", ("asr-scan", "--family", "core-periphery:chi=3,g=0.5",
+                            "--schedule", "10,31,100", "--alpha", "0.5"), ALPHA_BELOW_PRICE),
+        ("asr-scan-schedule", ("asr-scan", "--family", "core-periphery:chi=3,g=0.5",
+                               "--schedule", "10,x,100"), "bad --schedule '10,x,100'"),
+        ("verify-samples-0", ("verify", "--generate", CP_SPEC, "--samples", "0"),
+         "--samples must be at least 1, got 0"),
+        ("verify-seed-negative", ("verify", "--seed", "-1"), "--seed must be at least 0, got -1"),
+    ]
+])
+def test_bad_flag_refused_before_any_work(tmp_path, monkeypatch, argv, message):
+    # one exit-1 line, and no graph loaded or made, no solve and no --out
+    def work(*args, **kwargs):
+        raise AssertionError("a graph was loaded or made before the refusal")
+    for name in ("_load_graph", "_generated", "_verify_graphs"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(cli.FamilySpec, "build", work)
+    out_dir = tmp_path / "out"
+    code, out, err = run(*argv, "--out", str(out_dir))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_dir.exists()
 
 
 def write_cycle(path, weights):
